@@ -155,16 +155,13 @@ class _PowerStats:
 class CoeffStats:
     """Magnitude summaries of one coefficient vector, shared across bounds."""
 
-    __slots__ = ("n", "_pow", "sum_a", "sum_a2", "sum_a4", "max_a", "max_a2", "top2_prod", "sum_bracket")
+    __slots__ = ("n", "_pow", "sum_a2", "max_a", "max_a2", "top2_prod", "sum_bracket")
 
     def __init__(self, coeffs):
         a = [abs(complex(c)) for c in coeffs]
         self.n = len(a)
         self._pow = _PowerStats(a)
-        a2 = [v * v for v in a]
-        self.sum_a = sum(a, 0.0)
-        self.sum_a2 = sum(a2, 0.0)
-        self.sum_a4 = sum((v * v for v in a2), 0.0)
+        self.sum_a2 = sum([v * v for v in a], 0.0)
         self.max_a = self._pow.maximum
         self.max_a2 = self.max_a * self.max_a
         if self.n >= 2:

@@ -8,14 +8,18 @@ the limits at both ends of the domain coincide with the max- and sum-selector
 variants that already exist in the catalog.
 
 Rankings evaluate a set of variants on one instance, with every exponent slot
-independently optimized, and order them by right-hand side.
+independently optimized, and order them by right-hand side.  Every free
+exponent belongs to one of a few tunable terms of the instance (the holder
+diagonal, the holder off-diagonal, ...); each term is minimized once per
+instance and its minimum is shared by every variant that uses it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,29 +97,39 @@ def _check_domain(p: float) -> float:
     return p
 
 
+# The tunable terms: each is a function of (instance context, free exponent)
+# whose minimum over the exponent is a valid bound, or a valid part of one.
+# The rows that are whole profiled quantities carry their PROFILE_FAMILIES name.
+_TERMS: dict[str, Callable[[EvalContext, float], float]] = {
+    "lemma21:diag": lambda ctx, t: _diag_value(ctx.coeff_stats, ctx.gram_stats, holder(t)),
+    "lemma21:offdiag": lambda ctx, t: _offdiag_value(ctx.coeff_stats, ctx.gram_stats, holder(t)),
+    "coarse:offdiag": lambda ctx, t: _coarse_offdiag_value(ctx.coeff_stats, ctx.gram_stats, holder(t)),
+    # Both slots share the exponent, matching the aligned special form.
+    "coarse": lambda ctx, t: (
+        _diag_value(ctx.coeff_stats, ctx.gram_stats, holder(t))
+        + _coarse_offdiag_value(ctx.coeff_stats, ctx.gram_stats, holder(t))
+    ),
+    "cor32:3": lambda ctx, t: ctx.x_norm_sq * _cor32_rhs_factor(ctx.coeff_stats, ctx.gram_stats, 3, t),
+    "bb:4.3": lambda ctx, t: _fourier_rhs(
+        Variant.fourier_43(t), ctx.fourier_stats, ctx.gram_stats, ctx.x_norm_sq
+    ),
+    "ortho:4.4": lambda ctx, t: _fourier_rhs(
+        Variant.ortho_44(t), ctx.fourier_stats, ctx.gram_stats, ctx.x_norm_sq
+    ),
+}
+
+
 def _family_fn(family: str, ctx: EvalContext) -> Callable[[float], float]:
     """The profiled quantity as a function of the free exponent."""
-    if family == "lemma21:diag":
-        cs, gs = ctx.coeff_stats, ctx.gram_stats
-        return lambda t: _diag_value(cs, gs, holder(t))
-    if family == "lemma21:offdiag":
-        cs, gs = ctx.coeff_stats, ctx.gram_stats
-        return lambda t: _offdiag_value(cs, gs, holder(t))
-    if family == "coarse":
-        # Both slots share the exponent, matching the aligned special form.
-        cs, gs = ctx.coeff_stats, ctx.gram_stats
-        return lambda t: (
-            _diag_value(cs, gs, holder(t)) + _coarse_offdiag_value(cs, gs, holder(t))
-        )
-    if family == "cor32:3":
-        cs, gs = ctx.coeff_stats, ctx.gram_stats
-        x2 = ctx.x_norm_sq
-        return lambda t: x2 * _cor32_rhs_factor(cs, gs, 3, t)
-    if family == "bb:4.3":
-        fs, gs = ctx.fourier_stats, ctx.gram_stats
-        x2 = ctx.x_norm_sq
-        return lambda t: _fourier_rhs(Variant.fourier_43(t), fs, gs, x2)
-    raise VariantError(f"unknown profile family {family!r}; expected one of {PROFILE_FAMILIES}")
+    if family not in PROFILE_FAMILIES:
+        raise VariantError(f"unknown profile family {family!r}; expected one of {PROFILE_FAMILIES}")
+    return partial(_TERMS[family], ctx)
+
+
+def _tuned_value(ctx: EvalContext, term: str) -> float:
+    """Minimum of one tunable term over DEFAULT_INTERVAL, computed once per instance."""
+    best = ctx._get("tuned:" + term, lambda: _minimize(partial(_TERMS[term], ctx), DEFAULT_INTERVAL))
+    return best[1]
 
 
 def _golden_refine(
@@ -170,6 +184,25 @@ def _coarse_grid(lo: float, hi: float, points: int = COARSE_GRID_POINTS) -> list
     return [float(t) for t in np.geomspace(lo, hi, points)]
 
 
+_DEFAULT_GRID = tuple(_coarse_grid(*DEFAULT_INTERVAL))
+
+
+def _refine_grid_minimum(
+    fn: Callable[[float], float], grid: Sequence[float], values: list[float]
+) -> tuple[float, float, bool]:
+    """Best of the grid values and a golden-section refinement bracketed
+    around the grid argmin; ``at_boundary`` means it sits at a grid end."""
+    k = min(range(len(grid)), key=lambda i: (values[i], i))
+    best_t, best_v = grid[k], values[k]
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    if lo < hi:
+        t, v = _golden_refine(fn, lo, hi)
+        if v < best_v:
+            best_t, best_v = t, v
+    at_boundary = abs(best_t - grid[0]) <= 1e-9 * grid[0] or abs(best_t - grid[-1]) <= 1e-9 * grid[-1]
+    return best_t, best_v, at_boundary
+
+
 def _minimize(
     fn: Callable[[float], float], interval: tuple[float, float]
 ) -> tuple[float, float, bool]:
@@ -178,18 +211,9 @@ def _minimize(
         raise VariantError(f"invalid search interval {interval}")
     _check_domain(lo)
     _check_domain(hi)
-    grid = _coarse_grid(lo, hi)
-    values = [fn(t) for t in grid]
-    k = min(range(len(grid)), key=lambda i: (values[i], i))
-    best_t, best_v = grid[k], values[k]
-    bracket_lo = grid[max(k - 1, 0)]
-    bracket_hi = grid[min(k + 1, len(grid) - 1)]
-    if bracket_lo < bracket_hi:
-        t, v = _golden_refine(fn, bracket_lo, bracket_hi)
-        if v < best_v:
-            best_t, best_v = t, v
-    at_boundary = abs(best_t - lo) <= 1e-9 * lo or abs(best_t - hi) <= 1e-9 * hi
-    return best_t, best_v, at_boundary
+    # geomspace returns both endpoints exactly, so the grid ends are lo and hi
+    grid = _DEFAULT_GRID if (lo, hi) == DEFAULT_INTERVAL else _coarse_grid(lo, hi)
+    return _refine_grid_minimum(fn, grid, [fn(t) for t in grid])
 
 
 def optimize_exponent(
@@ -220,22 +244,12 @@ def profile_exponent(
     The minimizer is the best of the grid values and a golden-section
     refinement bracketed around the grid argmin.
     """
-    ctx = EvalContext(inst, coeffs)
-    fn = _family_fn(family, ctx)
-    exps = sorted({_check_domain(t) for t in grid})
-    if not exps:
-        exps = _coarse_grid(*DEFAULT_INTERVAL)
+    fn = _family_fn(family, EvalContext(inst, coeffs))
+    exps = sorted({_check_domain(t) for t in grid}) or _DEFAULT_GRID
     values = [fn(t) for t in exps]
     if any(not math.isfinite(v) for v in values):
         raise ArithmeticError(f"non-finite profile value for family {family}")
-    k = min(range(len(exps)), key=lambda i: (values[i], i))
-    best_t, best_v = exps[k], values[k]
-    lo, hi = exps[max(k - 1, 0)], exps[min(k + 1, len(exps) - 1)]
-    if lo < hi:
-        t, v = _golden_refine(fn, lo, hi)
-        if v < best_v:
-            best_t, best_v = t, v
-    at_boundary = abs(best_t - exps[0]) <= 1e-9 * exps[0] or abs(best_t - exps[-1]) <= 1e-9 * exps[-1]
+    best_t, best_v, at_boundary = _refine_grid_minimum(fn, exps, values)
     return ExponentProfile(
         family=family,
         grid=tuple(zip(exps, values)),
@@ -253,45 +267,35 @@ def _optimized_rhs(variant: Variant, ctx: EvalContext) -> tuple[float, float]:
     """(lhs, rhs) with each conjugate-exponent slot independently minimized.
 
     Slots pinned to max or sum selectors are kept as given; only holder
-    selectors and p parameters are tuned.  Each evaluated point is itself a
-    valid bound, so minimization cannot break soundness.
+    selectors and p parameters are tuned, each through the per-instance
+    minimum of its tunable term.  Each evaluated point is itself a valid
+    bound, so minimization cannot break soundness.
     """
     k = variant.kind
     if k in ("lemma21", "coarse", "thm31"):
         cs, gs = ctx.coeff_stats, ctx.gram_stats
-        off_fn = _offdiag_value if k in ("lemma21", "thm31") else _coarse_offdiag_value
         if variant.diag.kind == "holder":
-            _, dval, _ = _minimize(lambda t: _diag_value(cs, gs, holder(t)), DEFAULT_INTERVAL)
+            dval = _tuned_value(ctx, "lemma21:diag")
         else:
             dval = _diag_value(cs, gs, variant.diag)
         if variant.offdiag.kind == "holder":
-            _, oval, _ = _minimize(lambda t: off_fn(cs, gs, holder(t)), DEFAULT_INTERVAL)
+            oval = _tuned_value(ctx, "coarse:offdiag" if k == "coarse" else "lemma21:offdiag")
+        elif k == "coarse":
+            oval = _coarse_offdiag_value(cs, gs, variant.offdiag)
         else:
-            oval = off_fn(cs, gs, variant.offdiag)
+            oval = _offdiag_value(cs, gs, variant.offdiag)
         rhs = dval + oval
         if k == "thm31":
             return ctx.lhs_weighted, ctx.x_norm_sq * rhs
         return ctx.lhs_combination, rhs
     if k == "special_212":
-        cs, gs = ctx.coeff_stats, ctx.gram_stats
-        _, rhs, _ = _minimize(
-            lambda t: _diag_value(cs, gs, holder(t)) + _coarse_offdiag_value(cs, gs, holder(t)),
-            DEFAULT_INTERVAL,
-        )
-        return ctx.lhs_combination, rhs
+        return ctx.lhs_combination, _tuned_value(ctx, "coarse")
     if k == "cor32" and variant.branch == 3:
-        cs, gs = ctx.coeff_stats, ctx.gram_stats
-        x2 = ctx.x_norm_sq
-        _, rhs, _ = _minimize(lambda t: x2 * _cor32_rhs_factor(cs, gs, 3, t), DEFAULT_INTERVAL)
-        return ctx.lhs_weighted, rhs
+        return ctx.lhs_weighted, _tuned_value(ctx, "cor32:3")
     if k in ("bb_43", "ortho_44"):
         if variant.orthonormal_only and not ctx.is_orthonormal:
             raise IncompatibleInstanceError("orthonormality gate")
-        fs, gs = ctx.fourier_stats, ctx.gram_stats
-        x2 = ctx.x_norm_sq
-        ctor = Variant.fourier_43 if k == "bb_43" else Variant.ortho_44
-        _, rhs, _ = _minimize(lambda t: _fourier_rhs(ctor(t), fs, gs, x2), DEFAULT_INTERVAL)
-        return ctx.lhs_fourier, rhs
+        return ctx.lhs_fourier, _tuned_value(ctx, "bb:4.3" if k == "bb_43" else "ortho:4.4")
     return _eval_on_context(variant, ctx)
 
 
@@ -310,10 +314,12 @@ def rank_variants(
 ) -> TightnessRanking:
     """Order a variant set by rhs on one instance, tightest first.
 
-    Exponent slots are optimized per term by default, so two holder variants
-    differing only in their pinned exponent rank identically (ties then break
-    by name).  All variants must be compatible with the instance; an
-    orthonormal-only variant on a general family raises.
+    Exponent slots are optimized per term by default: each tunable term is
+    minimized once per instance and its minimum is shared by every variant
+    that uses it, so two holder variants differing only in their pinned
+    exponent rank identically (ties then break by name).  All variants must
+    be compatible with the instance; an orthonormal-only variant on a general
+    family raises.
     """
     ctx = EvalContext(inst, coeffs)
     entries = []

@@ -1,10 +1,12 @@
 """Exponent profiles, golden-section optimization, tightness ranking."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bbbounds.tuning as tuning
 from bbbounds import (
     DEFAULT_INTERVAL,
     MAX,
@@ -210,3 +212,61 @@ class TestRanking:
         lines = ranking.to_csv().strip().split("\n")
         assert lines[0] == "rank,variant,rhs,rel_slack"
         assert lines[1].startswith("1,")
+
+
+def orthonormal_instance(seed=83, n=3, dim=6):
+    rng = np.random.default_rng(seed)
+    fam = orthonormalize(VectorFamily(rng.standard_normal((n, dim))))
+    inst = ProblemInstance.from_vectors(rng.standard_normal(dim), fam, field_mode="real")
+    return inst, rng.standard_normal(n)
+
+
+class TestTunedTerms:
+    def test_shared_exponent_variants_match_optimize_exponent(self):
+        config = GenConfig(master_seed=29, count=12, n_range=(1, 6), d_range=(1, 6))
+        pairs = (
+            (Variant.special_212(2.0), "coarse"),
+            (Variant.cor32(3, 1.5), "cor32:3"),
+            (Variant.fourier_43(3.0), "bb:4.3"),
+        )
+        for index in range(config.count):
+            inst, coeffs = generate_instance(config, index)
+            ranking = rank_variants(inst, coeffs, [variant for variant, _ in pairs])
+            tuned = {e.variant: e.rhs for e in ranking.entries}
+            for variant, family in pairs:
+                assert tuned[variant.name] == optimize_exponent(family, inst, coeffs)[1]
+
+    def test_fourier_terms_keep_their_own_minima(self):
+        # bb:4.3 and ortho:4.4 are different formulas of the same exponent,
+        # so ranking them together must not let one reuse the other's minimum
+        inst, coeffs = orthonormal_instance()
+        bb, ortho = Variant.fourier_43(2.0), Variant.ortho_44(2.0)
+        alone = {
+            v.name: rank_variants(inst, coeffs, [v]).entries[0].rhs for v in (bb, ortho)
+        }
+        assert alone[bb.name] != alone[ortho.name]
+        for order in ([bb, ortho], [ortho, bb]):
+            together = {e.variant: e.rhs for e in rank_variants(inst, coeffs, order).entries}
+            assert together == alone
+
+    def test_full_catalog_rank_minimizes_each_term_once(self, monkeypatch):
+        calls = []
+        minimize = tuning._minimize
+
+        def counting(fn, interval):
+            calls.append(interval)
+            return minimize(fn, interval)
+
+        monkeypatch.setattr(tuning, "_minimize", counting)
+        inst, coeffs = orthonormal_instance()
+        ranking = rank_variants(inst, coeffs, full_catalog())
+        assert len(ranking.entries) == len(full_catalog())
+        assert 0 < len(calls) <= 7
+
+    def test_rank_csv_golden(self):
+        # recorded before the tunable terms were shared across variants
+        config = GenConfig(master_seed=5, count=1, n_range=(4, 4), d_range=(4, 4))
+        inst, coeffs = generate_instance(config, 0)
+        variants = [v for v in full_catalog() if not v.orthonormal_only]
+        expected = (Path(__file__).parent / "golden" / "rank_seed5_n4.csv").read_text()
+        assert rank_variants(inst, coeffs, variants).to_csv() == expected

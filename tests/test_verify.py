@@ -114,7 +114,6 @@ class TestCheckVariant:
         assert res.variant == "lemma21:max:max"
         assert not res.skipped
         assert (res.evaluation.lhs, res.evaluation.rhs) == (pytest.approx(9.0), pytest.approx(12.0))
-        assert res.elapsed >= 0.0
 
     def test_equality_case_holds(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], field_mode="real")
