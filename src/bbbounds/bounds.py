@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -103,17 +104,27 @@ class IncompatibleInstanceError(ValueError):
 
 
 class _PowerStats:
-    """Memoized scaled power sums of a fixed tuple of nonnegative floats."""
+    """Memoized scaled power sums of a fixed float64 array of nonnegative values.
 
-    __slots__ = ("values", "maximum", "total", "_scaled", "_memo", "_bracket_memo")
+    ``values``, ``maximum`` and ``total`` are Python floats; ``total`` is the
+    sequential sum in input order.  The array work is exact: sorting, and one
+    IEEE division per element.  The power sums stay scalar Python loops on
+    purpose: ``np.power`` differs from ``r**p`` in the last bit in about 5% of
+    entries, at every exponent tried (2.0 included), so a vectorised sum would
+    change the reported numbers.
+    """
 
-    def __init__(self, values):
-        self.values = tuple(float(v) for v in values)
-        self.maximum = max(self.values, default=0.0)
+    __slots__ = ("values", "maximum", "second", "total", "_scaled", "_memo", "_bracket_memo")
+
+    def __init__(self, values: np.ndarray):
+        self.values = values.tolist()
         self.total = sum(self.values, 0.0)
+        desc = np.sort(values)[::-1]
+        self.maximum = float(desc[0]) if desc.size else 0.0
+        self.second = float(desc[1]) if desc.size >= 2 else 0.0
         m = self.maximum
         # descending, so the leading term of every scaled power sum is 1
-        self._scaled = tuple(sorted((v / m for v in self.values), reverse=True)) if m > 0.0 else ()
+        self._scaled = (desc / m).tolist() if m > 0.0 else []
         self._memo: dict[float, float] = {}
         self._bracket_memo: dict[float, float] = {}
 
@@ -158,17 +169,14 @@ class CoeffStats:
     __slots__ = ("n", "_pow", "sum_a2", "max_a", "max_a2", "top2_prod", "sum_bracket")
 
     def __init__(self, coeffs):
-        a = [abs(complex(c)) for c in coeffs]
-        self.n = len(a)
+        c = np.asarray(coeffs, dtype=np.complex128)
+        a = np.hypot(c.real, c.imag)
+        self.n = a.shape[0]
         self._pow = _PowerStats(a)
-        self.sum_a2 = sum([v * v for v in a], 0.0)
+        self.sum_a2 = sum((a * a).tolist(), 0.0)
         self.max_a = self._pow.maximum
         self.max_a2 = self.max_a * self.max_a
-        if self.n >= 2:
-            top = sorted(a, reverse=True)
-            self.top2_prod = top[0] * top[1]
-        else:
-            self.top2_prod = 0.0
+        self.top2_prod = self.max_a * self._pow.second if self.n >= 2 else 0.0
         # (sum a)^2 - sum a^2, the ordered pair sum of a_i a_j
         self.sum_bracket = self.holder_bracket_root(1.0)
 
@@ -191,19 +199,34 @@ class CoeffStats:
         return max(root, self.top2_prod * 2.0 ** (1.0 / g))
 
 
+@lru_cache(maxsize=128)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major indices of the strict upper triangle of an n x n matrix."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 class GramStats:
-    """Diagonal and ordered off-diagonal summaries of one Gram matrix."""
+    """Diagonal and ordered off-diagonal summaries of one Gram matrix.
+
+    The entries are read as whole arrays: the real diagonal, and the
+    magnitudes of the strict upper triangle in row-major order, taken with
+    ``np.hypot``, which matches Python's ``abs(complex)`` bit for bit
+    (``np.abs`` on complex arrays does not everywhere).  Power sums over them
+    stay scalar; see ``_PowerStats``.
+    """
 
     __slots__ = ("n", "_diag", "_off", "sum_diag", "max_diag", "sum_off", "max_off")
 
     def __init__(self, gram):
-        e = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram)
+        e = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.complex128)
         n = e.shape[0]
         self.n = n
-        diag = [float(e[i, i].real) for i in range(n)]
-        off = [abs(complex(e[i, j])) for i in range(n) for j in range(i + 1, n)]
-        self._diag = _PowerStats(diag)
-        self._off = _PowerStats(off)
+        u = e[_upper_pairs(n)]
+        self._diag = _PowerStats(e.diagonal().real)
+        self._off = _PowerStats(np.hypot(u.real, u.imag))
         self.sum_diag = self._diag.total
         self.max_diag = self._diag.maximum
         self.sum_off = 2.0 * self._off.total     # ordered pairs

@@ -39,6 +39,7 @@ from bbbounds import (
     special_bound,
     weighted_sum_bound,
 )
+from bbbounds.bounds import CoeffStats, GramStats
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -595,3 +596,110 @@ class TestSoundnessSweep:
                 except IncompatibleInstanceError:
                     continue
                 assert ev.holds, (variant.name, index, ev)
+
+
+# ---------------------------------------------------------------------------
+# Statistics built from whole arrays against the per-entry formulas
+# ---------------------------------------------------------------------------
+
+
+def reference_power_stats(values):
+    """The per-entry summaries: Python floats, sorted after scaling."""
+    values = [float(v) for v in values]
+    m = max(values, default=0.0)
+    scaled = sorted((v / m for v in values), reverse=True) if m > 0.0 else []
+    return values, m, sum(values, 0.0), scaled
+
+
+def reference_scaled_pow_sum(scaled, p):
+    s = 0.0
+    for r in scaled:
+        s += r**p
+    return s
+
+
+def reference_pair_bracket(scaled, p):
+    r = 0.0
+    r2 = 0.0
+    for u in scaled[1:]:
+        up = u**p
+        r += up
+        r2 += up * up
+    return max(2.0 * r + r * r - r2, 0.0)
+
+
+def assert_power_stats_identical(ps, values):
+    values, m, total, scaled = reference_power_stats(values)
+    assert list(ps.values) == values
+    assert list(ps._scaled) == scaled
+    assert ps.total == total and ps.maximum == m
+    for p in (1.0, 2.0, 1.25):
+        s = ps.scaled_pow_sum(p)
+        b = ps.pair_bracket_scaled(p)
+        assert s == reference_scaled_pow_sum(scaled, p)
+        assert b == reference_pair_bracket(scaled, p)
+        assert type(s) is float and type(b) is float
+    for v in (*ps.values, *ps._scaled, ps.total, ps.maximum):
+        assert type(v) is float
+
+
+def assert_gram_stats_identical(gram):
+    gs = GramStats(gram)
+    e = np.asarray(gram.entries if hasattr(gram, "entries") else gram)
+    n = e.shape[0]
+    diag = [float(e[i, i].real) for i in range(n)]
+    off = [abs(complex(e[i, j])) for i in range(n) for j in range(i + 1, n)]
+    assert_power_stats_identical(gs._diag, diag)
+    assert_power_stats_identical(gs._off, off)
+    _, max_off, total_off, _ = reference_power_stats(off)
+    assert gs.sum_off == 2.0 * total_off and gs.max_off == max_off
+    assert gs.sum_diag == sum(diag, 0.0) and gs.max_diag == max(diag, default=0.0)
+    for v in (gs.sum_off, gs.max_off, gs.sum_diag, gs.max_diag):
+        assert type(v) is float
+
+
+def assert_coeff_stats_identical(coeffs):
+    cs = CoeffStats(coeffs)
+    a = [abs(complex(c)) for c in coeffs]
+    assert_power_stats_identical(cs._pow, a)
+    top = sorted(a, reverse=True)
+    assert cs.n == len(a)
+    assert cs.sum_a2 == sum([v * v for v in a], 0.0)
+    assert cs.max_a == max(a, default=0.0)
+    assert cs.top2_prod == (top[0] * top[1] if len(a) >= 2 else 0.0)
+    for v in (cs.sum_a2, cs.max_a, cs.max_a2, cs.top2_prod, cs.sum_bracket):
+        assert type(v) is float
+
+
+class TestStatsBitIdentity:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 24, 64])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_family_gram_and_coefficients(self, n, complex_field):
+        rng = np.random.default_rng(1000 + 2 * n + complex_field)
+        d = int(rng.integers(1, 129))
+        fam = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0, (n, 1))
+        coeffs = rng.standard_normal(n)
+        if complex_field:
+            fam = fam + 1j * rng.standard_normal((n, d))
+            coeffs = coeffs + 1j * rng.standard_normal(n)
+        gram = gram_of_family(VectorFamily(fam))
+        assert_gram_stats_identical(gram)
+        assert_gram_stats_identical(gram.entries)
+        assert_coeff_stats_identical(np.asarray(coeffs, dtype=np.complex128))
+        assert_coeff_stats_identical(list(coeffs))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8])
+    def test_all_zero_gram(self, n):
+        assert_gram_stats_identical(np.zeros((n, n), dtype=np.complex128))
+        assert_coeff_stats_identical(np.zeros(n))
+
+    def test_plain_real_and_integer_arrays(self):
+        rng = np.random.default_rng(77)
+        for n in (1, 2, 5, 24):
+            ints = rng.integers(-9, 10, (n, n))
+            np.fill_diagonal(ints, np.abs(ints.diagonal()))  # power sums need it >= 0
+            assert_gram_stats_identical(ints)
+            assert_gram_stats_identical(ints.astype(np.float64) / 7.0)
+            assert_gram_stats_identical(ints.tolist())
+            assert_coeff_stats_identical(rng.integers(-9, 10, n).tolist())
+            assert_coeff_stats_identical(rng.standard_normal(n).astype(np.float32))

@@ -94,6 +94,46 @@ class TestGramOfFamily:
             VectorFamily.from_rows([[1.0], [1.0, 2.0]])
 
 
+class TestFromRows:
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_array_with_nan_names_the_row(self, k):
+        arr = np.ones((5, 3), dtype=np.complex128)
+        arr[k, 1] = complex(0.0, np.nan)
+        arr[4, 0] = np.inf
+        first = min(k, 4)
+        with pytest.raises(ValidationError, match=f"^family vector {first} contains non-finite"):
+            VectorFamily.from_rows(arr)
+        with pytest.raises(ValidationError, match=f"^family vector {first} contains non-finite"):
+            VectorFamily.from_rows(list(arr))
+
+    def test_wrong_dim_same_message_as_rows(self):
+        arr = np.ones((3, 2))
+        messages = []
+        for rows in (arr, arr.tolist()):
+            with pytest.raises(ValidationError) as err:
+                VectorFamily.from_rows(rows, dim=4)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "family dimension 2 does not match dim=4"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64])
+    def test_array_and_rows_bitwise_equal(self, dtype):
+        rng = np.random.default_rng(31)
+        arr = rng.standard_normal((6, 4)) * 1e3
+        if dtype is np.complex128:
+            arr = arr + 1j * rng.standard_normal((6, 4))
+        arr = arr.astype(dtype)
+        from_array = VectorFamily.from_rows(arr, dim=4).vectors
+        from_list = VectorFamily.from_rows([list(r) for r in arr], dim=4).vectors
+        assert from_array.dtype == from_list.dtype == np.complex128
+        assert from_array.tobytes() == from_list.tobytes()
+        assert not from_array.flags.writeable
+
+    def test_empty_array_needs_dim(self):
+        with pytest.raises(ValidationError, match="explicit dim"):
+            VectorFamily.from_rows(np.zeros((0, 3)))
+        assert VectorFamily.from_rows(np.zeros((0, 3)), dim=2).vectors.shape == (0, 2)
+
+
 class TestCombinationNormSq:
     def test_parseval_orthonormal(self):
         assert combination_norm_sq([1.0, 2.0], VectorFamily.from_rows([E1, E2])) == pytest.approx(5.0)

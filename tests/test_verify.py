@@ -1,6 +1,7 @@
 """Generator determinism, suite reporting, skips, and the witness search."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bbbounds import (
     generate_instance,
     orthonormalize,
     parse_variant,
+    rank_variants,
     run_suite,
     search_incomparability,
 )
@@ -200,6 +202,23 @@ class TestRunSuite:
         assert set(payload) == {"instance_id", "variant", "lhs", "rhs", "slack", "instance"}
         assert payload["instance"]["mode"] == "vectors"
         assert "coeffs" in payload["instance"]
+
+
+class TestWideFamilyGolden:
+    # recorded before the Gram and coefficient statistics were built from
+    # whole arrays; families of 24 to 64 vectors in up to 128 dimensions
+    CONFIG = GenConfig(n_range=(24, 64), d_range=(16, 128), master_seed=901, count=20)
+    GOLDEN = Path(__file__).parent / "golden"
+
+    def test_suite_csv(self):
+        expected = (self.GOLDEN / "verify_wide.csv").read_text()
+        assert run_suite(self.CONFIG, full_catalog()).to_csv() == expected
+
+    def test_tuned_rank_csv(self):
+        inst, coeffs = generate_instance(self.CONFIG, 0)
+        variants = [v for v in full_catalog() if not v.orthonormal_only]
+        expected = (self.GOLDEN / "rank_wide.csv").read_text()
+        assert rank_variants(inst, coeffs, variants).to_csv() == expected
 
 
 class TestSearchIncomparability:
