@@ -1,4 +1,4 @@
-"""Closed-form upper bounds on inner-product expressions.
+"""Per-instance statistics and the evaluation of catalog bounds.
 
 Three families, distinguished by what they cap:
 
@@ -10,6 +10,11 @@ Three families, distinguished by what they cap:
   ``c_i = conj((x, y_i))``, including the classical Bessel and Boas-Bellman
   forms and their orthonormal specializations).
 
+The right-hand sides are defined once, in the catalog table of
+``variants``; this module builds the statistics they read and evaluates a
+variant through its table row (``_eval_on_context``).  Every public bound
+function here is a thin call into that one evaluator.
+
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
 so each unordered pair contributes twice.  Power sums factor out the largest
@@ -19,9 +24,8 @@ term before exponentiation, which keeps exponents up to the domain cap of 64
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +38,7 @@ from .space import (
     combination_norm_sq,
     gram_of_family,
 )
-from .variants import MAX, SUM, Selector, Variant, conjugate_exponent, holder
+from .variants import Selector, Variant, _diag_value, _offdiag_value
 
 __all__ = [
     "ORTHONORMAL_GATE_TOL",
@@ -51,6 +55,7 @@ __all__ = [
     "cor23_bounds",
     "coarse_bound",
     "weighted_sum_bound",
+    "special_bound",
     "fourier_bound",
     "remark4_quantities",
     "evaluate_variant",
@@ -248,215 +253,29 @@ class GramStats:
 
 
 # ---------------------------------------------------------------------------
-# Term formulas
+# Evaluation
 # ---------------------------------------------------------------------------
 
 
-def _diag_value(cs: CoeffStats, gs: GramStats, sel: Selector) -> float:
-    if sel.kind == "max":
-        return cs.max_a2 * gs.sum_diag
-    if sel.kind == "sum":
-        return cs.sum_a2 * gs.max_diag
-    return cs.norm_a2(sel.exponent) * gs.norm_diag(sel.conjugate)
-
-
-def _offdiag_value(cs: CoeffStats, gs: GramStats, sel: Selector) -> float:
-    if gs.n <= 1 or gs.max_off == 0.0:
-        return 0.0
-    if sel.kind == "max":
-        return cs.top2_prod * gs.sum_off
-    if sel.kind == "sum":
-        return cs.sum_bracket * gs.max_off
-    return cs.holder_bracket_root(sel.exponent) * gs.norm_off(sel.conjugate)
-
-
-def _coarse_offdiag_value(cs: CoeffStats, gs: GramStats, sel: Selector) -> float:
-    if gs.n <= 1 or gs.max_off == 0.0:
-        return 0.0
-    if sel.kind == "max":
-        return cs.max_a2 * gs.sum_off
-    if sel.kind == "sum":
-        return (gs.n - 1) * cs.sum_a2 * gs.max_off
-    g = sel.exponent
-    return (gs.n - 1) ** (1.0 / g) * cs.norm_a2(g) * gs.norm_off(sel.conjugate)
-
-
-def _cor23_sharp_rhs(cs: CoeffStats, gs: GramStats) -> float:
-    if cs.sum_a2 == 0.0:
-        return 0.0
-    # sqrt((sum a^2)^2 - sum a^4) is the pair bracket root at exponent 2;
-    # its coefficient is at most 1, so clamp rounding to keep sharp <= weak.
-    ratio = min(cs.holder_bracket_root(2.0) / cs.sum_a2, 1.0)
-    return cs.sum_a2 * (gs.max_diag + ratio * gs.norm_off(2.0))
-
-
-def _cor23_weak_rhs(cs: CoeffStats, gs: GramStats) -> float:
-    if cs.sum_a2 == 0.0:
-        return 0.0
-    return cs.sum_a2 * (gs.max_diag + gs.norm_off(2.0))
-
-
-def _special_rhs(cs: CoeffStats, gs: GramStats, which: str, p: float | None = None) -> float:
-    if which == "special_211":
-        return _diag_value(cs, gs, MAX) + _coarse_offdiag_value(cs, gs, MAX)
-    if which == "special_213":
-        return _diag_value(cs, gs, SUM) + _coarse_offdiag_value(cs, gs, SUM)
-    sel = holder(p)
-    return _diag_value(cs, gs, sel) + _coarse_offdiag_value(cs, gs, sel)
-
-
-def _cor32_rhs_factor(cs: CoeffStats, gs: GramStats, branch: int, p: float | None) -> float:
-    """The combination-bound factor multiplying |x|^2 in each cor32 branch."""
-    if branch == 1:
-        return _cor23_weak_rhs(cs, gs)
-    if branch == 2:
-        return _special_rhs(cs, gs, "special_211")
-    if branch == 3:
-        return _special_rhs(cs, gs, "special_212", p)
-    return _special_rhs(cs, gs, "special_213")
-
-
-def _fourier_rhs(variant: Variant, fs: CoeffStats, gs: GramStats, x_norm_sq: float) -> float:
-    """rhs of a Fourier-coefficient bound; ``fs`` summarizes |(x, y_i)|."""
-    k = variant.kind
-    n = gs.n
-    if k == "bessel_11":
-        return x_norm_sq
-    if k == "bb_12":
-        return x_norm_sq * (gs.max_diag + gs.norm_off(2.0))
-    if k == "bb_45":
-        tail = (n - 1) * gs.max_off if n >= 2 else 0.0
-        return x_norm_sq * (gs.max_diag + tail)
-    x_norm = math.sqrt(x_norm_sq)
-    if k == "bb_41":
-        return x_norm * fs.max_a * math.sqrt(gs.sum_diag + gs.sum_off)
-    if k == "ortho_42":
-        return math.sqrt(n) * x_norm * fs.max_a
-    p = variant.p
-    q = conjugate_exponent(p)
-    # (sum |f|^(2p))^(1/(2p))
-    f_root = math.sqrt(fs.norm_a2(p))
-    if k == "ortho_44":
-        return float(n) ** (1.0 / q) * x_norm * f_root
-    # bb_43
-    tail = (n - 1) ** (1.0 / p) * gs.norm_off(q) if n >= 2 else 0.0
-    return x_norm * f_root * math.sqrt(gs.norm_diag(q) + tail)
-
-
-# ---------------------------------------------------------------------------
-# Public operations on (coeffs, gram)
-# ---------------------------------------------------------------------------
-
-
-def _combination_inputs(coeffs, family_or_gram) -> tuple[CoeffStats, GramStats, float]:
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if c.ndim != 1:
-        raise ValidationError("coefficients must form a one-dimensional vector")
+def _gram_matrix(family_or_gram) -> GramMatrix:
+    """The Gram matrix of a family, or the given one; a raw array must pass
+    ``GramMatrix.validate`` (Hermitian, nonnegative diagonal, PSD)."""
     if isinstance(family_or_gram, VectorFamily):
-        gram = gram_of_family(family_or_gram)
-    elif isinstance(family_or_gram, GramMatrix):
-        gram = family_or_gram
-    else:
-        gram = GramMatrix(np.asarray(family_or_gram))
-    if gram.n != c.shape[0]:
-        raise ValidationError(f"{c.shape[0]} coefficients for {gram.n} vectors")
-    lhs = combination_norm_sq(c, family_or_gram)
-    return CoeffStats(c), GramStats(gram), lhs
-
-
-def diag_term(sel: Selector, coeffs, gram) -> float:
-    """Upper bound for ``sum |a_i|^2 |z_i|^2`` under the selected branch.
-
-    Branches: ``max`` gives ``max|a|^2 * sum |z|^2``; ``holder`` gives
-    ``(sum |a|^(2p))^(1/p) (sum |z|^(2q))^(1/q)``; ``sum`` gives
-    ``sum|a|^2 * max |z|^2``.  Squared norms are read off the Gram diagonal.
-    """
-    cs, gs, _ = _combination_inputs(coeffs, gram)
-    return _diag_value(cs, gs, sel)
-
-
-def offdiag_term(sel: Selector, coeffs, gram) -> float:
-    """Upper bound for the ordered cross-term sum ``sum_{i != j} |a_i a_j (z_i, z_j)|``.
-
-    The holder branch uses the closed form
-    ``[(sum |a|^g)^2 - sum |a|^(2g)]^(1/g) * (sum_{i != j} |(z_i,z_j)|^d)^(1/d)``.
-    Zero when n <= 1 or all off-diagonal entries vanish.
-    """
-    cs, gs, _ = _combination_inputs(coeffs, gram)
-    return _offdiag_value(cs, gs, sel)
-
-
-def lemma21_bound(
-    dsel: Selector,
-    osel: Selector,
-    coeffs,
-    family_or_gram,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> BoundEvaluation:
-    """The base combination bound: diagonal term plus off-diagonal term."""
-    cs, gs, lhs = _combination_inputs(coeffs, family_or_gram)
-    rhs = _diag_value(cs, gs, dsel) + _offdiag_value(cs, gs, osel)
-    return _evaluation(Variant.lemma21(dsel, osel), lhs, rhs, policy)
-
-
-def cor23_bounds(
-    coeffs, family_or_gram, policy: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[BoundEvaluation, BoundEvaluation]:
-    """The sharp/weak pair built from the sum-diagonal and 2-exponent branches.
-
-    sharp: ``sum|a|^2 * (max|z|^2 + sqrt((sum|a|^2)^2 - sum|a|^4)/sum|a|^2 * R)``
-    weak:  ``sum|a|^2 * (max|z|^2 + R)``, with ``R`` the ordered 2-norm of the
-    off-diagonal entries.  sharp.rhs <= weak.rhs always; both are 0 for
-    all-zero coefficients.
-    """
-    cs, gs, lhs = _combination_inputs(coeffs, family_or_gram)
-    sharp = _evaluation(Variant.cor23_sharp(), lhs, _cor23_sharp_rhs(cs, gs), policy)
-    weak = _evaluation(Variant.cor23_weak(), lhs, _cor23_weak_rhs(cs, gs), policy)
-    return sharp, weak
-
-
-def coarse_bound(
-    dsel: Selector,
-    osel: Selector,
-    coeffs,
-    family_or_gram,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> BoundEvaluation:
-    """Coarser combination bound: coefficient cross-factors replaced by
-    (n-1)-weighted diagonal power sums.  Dominates the base bound with the
-    same selectors on every instance.
-    """
-    cs, gs, lhs = _combination_inputs(coeffs, family_or_gram)
-    rhs = _diag_value(cs, gs, dsel) + _coarse_offdiag_value(cs, gs, osel)
-    return _evaluation(Variant.coarse(dsel, osel), lhs, rhs, policy)
-
-
-def special_bound(
-    variant: Variant, coeffs, family_or_gram, policy: TolerancePolicy = DEFAULT_POLICY
-) -> BoundEvaluation:
-    """One of the three aligned coarse bounds (max/max, holder p both slots, sum/sum)."""
-    if variant.kind not in ("special_211", "special_212", "special_213"):
-        raise ValidationError(f"not a special variant: {variant.name}")
-    cs, gs, lhs = _combination_inputs(coeffs, family_or_gram)
-    rhs = _special_rhs(cs, gs, variant.kind, variant.p)
-    return _evaluation(variant, lhs, rhs, policy)
-
-
-# ---------------------------------------------------------------------------
-# Operations on problem instances
-# ---------------------------------------------------------------------------
+        return gram_of_family(family_or_gram)
+    if isinstance(family_or_gram, GramMatrix):
+        return family_or_gram
+    return GramMatrix(np.asarray(family_or_gram)).validate()
 
 
 class EvalContext:
-    """Per-instance cache shared by all variant evaluations.
+    """Per-instance statistics shared by all variant evaluations.
 
-    Builds coefficient, Fourier-coefficient, and Gram summaries lazily, so a
-    sweep over the whole catalog pays for each power sum once.
+    Each summary is built on first use and kept, so a sweep over the whole
+    catalog pays for each power sum once.  ``tuned`` keeps the minimum of
+    each exponent term that tuning has minimized on this instance.
     """
 
-    __slots__ = ("inst", "coeffs", "_cache")
-
-    def __init__(self, inst: ProblemInstance, coeffs=None):
+    def __init__(self, inst: ProblemInstance | None, coeffs=None):
         self.inst = inst
         if coeffs is not None:
             coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -465,92 +284,81 @@ class EvalContext:
                     f"coefficient vector of length {coeffs.shape} for n={inst.n}"
                 )
         self.coeffs = coeffs
-        self._cache: dict[str, object] = {}
+        self.tuned: dict[str, tuple[float, float, bool]] = {}
 
-    def _get(self, key: str, build):
-        val = self._cache.get(key)
-        if val is None:
-            val = build()
-            self._cache[key] = val
-        return val
+    @classmethod
+    def of_combination(cls, coeffs, family_or_gram) -> "EvalContext":
+        """A context for the combination bounds alone, on coefficients and a
+        family or Gram matrix instead of a problem instance."""
+        c = np.asarray(coeffs, dtype=np.complex128)
+        if c.ndim != 1:
+            raise ValidationError("coefficients must form a one-dimensional vector")
+        gram = _gram_matrix(family_or_gram)
+        if gram.n != c.shape[0]:
+            raise ValidationError(f"{c.shape[0]} coefficients for {gram.n} vectors")
+        ctx = cls(None)
+        ctx.coeffs = c
+        target = family_or_gram if isinstance(family_or_gram, VectorFamily) else gram
+        ctx.lhs_combination = combination_norm_sq(c, target)
+        ctx.gram_stats = GramStats(gram)
+        return ctx
 
-    @property
+    @cached_property
     def gram_stats(self) -> GramStats:
-        return self._get("gram", lambda: GramStats(self.inst.family_gram))
+        return GramStats(self.inst.family_gram)
 
-    @property
+    @cached_property
     def coeff_stats(self) -> CoeffStats:
         if self.coeffs is None:
             raise IncompatibleInstanceError("requires coefficients")
-        return self._get("coeff", lambda: CoeffStats(self.coeffs))
+        return CoeffStats(self.coeffs)
 
-    @property
+    @cached_property
     def fourier_stats(self) -> CoeffStats:
-        return self._get("fourier", lambda: CoeffStats(self.inst.fourier))
+        return CoeffStats(self.inst.fourier)
 
-    @property
+    @cached_property
     def x_norm_sq(self) -> float:
         return self.inst.x_norm_sq
 
-    @property
+    @cached_property
     def is_orthonormal(self) -> bool:
-        return self._get("ortho", lambda: self.gram_stats.orthonormal_within())
+        return self.gram_stats.orthonormal_within()
 
-    @property
+    @cached_property
     def lhs_combination(self) -> float:
-        def build():
-            target = self.inst.family if self.inst.family is not None else self.inst.family_gram
-            return combination_norm_sq(self.coeffs, target)
-
         if self.coeffs is None:
             raise IncompatibleInstanceError("requires coefficients")
-        return self._get("lhs_comb", build)
+        target = self.inst.family if self.inst.family is not None else self.inst.family_gram
+        return combination_norm_sq(self.coeffs, target)
 
-    @property
+    @cached_property
     def lhs_weighted(self) -> float:
-        def build():
-            total = complex(np.dot(self.coeffs, self.inst.fourier))
-            return abs(total) ** 2
-
         if self.coeffs is None:
             raise IncompatibleInstanceError("requires coefficients")
-        return self._get("lhs_weighted", build)
+        return abs(complex(np.dot(self.coeffs, self.inst.fourier))) ** 2
 
     @property
     def lhs_fourier(self) -> float:
         return self.fourier_stats.sum_a2
 
 
+def _lhs(spec, ctx: EvalContext) -> float:
+    """The quantity a table row's bound caps; raises IncompatibleInstanceError on gating."""
+    if spec.orthonormal_only and not ctx.is_orthonormal:
+        raise IncompatibleInstanceError("orthonormality gate")
+    return getattr(ctx, "lhs_" + spec.family)
+
+
 def _eval_on_context(variant: Variant, ctx: EvalContext) -> tuple[float, float]:
     """(lhs, rhs) for a variant; raises IncompatibleInstanceError on gating."""
-    k = variant.kind
-    fam = variant.family
-    if fam == "combination":
-        cs, gs = ctx.coeff_stats, ctx.gram_stats
-        lhs = ctx.lhs_combination
-        if k == "lemma21":
-            rhs = _diag_value(cs, gs, variant.diag) + _offdiag_value(cs, gs, variant.offdiag)
-        elif k == "coarse":
-            rhs = _diag_value(cs, gs, variant.diag) + _coarse_offdiag_value(cs, gs, variant.offdiag)
-        elif k == "cor23_sharp":
-            rhs = _cor23_sharp_rhs(cs, gs)
-        elif k == "cor23_weak":
-            rhs = _cor23_weak_rhs(cs, gs)
-        else:
-            rhs = _special_rhs(cs, gs, k, variant.p)
-        return lhs, rhs
-    if fam == "weighted":
-        cs, gs = ctx.coeff_stats, ctx.gram_stats
-        lhs = ctx.lhs_weighted
-        if k == "thm31":
-            factor = _diag_value(cs, gs, variant.diag) + _offdiag_value(cs, gs, variant.offdiag)
-        else:
-            factor = _cor32_rhs_factor(cs, gs, variant.branch, variant.p)
-        return lhs, ctx.x_norm_sq * factor
-    # Fourier family
-    if variant.orthonormal_only and not ctx.is_orthonormal:
-        raise IncompatibleInstanceError("orthonormality gate")
-    return ctx.lhs_fourier, _fourier_rhs(variant, ctx.fourier_stats, ctx.gram_stats, ctx.x_norm_sq)
+    spec = variant.spec
+    return _lhs(spec, ctx), spec.rhs(ctx, *[term(ctx, sel) for term, sel in variant.slot_terms])
+
+
+def _evaluate(variant: Variant, ctx: EvalContext, policy: TolerancePolicy) -> BoundEvaluation:
+    lhs, rhs = _eval_on_context(variant, ctx)
+    return _evaluation(variant, lhs, rhs, policy)
 
 
 def evaluate_variant(
@@ -566,9 +374,85 @@ def evaluate_variant(
     :class:`IncompatibleInstanceError` when coefficients are missing or an
     orthonormal-only variant meets a non-orthonormal family.
     """
-    ctx = EvalContext(inst, coeffs)
-    lhs, rhs = _eval_on_context(variant, ctx)
-    return _evaluation(variant, lhs, rhs, policy)
+    return _evaluate(variant, EvalContext(inst, coeffs), policy)
+
+
+# ---------------------------------------------------------------------------
+# Public operations on (coeffs, family or Gram matrix)
+# ---------------------------------------------------------------------------
+
+
+def diag_term(sel: Selector, coeffs, gram) -> float:
+    """Upper bound for ``sum |a_i|^2 |z_i|^2`` under the selected branch.
+
+    Branches: ``max`` gives ``max|a|^2 * sum |z|^2``; ``holder`` gives
+    ``(sum |a|^(2p))^(1/p) (sum |z|^(2q))^(1/q)``; ``sum`` gives
+    ``sum|a|^2 * max |z|^2``.  Squared norms are read off the Gram diagonal.
+    """
+    return _diag_value(EvalContext.of_combination(coeffs, gram), sel)
+
+
+def offdiag_term(sel: Selector, coeffs, gram) -> float:
+    """Upper bound for the ordered cross-term sum ``sum_{i != j} |a_i a_j (z_i, z_j)|``.
+
+    The holder branch uses the closed form
+    ``[(sum |a|^g)^2 - sum |a|^(2g)]^(1/g) * (sum_{i != j} |(z_i,z_j)|^d)^(1/d)``.
+    Zero when n <= 1 or all off-diagonal entries vanish.
+    """
+    return _offdiag_value(EvalContext.of_combination(coeffs, gram), sel)
+
+
+def lemma21_bound(
+    dsel: Selector,
+    osel: Selector,
+    coeffs,
+    family_or_gram,
+    policy: TolerancePolicy = DEFAULT_POLICY,
+) -> BoundEvaluation:
+    """The base combination bound: diagonal term plus off-diagonal term."""
+    return _evaluate(Variant.lemma21(dsel, osel), EvalContext.of_combination(coeffs, family_or_gram), policy)
+
+
+def cor23_bounds(
+    coeffs, family_or_gram, policy: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[BoundEvaluation, BoundEvaluation]:
+    """The sharp/weak pair built from the sum-diagonal and 2-exponent branches.
+
+    sharp: ``sum|a|^2 * (max|z|^2 + sqrt((sum|a|^2)^2 - sum|a|^4)/sum|a|^2 * R)``
+    weak:  ``sum|a|^2 * (max|z|^2 + R)``, with ``R`` the ordered 2-norm of the
+    off-diagonal entries.  sharp.rhs <= weak.rhs always; both are 0 for
+    all-zero coefficients.
+    """
+    ctx = EvalContext.of_combination(coeffs, family_or_gram)
+    return _evaluate(Variant.cor23_sharp(), ctx, policy), _evaluate(Variant.cor23_weak(), ctx, policy)
+
+
+def coarse_bound(
+    dsel: Selector,
+    osel: Selector,
+    coeffs,
+    family_or_gram,
+    policy: TolerancePolicy = DEFAULT_POLICY,
+) -> BoundEvaluation:
+    """Coarser combination bound: coefficient cross-factors replaced by
+    (n-1)-weighted diagonal power sums.  Dominates the base bound with the
+    same selectors on every instance.
+    """
+    return _evaluate(Variant.coarse(dsel, osel), EvalContext.of_combination(coeffs, family_or_gram), policy)
+
+
+def special_bound(
+    variant: Variant, coeffs, family_or_gram, policy: TolerancePolicy = DEFAULT_POLICY
+) -> BoundEvaluation:
+    """One of the three aligned coarse bounds (max/max, holder p both slots, sum/sum)."""
+    if not variant.name.startswith("special:"):
+        raise ValidationError(f"not a special variant: {variant.name}")
+    return _evaluate(variant, EvalContext.of_combination(coeffs, family_or_gram), policy)
+
+
+# ---------------------------------------------------------------------------
+# Operations on problem instances
+# ---------------------------------------------------------------------------
 
 
 def weighted_sum_bound(
@@ -597,12 +481,7 @@ def remark4_quantities(family_or_gram) -> tuple[float, float]:
     ``(n - 1) * max`` B.  Their ordering depends on the family, so neither of
     the bounds they complete dominates the other.  Requires n >= 2.
     """
-    if isinstance(family_or_gram, VectorFamily):
-        gram = gram_of_family(family_or_gram)
-    elif isinstance(family_or_gram, GramMatrix):
-        gram = family_or_gram
-    else:
-        gram = GramMatrix(np.asarray(family_or_gram))
+    gram = _gram_matrix(family_or_gram)
     if gram.n < 2:
         raise ValidationError(f"need at least 2 vectors, got {gram.n}")
     gs = GramStats(gram)

@@ -21,13 +21,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bounds import IncompatibleInstanceError, TolerancePolicy, _eval_on_context, EvalContext
+from .bounds import EvalContext, TolerancePolicy
 from .space import ValidationError, load_instance, save_instance
 from .tuning import PROFILE_FAMILIES, profile_exponent, rank_variants
 from .variants import VariantError, parse_variant_list
 from .verify import (
     GenConfig,
     SearchBudgetError,
+    _judge,
     generate_instance,
     remark_comparison_rows,
     run_suite,
@@ -157,18 +158,14 @@ def _cmd_verify(args) -> int:
 def _cmd_rank(args) -> int:
     variants = parse_variant_list(args.variants)
     inst, coeffs = _instance_for(args)
+    ctx = EvalContext(inst, coeffs)
     usable = []
     for variant in variants:
-        if variant.requires_coeffs and coeffs is None:
-            print(f"skipping {variant.name}: instance has no coefficients", file=sys.stderr)
-            continue
-        if variant.orthonormal_only:
-            try:
-                _eval_on_context(variant, EvalContext(inst, coeffs))
-            except IncompatibleInstanceError as exc:
-                print(f"skipping {variant.name}: {exc.reason}", file=sys.stderr)
-                continue
-        usable.append(variant)
+        ev = _judge(variant, ctx)
+        if isinstance(ev, str):
+            print(f"skipping {variant.name}: {ev}", file=sys.stderr)
+        else:
+            usable.append(variant)
     ranking = rank_variants(inst, coeffs, usable)
     _emit(ranking.to_csv(), args.csv)
     return EXIT_OK
@@ -207,16 +204,13 @@ def _cmd_check_file(args) -> int:
     lines = ["variant,lhs,rhs,slack,status"]
     violated = 0
     for variant in variants:
-        try:
-            lhs, rhs = _eval_on_context(variant, ctx)
-        except IncompatibleInstanceError as exc:
-            lines.append(f"{variant.name},,,,skipped:{exc.reason}")
+        ev = _judge(variant, ctx, policy)
+        if isinstance(ev, str):
+            lines.append(f"{variant.name},,,,skipped:{ev}")
             continue
-        ok = policy.holds(lhs, rhs)
-        if not ok:
-            violated += 1
-        status = "held" if ok else "violated"
-        lines.append(f"{variant.name},{repr(lhs)},{repr(rhs)},{repr(rhs - lhs)},{status}")
+        violated += not ev.holds
+        status = "held" if ev.holds else "violated"
+        lines.append(f"{variant.name},{ev.lhs!r},{ev.rhs!r},{ev.slack!r},{status}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_VIOLATION if violated else EXIT_OK
 

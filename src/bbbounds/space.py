@@ -198,14 +198,6 @@ def gram_of_family(family: VectorFamily) -> GramMatrix:
     return GramMatrix(g)
 
 
-def _gram_entries(family_or_gram) -> np.ndarray:
-    if isinstance(family_or_gram, VectorFamily):
-        return gram_of_family(family_or_gram).entries
-    if isinstance(family_or_gram, GramMatrix):
-        return family_or_gram.entries
-    return GramMatrix(np.asarray(family_or_gram)).entries
-
-
 def combination_norm_sq(coeffs, family_or_gram) -> float:
     """Squared norm of ``sum_i coeffs[i] * z_i`` via the Gram double sum.
 
@@ -227,7 +219,9 @@ def combination_norm_sq(coeffs, family_or_gram) -> float:
         direct = float(np.vdot(summed, summed).real)
         g = gram_of_family(family_or_gram).entries
     else:
-        g = _gram_entries(family_or_gram)
+        if not isinstance(family_or_gram, GramMatrix):
+            family_or_gram = GramMatrix(np.asarray(family_or_gram))
+        g = family_or_gram.entries
         if g.shape[0] != c.shape[0]:
             raise ValidationError(
                 f"{c.shape[0]} coefficients for a Gram matrix of size {g.shape[0]}"

@@ -8,35 +8,24 @@ the limits at both ends of the domain coincide with the max- and sum-selector
 variants that already exist in the catalog.
 
 Rankings evaluate a set of variants on one instance, with every exponent slot
-independently optimized, and order them by right-hand side.  Every free
-exponent belongs to one of a few tunable terms of the instance (the holder
-diagonal, the holder off-diagonal, ...); each term is minimized once per
-instance and its minimum is shared by every variant that uses it.
+independently optimized, and order them by right-hand side.  The catalog
+table in ``variants`` names, for each exponent slot, the term it feeds (the
+holder diagonal, the holder off-diagonal, ..., keys of ``_TERMS``); a free
+slot takes the minimum of that term, computed once per instance and shared
+by every variant that uses it.  The profiled families are terms too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import (
-    DEFAULT_POLICY,
-    EvalContext,
-    IncompatibleInstanceError,
-    TolerancePolicy,
-    _coarse_offdiag_value,
-    _cor32_rhs_factor,
-    _diag_value,
-    _eval_on_context,
-    _fourier_rhs,
-    _offdiag_value,
-)
+from .bounds import DEFAULT_POLICY, EvalContext, TolerancePolicy, _eval_on_context, _lhs
 from .space import ProblemInstance
-from .variants import EXPONENT_MAX, Variant, VariantError, holder
+from .variants import _TERMS, EXPONENT_MAX, Variant, VariantError, _check_exponent, holder
 
 __all__ = [
     "PROFILE_FAMILIES",
@@ -90,45 +79,28 @@ class TightnessRanking:
         return "\n".join(lines) + "\n"
 
 
-def _check_domain(p: float) -> float:
-    p = float(p)
-    if not (1.0 < p <= EXPONENT_MAX) or not math.isfinite(p):
-        raise VariantError(f"exponent {p!r} outside (1, {EXPONENT_MAX:g}]")
-    return p
+# Not called here: bench/tracer.py wraps these names; the tuner reaches its terms through _TERMS.
+_diag_value = _offdiag_value = _coarse_offdiag_value = _cor32_rhs_factor = _fourier_rhs = None
 
 
-# The tunable terms: each is a function of (instance context, free exponent)
-# whose minimum over the exponent is a valid bound, or a valid part of one.
-# The rows that are whole profiled quantities carry their PROFILE_FAMILIES name.
-_TERMS: dict[str, Callable[[EvalContext, float], float]] = {
-    "lemma21:diag": lambda ctx, t: _diag_value(ctx.coeff_stats, ctx.gram_stats, holder(t)),
-    "lemma21:offdiag": lambda ctx, t: _offdiag_value(ctx.coeff_stats, ctx.gram_stats, holder(t)),
-    "coarse:offdiag": lambda ctx, t: _coarse_offdiag_value(ctx.coeff_stats, ctx.gram_stats, holder(t)),
-    # Both slots share the exponent, matching the aligned special form.
-    "coarse": lambda ctx, t: (
-        _diag_value(ctx.coeff_stats, ctx.gram_stats, holder(t))
-        + _coarse_offdiag_value(ctx.coeff_stats, ctx.gram_stats, holder(t))
-    ),
-    "cor32:3": lambda ctx, t: ctx.x_norm_sq * _cor32_rhs_factor(ctx.coeff_stats, ctx.gram_stats, 3, t),
-    "bb:4.3": lambda ctx, t: _fourier_rhs(
-        Variant.fourier_43(t), ctx.fourier_stats, ctx.gram_stats, ctx.x_norm_sq
-    ),
-    "ortho:4.4": lambda ctx, t: _fourier_rhs(
-        Variant.ortho_44(t), ctx.fourier_stats, ctx.gram_stats, ctx.x_norm_sq
-    ),
-}
+def _term_fn(term: str, ctx: EvalContext) -> Callable[[float], float]:
+    """One term of the instance as a function of its free exponent."""
+    fn = _TERMS[term]
+    return lambda t: fn(ctx, holder(t))
 
 
 def _family_fn(family: str, ctx: EvalContext) -> Callable[[float], float]:
     """The profiled quantity as a function of the free exponent."""
     if family not in PROFILE_FAMILIES:
         raise VariantError(f"unknown profile family {family!r}; expected one of {PROFILE_FAMILIES}")
-    return partial(_TERMS[family], ctx)
+    return _term_fn(family, ctx)
 
 
 def _tuned_value(ctx: EvalContext, term: str) -> float:
-    """Minimum of one tunable term over DEFAULT_INTERVAL, computed once per instance."""
-    best = ctx._get("tuned:" + term, lambda: _minimize(partial(_TERMS[term], ctx), DEFAULT_INTERVAL))
+    """Minimum of one term over DEFAULT_INTERVAL, computed once per instance."""
+    best = ctx.tuned.get(term)
+    if best is None:
+        best = ctx.tuned[term] = _minimize(_term_fn(term, ctx), DEFAULT_INTERVAL)
     return best[1]
 
 
@@ -209,8 +181,8 @@ def _minimize(
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise VariantError(f"invalid search interval {interval}")
-    _check_domain(lo)
-    _check_domain(hi)
+    _check_exponent(lo)
+    _check_exponent(hi)
     # geomspace returns both endpoints exactly, so the grid ends are lo and hi
     grid = _DEFAULT_GRID if (lo, hi) == DEFAULT_INTERVAL else _coarse_grid(lo, hi)
     return _refine_grid_minimum(fn, grid, [fn(t) for t in grid])
@@ -245,7 +217,7 @@ def profile_exponent(
     refinement bracketed around the grid argmin.
     """
     fn = _family_fn(family, EvalContext(inst, coeffs))
-    exps = sorted({_check_domain(t) for t in grid}) or _DEFAULT_GRID
+    exps = sorted({_check_exponent(t) for t in grid}) or _DEFAULT_GRID
     values = [fn(t) for t in exps]
     if any(not math.isfinite(v) for v in values):
         raise ArithmeticError(f"non-finite profile value for family {family}")
@@ -266,37 +238,20 @@ def profile_exponent(
 def _optimized_rhs(variant: Variant, ctx: EvalContext) -> tuple[float, float]:
     """(lhs, rhs) with each conjugate-exponent slot independently minimized.
 
-    Slots pinned to max or sum selectors are kept as given; only holder
-    selectors and p parameters are tuned, each through the per-instance
-    minimum of its tunable term.  Each evaluated point is itself a valid
-    bound, so minimization cannot break soundness.
+    Slots pinned to max or sum selectors are kept as given; each holder
+    selector or p parameter takes the per-instance minimum of the term its
+    table row feeds it to.  Each evaluated point is itself a valid bound, so
+    minimization cannot break soundness.
     """
-    k = variant.kind
-    if k in ("lemma21", "coarse", "thm31"):
-        cs, gs = ctx.coeff_stats, ctx.gram_stats
-        if variant.diag.kind == "holder":
-            dval = _tuned_value(ctx, "lemma21:diag")
-        else:
-            dval = _diag_value(cs, gs, variant.diag)
-        if variant.offdiag.kind == "holder":
-            oval = _tuned_value(ctx, "coarse:offdiag" if k == "coarse" else "lemma21:offdiag")
-        elif k == "coarse":
-            oval = _coarse_offdiag_value(cs, gs, variant.offdiag)
-        else:
-            oval = _offdiag_value(cs, gs, variant.offdiag)
-        rhs = dval + oval
-        if k == "thm31":
-            return ctx.lhs_weighted, ctx.x_norm_sq * rhs
-        return ctx.lhs_combination, rhs
-    if k == "special_212":
-        return ctx.lhs_combination, _tuned_value(ctx, "coarse")
-    if k == "cor32" and variant.branch == 3:
-        return ctx.lhs_weighted, _tuned_value(ctx, "cor32:3")
-    if k in ("bb_43", "ortho_44"):
-        if variant.orthonormal_only and not ctx.is_orthonormal:
-            raise IncompatibleInstanceError("orthonormality gate")
-        return ctx.lhs_fourier, _tuned_value(ctx, "bb:4.3" if k == "bb_43" else "ortho:4.4")
-    return _eval_on_context(variant, ctx)
+    spec = variant.spec
+    if all(sel.kind != "holder" for _, sel in variant.slot_terms):
+        return _eval_on_context(variant, ctx)
+    lhs = _lhs(spec, ctx)
+    values = [
+        _tuned_value(ctx, key) if sel.kind == "holder" else term(ctx, sel)
+        for key, (term, sel) in zip(spec.terms, variant.slot_terms)
+    ]
+    return lhs, spec.rhs(ctx, *values)
 
 
 def _relative_slack(lhs: float, rhs: float) -> float:

@@ -1,10 +1,21 @@
-"""Identifiers for the bound catalog and their wire-format names.
+"""The bound catalog: one table row per variant kind, and the variant names.
 
-Each variant names one concrete inequality.  The combination bounds come in a
-3 x 3 grid: a diagonal selector (how the ``|c_i|^2 |z_i|^2`` sum is bounded)
-paired with an off-diagonal selector (how the ordered cross-term sum is
-bounded).  Both selectors have the same three branches: factor out the max,
-split by conjugate exponents, or factor out the other side's max.
+Each right-hand side is built from a few shared terms of the per-instance
+statistics (``_TERMS``: the diagonal term, the off-diagonal term, ...).  A
+row of ``_SPECS`` gives the wire-name pattern, whose braces mark the exponent
+slots (a selector pair, ``p``, or none); the family, i.e. which left-hand side
+the bound caps; the right-hand side as a function of the statistics and its
+slots' term values; for each slot, the ``_TERMS`` key of its term, which is
+what exponent tuning minimizes; and the cor32 branch and orthonormal-only
+flag.  Validation, names, parsing and the catalog below, evaluation in
+``bounds`` and tuning in ``tuning`` all derive from the table, so a new bound
+is one row plus its ``Variant`` classmethod.
+
+A selector picks how a diagonal (``|c_i|^2 |z_i|^2``) or ordered off-diagonal
+term is bounded: factor out the max, split by conjugate exponents (holder),
+or factor out the other side's max.  A ``p`` slot is a holder selector shared
+by the whole bound.  The terms read only ``coeff_stats``, ``gram_stats``,
+``fourier_stats`` and ``x_norm_sq`` of the statistics (``bounds.EvalContext``).
 
 Names are stable strings used verbatim by the CLI and in reports, e.g.
 ``lemma21:holder:2.0:max`` or ``cor32:3:p=1.5``.
@@ -12,7 +23,11 @@ Names are stable strings used verbatim by the CLI and in reports, e.g.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 __all__ = [
     "EXPONENT_MAX",
@@ -55,10 +70,6 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 @dataclass(frozen=True)
 class Selector:
     """One branch choice for a diagonal or off-diagonal term."""
@@ -83,8 +94,11 @@ class Selector:
     @property
     def name(self) -> str:
         if self.kind == "holder":
-            return f"holder:{_fmt(self.exponent)}"
+            return f"holder:{self.exponent!r}"
         return self.kind
+
+    def __str__(self) -> str:
+        return self.name
 
 
 MAX = Selector("max")
@@ -95,33 +109,195 @@ def holder(p: float) -> Selector:
     return Selector("holder", p)
 
 
-_SELECTOR_KINDS = {
-    "lemma21": "combination",
-    "cor23_sharp": "combination",
-    "cor23_weak": "combination",
-    "coarse": "combination",
-    "special_211": "combination",
-    "special_212": "combination",
-    "special_213": "combination",
-    "thm31": "weighted",
-    "cor32": "weighted",
-    "bb_12": "fourier",
-    "bb_41": "fourier",
-    "bb_43": "fourier",
-    "bb_45": "fourier",
-    "ortho_42": "fourier",
-    "ortho_44": "fourier",
-    "bessel_11": "fourier",
+# ---------------------------------------------------------------------------
+# Terms: functions of (statistics, selector)
+# ---------------------------------------------------------------------------
+
+
+def _diag_value(s, sel: Selector) -> float:
+    """Bound on ``sum |a_i|^2 |z_i|^2``."""
+    cs, gs = s.coeff_stats, s.gram_stats
+    if sel.kind == "max":
+        return cs.max_a2 * gs.sum_diag
+    if sel.kind == "sum":
+        return cs.sum_a2 * gs.max_diag
+    return cs.norm_a2(sel.exponent) * gs.norm_diag(sel.conjugate)
+
+
+def _offdiag_value(s, sel: Selector) -> float:
+    """Bound on the ordered cross-term sum ``sum_{i != j} |a_i a_j (z_i, z_j)|``."""
+    cs, gs = s.coeff_stats, s.gram_stats
+    if gs.n <= 1 or gs.max_off == 0.0:
+        return 0.0
+    if sel.kind == "max":
+        return cs.top2_prod * gs.sum_off
+    if sel.kind == "sum":
+        return cs.sum_bracket * gs.max_off
+    return cs.holder_bracket_root(sel.exponent) * gs.norm_off(sel.conjugate)
+
+
+def _coarse_offdiag_value(s, sel: Selector) -> float:
+    """The cross-term bound with the coefficient factors replaced by
+    (n-1)-weighted diagonal power sums."""
+    cs, gs = s.coeff_stats, s.gram_stats
+    if gs.n <= 1 or gs.max_off == 0.0:
+        return 0.0
+    if sel.kind == "max":
+        return cs.max_a2 * gs.sum_off
+    if sel.kind == "sum":
+        return (gs.n - 1) * cs.sum_a2 * gs.max_off
+    g = sel.exponent
+    return (gs.n - 1) ** (1.0 / g) * cs.norm_a2(g) * gs.norm_off(sel.conjugate)
+
+
+def _aligned_coarse(s, sel: Selector) -> float:
+    """The coarse bound with one selector in both slots (the specials)."""
+    return _diag_value(s, sel) + _coarse_offdiag_value(s, sel)
+
+
+def _cor23_sharp(s) -> float:
+    cs, gs = s.coeff_stats, s.gram_stats
+    if cs.sum_a2 == 0.0:
+        return 0.0
+    # sqrt((sum a^2)^2 - sum a^4) is the pair bracket root at exponent 2;
+    # its coefficient is at most 1, so clamp rounding to keep sharp <= weak.
+    ratio = min(cs.holder_bracket_root(2.0) / cs.sum_a2, 1.0)
+    return cs.sum_a2 * (gs.max_diag + ratio * gs.norm_off(2.0))
+
+
+def _cor23_weak(s) -> float:
+    cs, gs = s.coeff_stats, s.gram_stats
+    if cs.sum_a2 == 0.0:
+        return 0.0
+    return cs.sum_a2 * (gs.max_diag + gs.norm_off(2.0))
+
+
+# The Fourier bounds read ``fourier_stats``, the magnitudes |(x, y_i)|.
+
+
+def _boas_bellman(s) -> float:
+    gs = s.gram_stats
+    return s.x_norm_sq * (gs.max_diag + gs.norm_off(2.0))
+
+
+def _fourier_41(s) -> float:
+    gs = s.gram_stats
+    return math.sqrt(s.x_norm_sq) * s.fourier_stats.max_a * math.sqrt(gs.sum_diag + gs.sum_off)
+
+
+def _fourier_43(s, sel: Selector) -> float:
+    gs, n = s.gram_stats, s.gram_stats.n
+    p, q = sel.exponent, sel.conjugate
+    # (sum |f|^(2p))^(1/(2p))
+    f_root = math.sqrt(s.fourier_stats.norm_a2(p))
+    tail = (n - 1) ** (1.0 / p) * gs.norm_off(q) if n >= 2 else 0.0
+    return math.sqrt(s.x_norm_sq) * f_root * math.sqrt(gs.norm_diag(q) + tail)
+
+
+def _fourier_45(s) -> float:
+    gs, n = s.gram_stats, s.gram_stats.n
+    tail = (n - 1) * gs.max_off if n >= 2 else 0.0
+    return s.x_norm_sq * (gs.max_diag + tail)
+
+
+def _ortho_42(s) -> float:
+    return math.sqrt(s.gram_stats.n) * math.sqrt(s.x_norm_sq) * s.fourier_stats.max_a
+
+
+def _ortho_44(s, sel: Selector) -> float:
+    f_root = math.sqrt(s.fourier_stats.norm_a2(sel.exponent))
+    return float(s.gram_stats.n) ** (1.0 / sel.conjugate) * math.sqrt(s.x_norm_sq) * f_root
+
+
+# The terms an exponent slot can feed.  Each is a valid bound, or a valid part
+# of one, at every selector, so tuning may minimize it over the exponent; the
+# rows that are whole profiled quantities are named in tuning.PROFILE_FAMILIES.
+_TERMS = {
+    "lemma21:diag": _diag_value,
+    "lemma21:offdiag": _offdiag_value,
+    "coarse:offdiag": _coarse_offdiag_value,
+    "coarse": _aligned_coarse,
+    "cor32:3": lambda s, sel: s.x_norm_sq * _aligned_coarse(s, sel),
+    "bb:4.3": _fourier_43,
+    "ortho:4.4": _ortho_44,
 }
 
-_NEEDS_SELECTORS = {"lemma21", "coarse", "thm31"}
-_NEEDS_P = {"special_212", "bb_43", "ortho_44"}
-_ORTHONORMAL_ONLY = {"ortho_42", "ortho_44", "bessel_11"}
+
+# ---------------------------------------------------------------------------
+# The table
+# ---------------------------------------------------------------------------
+
+
+def _sum(s, diag: float, offdiag: float) -> float:
+    return diag + offdiag
+
+
+def _weighted_sum(s, diag: float, offdiag: float) -> float:
+    return s.x_norm_sq * (diag + offdiag)
+
+
+def _whole(s, term: float) -> float:
+    """The slot's term is the whole bound."""
+    return term
+
+
+# How each slot appears in a wire name: a selector is max, sum or holder:<p>.
+_SLOT_FORMS = {"diag": "holder:[^:]*|[^:]*", "offdiag": "holder:[^:]*|[^:]*", "p": "[^:]*"}
+
+
+class _Spec:
+    """One row of the catalog table; the module docstring lists the columns."""
+
+    def __init__(self, pattern, kind, family, rhs, terms=(), branch=None, orthonormal_only=False):
+        self.pattern = pattern
+        self.kind = kind
+        self.family = family
+        self.rhs = rhs
+        self.terms = terms
+        self.branch = branch
+        self.orthonormal_only = orthonormal_only
+        # the pattern as a regular expression with one named group per slot
+        self.regex = re.compile(
+            re.sub(r"\\\{(\w+)\\\}", lambda m: f"(?P<{m[1]}>{_SLOT_FORMS[m[1]]})", re.escape(pattern))
+        )
+        self.slots = tuple(self.regex.groupindex)
+
+
+C, W, F = "combination", "weighted", "fourier"    # the families
+
+# In catalog order: full_catalog expands the rows in turn.
+_SPECS = (
+    _Spec("lemma21:{diag}:{offdiag}", "lemma21", C, _sum, ("lemma21:diag", "lemma21:offdiag")),
+    _Spec("coarse:{diag}:{offdiag}", "coarse", C, _sum, ("lemma21:diag", "coarse:offdiag")),
+    _Spec("thm31:{diag}:{offdiag}", "thm31", W, _weighted_sum, ("lemma21:diag", "lemma21:offdiag")),
+    _Spec("cor23:sharp", "cor23_sharp", C, _cor23_sharp),
+    _Spec("cor23:weak", "cor23_weak", C, _cor23_weak),
+    _Spec("special:2.11", "special_211", C, lambda s: _aligned_coarse(s, MAX)),
+    _Spec("special:2.13", "special_213", C, lambda s: _aligned_coarse(s, SUM)),
+    _Spec("special:2.12:p={p}", "special_212", C, _whole, ("coarse",)),
+    _Spec("cor32:1", "cor32", W, lambda s: s.x_norm_sq * _cor23_weak(s), branch=1),
+    _Spec("cor32:2", "cor32", W, lambda s: s.x_norm_sq * _aligned_coarse(s, MAX), branch=2),
+    _Spec("cor32:4", "cor32", W, lambda s: s.x_norm_sq * _aligned_coarse(s, SUM), branch=4),
+    _Spec("cor32:3:p={p}", "cor32", W, _whole, ("cor32:3",), branch=3),
+    _Spec("bb:1.2", "bb_12", F, _boas_bellman),
+    _Spec("bb:4.1", "bb_41", F, _fourier_41),
+    _Spec("bb:4.5", "bb_45", F, _fourier_45),
+    _Spec("bb:4.3:p={p}", "bb_43", F, _whole, ("bb:4.3",)),
+    _Spec("ortho:4.2", "ortho_42", F, _ortho_42, orthonormal_only=True),
+    _Spec("ortho:4.4:p={p}", "ortho_44", F, _whole, ("ortho:4.4",), orthonormal_only=True),
+    _Spec("bessel:1.1", "bessel_11", F, lambda s: s.x_norm_sq, orthonormal_only=True),
+)
+
+_SPEC_OF = {(spec.kind, spec.branch): spec for spec in _SPECS}
 
 
 @dataclass(frozen=True)
 class Variant:
-    """A tagged bound identifier; construct via the classmethods below."""
+    """A tagged bound identifier; construct via the classmethods below.
+
+    ``spec`` is its row of the catalog table, and ``slot_terms`` pairs each
+    slot's term with its selector (a ``p`` slot as ``holder(p)``).
+    """
 
     kind: str
     diag: Selector | None = None
@@ -130,23 +306,20 @@ class Variant:
     p: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _SELECTOR_KINDS:
-            raise VariantError(f"unknown variant kind {self.kind!r}")
-        needs_sel = self.kind in _NEEDS_SELECTORS
-        if needs_sel != (self.diag is not None) or needs_sel != (self.offdiag is not None):
-            raise VariantError(f"variant {self.kind!r}: selector arguments are wrong")
-        if self.kind == "cor32":
-            if self.branch not in (1, 2, 3, 4):
-                raise VariantError(f"cor32 branch must be 1..4, got {self.branch!r}")
-            if (self.branch == 3) != (self.p is not None):
-                raise VariantError("cor32 takes an exponent exactly for branch 3")
-        elif self.branch is not None:
-            raise VariantError(f"variant {self.kind!r} does not take a branch")
-        needs_p = self.kind in _NEEDS_P or (self.kind == "cor32" and self.branch == 3)
-        if needs_p != (self.p is not None):
-            raise VariantError(f"variant {self.kind!r}: exponent argument is wrong")
+        spec = _SPEC_OF.get((self.kind, self.branch))
+        if spec is None:
+            if all(s.kind != self.kind for s in _SPECS):
+                raise VariantError(f"unknown variant kind {self.kind!r}")
+            raise VariantError(f"variant {self.kind!r} has no branch {self.branch!r}")
+        for slot in ("diag", "offdiag", "p"):
+            given = getattr(self, slot) is not None
+            if given != (slot in spec.slots):
+                raise VariantError(f"variant {self.kind!r} {'does not take' if given else 'needs'} {slot}")
         if self.p is not None:
             object.__setattr__(self, "p", _check_exponent(self.p))
+        sels = [holder(self.p) if slot == "p" else getattr(self, slot) for slot in spec.slots]
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "slot_terms", tuple(zip((_TERMS[k] for k in spec.terms), sels)))
 
     # -- constructors -------------------------------------------------------
 
@@ -219,7 +392,7 @@ class Variant:
     @property
     def family(self) -> str:
         """"combination", "weighted", or "fourier" (which lhs the bound caps)."""
-        return _SELECTOR_KINDS[self.kind]
+        return self.spec.family
 
     @property
     def requires_coeffs(self) -> bool:
@@ -227,60 +400,18 @@ class Variant:
 
     @property
     def orthonormal_only(self) -> bool:
-        return self.kind in _ORTHONORMAL_ONLY
+        return self.spec.orthonormal_only
 
-    @property
+    @cached_property
     def name(self) -> str:
-        k = self.kind
-        if k == "lemma21":
-            return f"lemma21:{self.diag.name}:{self.offdiag.name}"
-        if k == "cor23_sharp":
-            return "cor23:sharp"
-        if k == "cor23_weak":
-            return "cor23:weak"
-        if k == "coarse":
-            return f"coarse:{self.diag.name}:{self.offdiag.name}"
-        if k == "special_211":
-            return "special:2.11"
-        if k == "special_212":
-            return f"special:2.12:p={_fmt(self.p)}"
-        if k == "special_213":
-            return "special:2.13"
-        if k == "thm31":
-            return f"thm31:{self.diag.name}:{self.offdiag.name}"
-        if k == "cor32":
-            if self.branch == 3:
-                return f"cor32:3:p={_fmt(self.p)}"
-            return f"cor32:{self.branch}"
-        if k == "bb_12":
-            return "bb:1.2"
-        if k == "bb_41":
-            return "bb:4.1"
-        if k == "bb_43":
-            return f"bb:4.3:p={_fmt(self.p)}"
-        if k == "bb_45":
-            return "bb:4.5"
-        if k == "ortho_42":
-            return "ortho:4.2"
-        if k == "ortho_44":
-            return f"ortho:4.4:p={_fmt(self.p)}"
-        return "bessel:1.1"
+        return self.spec.pattern.format(diag=self.diag, offdiag=self.offdiag, p=self.p)
 
     def __str__(self) -> str:
         return self.name
 
-
-def _take_selector(tokens: list[str], i: int, text: str) -> tuple[Selector, int]:
-    if i >= len(tokens):
-        raise VariantError(f"{text!r}: missing selector")
-    tok = tokens[i]
-    if tok in ("max", "sum"):
-        return Selector(tok), i + 1
-    if tok == "holder":
-        if i + 1 >= len(tokens):
-            raise VariantError(f"{text!r}: holder selector needs an exponent")
-        return holder(_parse_float(tokens[i + 1], text)), i + 2
-    raise VariantError(f"{text!r}: unknown selector {tok!r}")
+    def __reduce__(self):
+        # rebuild from the fields: the table row holds unpicklable lambdas
+        return Variant, (self.kind, self.diag, self.offdiag, self.branch, self.p)
 
 
 def _parse_float(tok: str, text: str) -> float:
@@ -290,64 +421,22 @@ def _parse_float(tok: str, text: str) -> float:
         raise VariantError(f"{text!r}: {tok!r} is not a number") from None
 
 
-def _parse_p(tok: str, text: str) -> float:
-    if not tok.startswith("p="):
-        raise VariantError(f"{text!r}: expected p=<float>, got {tok!r}")
-    return _parse_float(tok[2:], text)
+def _parse_selector(tok: str, text: str) -> Selector:
+    kind, _, exponent = tok.partition(":")
+    return holder(_parse_float(exponent, text)) if kind == "holder" else Selector(kind)
 
 
 def parse_variant(text: str) -> Variant:
     """Parse a wire-format variant name; inverse of ``Variant.name``."""
-    tokens = text.strip().split(":")
-    head = tokens[0]
-
-    def done(v: Variant, i: int) -> Variant:
-        if i != len(tokens):
-            raise VariantError(f"{text!r}: trailing tokens {tokens[i:]}")
-        return v
-
-    try:
-        if head in ("lemma21", "coarse", "thm31"):
-            d, i = _take_selector(tokens, 1, text)
-            o, i = _take_selector(tokens, i, text)
-            ctor = {"lemma21": Variant.lemma21, "coarse": Variant.coarse, "thm31": Variant.thm31}
-            return done(ctor[head](d, o), i)
-        if head == "cor23" and len(tokens) == 2:
-            if tokens[1] == "sharp":
-                return Variant.cor23_sharp()
-            if tokens[1] == "weak":
-                return Variant.cor23_weak()
-        if head == "special" and len(tokens) >= 2:
-            if tokens[1] == "2.11":
-                return done(Variant.special_211(), 2)
-            if tokens[1] == "2.13":
-                return done(Variant.special_213(), 2)
-            if tokens[1] == "2.12" and len(tokens) == 3:
-                return Variant.special_212(_parse_p(tokens[2], text))
-        if head == "cor32" and len(tokens) >= 2:
-            branch = tokens[1]
-            if branch in ("1", "2", "4"):
-                return done(Variant.cor32(int(branch)), 2)
-            if branch == "3" and len(tokens) == 3:
-                return Variant.cor32(3, _parse_p(tokens[2], text))
-        if head == "bb" and len(tokens) >= 2:
-            if tokens[1] == "1.2":
-                return done(Variant.boas_bellman(), 2)
-            if tokens[1] == "4.1":
-                return done(Variant.fourier_41(), 2)
-            if tokens[1] == "4.5":
-                return done(Variant.fourier_45(), 2)
-            if tokens[1] == "4.3" and len(tokens) == 3:
-                return Variant.fourier_43(_parse_p(tokens[2], text))
-        if head == "ortho" and len(tokens) >= 2:
-            if tokens[1] == "4.2":
-                return done(Variant.ortho_42(), 2)
-            if tokens[1] == "4.4" and len(tokens) == 3:
-                return Variant.ortho_44(_parse_p(tokens[2], text))
-        if head == "bessel" and len(tokens) == 2 and tokens[1] == "1.1":
-            return Variant.bessel()
-    except VariantError:
-        raise
+    name = text.strip()
+    for spec in _SPECS:
+        m = spec.regex.fullmatch(name)
+        if m:
+            args = {
+                slot: _parse_float(tok, text) if slot == "p" else _parse_selector(tok, text)
+                for slot, tok in m.groupdict().items()
+            }
+            return Variant(spec.kind, branch=spec.branch, **args)
     raise VariantError(f"unknown variant name {text!r}")
 
 
@@ -359,20 +448,12 @@ def full_catalog(exponents: tuple[float, ...] = DEFAULT_EXPONENTS) -> tuple[Vari
     """
     exps = tuple(_check_exponent(p) for p in exponents)
     sels = (MAX,) + tuple(holder(p) for p in exps) + (SUM,)
-    out: list[Variant] = []
-    for ctor in (Variant.lemma21, Variant.coarse, Variant.thm31):
-        out.extend(ctor(d, o) for d in sels for o in sels)
-    out += [Variant.cor23_sharp(), Variant.cor23_weak()]
-    out += [Variant.special_211(), Variant.special_213()]
-    out += [Variant.special_212(p) for p in exps]
-    out += [Variant.cor32(1), Variant.cor32(2), Variant.cor32(4)]
-    out += [Variant.cor32(3, p) for p in exps]
-    out += [Variant.boas_bellman(), Variant.fourier_41(), Variant.fourier_45()]
-    out += [Variant.fourier_43(p) for p in exps]
-    out += [Variant.ortho_42()]
-    out += [Variant.ortho_44(p) for p in exps]
-    out += [Variant.bessel()]
-    return tuple(out)
+    choices = {"diag": sels, "offdiag": sels, "p": exps}
+    return tuple(
+        Variant(spec.kind, branch=spec.branch, **dict(zip(spec.slots, values)))
+        for spec in _SPECS
+        for values in product(*(choices[slot] for slot in spec.slots))
+    )
 
 
 def parse_variant_list(

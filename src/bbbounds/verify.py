@@ -142,6 +142,18 @@ class VerificationResult(NamedTuple):
         return self.evaluation is None
 
 
+def _judge(
+    variant: Variant, ctx: EvalContext, policy: TolerancePolicy = DEFAULT_POLICY
+) -> BoundEvaluation | str:
+    """One variant on one instance: its evaluation, or the reason it was skipped
+    (missing coefficients, or the orthonormality gate), never a violation."""
+    try:
+        lhs, rhs = _eval_on_context(variant, ctx)
+    except IncompatibleInstanceError as exc:
+        return exc.reason
+    return _evaluation(variant, lhs, rhs, policy)
+
+
 def check_variant(
     variant: Variant,
     inst: ProblemInstance,
@@ -149,17 +161,10 @@ def check_variant(
     policy: TolerancePolicy = DEFAULT_POLICY,
     instance_id: int = 0,
 ) -> VerificationResult:
-    """Evaluate one variant on one instance; incompatibilities become skips.
-
-    A skip (missing coefficients, or an orthonormal-only variant on a
-    non-orthonormal family) is recorded with its reason, never as a violation.
-    """
-    ctx = EvalContext(inst, coeffs)
-    try:
-        lhs, rhs = _eval_on_context(variant, ctx)
-    except IncompatibleInstanceError as exc:
-        return VerificationResult(instance_id, variant.name, None, exc.reason)
-    ev = _evaluation(variant, lhs, rhs, policy)
+    """Evaluate one variant on one instance; incompatibilities become skips."""
+    ev = _judge(variant, EvalContext(inst, coeffs), policy)
+    if isinstance(ev, str):
+        return VerificationResult(instance_id, variant.name, None, ev)
     return VerificationResult(instance_id, variant.name, ev, None)
 
 
@@ -248,33 +253,24 @@ def _check_instance(
     index: int,
     variants: tuple[Variant, ...],
     policy: TolerancePolicy,
-) -> tuple[list[tuple[str, float, float, float, bool] | tuple[str, str]], list[dict]]:
-    """Rows for one instance: either (name, lhs, rhs, slack, holds) or (name, reason)."""
+) -> tuple[list[BoundEvaluation | str], list[dict]]:
+    """Each variant's ``_judge`` result on one instance, and the violations."""
     inst, coeffs = generate_instance(config, index)
     ctx = EvalContext(inst, coeffs)
-    rows: list = []
-    violations: list[dict] = []
-    for variant in variants:
-        try:
-            lhs, rhs = _eval_on_context(variant, ctx)
-        except IncompatibleInstanceError as exc:
-            rows.append((variant.name, exc.reason))
-            continue
-        slack = rhs - lhs
-        ok = policy.holds(lhs, rhs)
-        rows.append((variant.name, lhs, rhs, slack, ok))
-        if not ok:
-            violations.append(
-                {
-                    "instance_id": index,
-                    "variant": variant.name,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "slack": slack,
-                    "instance": instance_to_jsonable(inst, coeffs),
-                }
-            )
-    return rows, violations
+    results = [_judge(variant, ctx, policy) for variant in variants]
+    violations = [
+        {
+            "instance_id": index,
+            "variant": ev.variant.name,
+            "lhs": ev.lhs,
+            "rhs": ev.rhs,
+            "slack": ev.slack,
+            "instance": instance_to_jsonable(inst, coeffs),
+        }
+        for ev in results
+        if not isinstance(ev, str) and not ev.holds
+    ]
+    return results, violations
 
 
 def run_suite(
@@ -293,6 +289,7 @@ def run_suite(
     report = SuiteReport(config, policy, tuple(v.name for v in variants))
     totals = {v.name: VariantTotals() for v in variants}
     report.totals = totals
+    aligned = [totals[v.name] for v in variants]
 
     def one(index: int):
         return _check_instance(config, index, variants, policy)
@@ -300,13 +297,12 @@ def run_suite(
     def fold(per_instance) -> None:
         # each instance's rows are folded in as soon as they arrive, so memory
         # does not grow with the instance count
-        for rows, violations in per_instance:
-            for row in rows:
-                if len(row) == 2:
-                    totals[row[0]].skipped += 1
+        for results, violations in per_instance:
+            for t, ev in zip(aligned, results):
+                if isinstance(ev, str):
+                    t.skipped += 1
                 else:
-                    name, lhs, rhs, slack, ok = row
-                    totals[name].record(lhs, rhs, slack, ok)
+                    t.record(ev.lhs, ev.rhs, ev.slack, ev.holds)
             report.violations.extend(violations)
 
     if jobs > 1:

@@ -703,3 +703,40 @@ class TestStatsBitIdentity:
             assert_gram_stats_identical(ints.tolist())
             assert_coeff_stats_identical(rng.integers(-9, 10, n).tolist())
             assert_coeff_stats_identical(rng.standard_normal(n).astype(np.float32))
+
+
+class TestRawGramInput:
+    """Raw arrays given in place of a family are checked like Gram files."""
+
+    C = [1.0, 1.0]
+
+    def bound_calls(self, gram):
+        c = self.C
+        return [
+            lambda: diag_term(holder(3.0), c, gram),
+            lambda: offdiag_term(MAX, c, gram),
+            lambda: lemma21_bound(MAX, SUM, c, gram),
+            lambda: coarse_bound(holder(2.0), MAX, c, gram),
+            lambda: cor23_bounds(c, gram),
+            lambda: special_bound(Variant.special_213(), c, gram),
+            lambda: remark4_quantities(gram),
+        ]
+
+    @pytest.mark.parametrize(
+        "gram, message",
+        [
+            ([[4.0, 0.5], [0.5, -1.0]], "negative diagonal"),
+            ([[1.0, 0.5], [0.2, 1.0]], "not Hermitian"),
+            ([[1.0, 1.0j], [0.0, 1.0]], "not Hermitian"),
+            ([[1.0, 5.0], [5.0, 1.0]], "not positive semidefinite"),
+        ],
+    )
+    def test_invalid_raw_gram_rejected(self, gram, message):
+        for call in self.bound_calls(gram):
+            with pytest.raises(ValidationError, match=message):
+                call()
+
+    def test_valid_raw_gram_matches_gram_matrix(self):
+        g = gram_of_family(VectorFamily.from_rows([[1.0, 0.5], [0.25, 2.0]]))
+        for raw_call, gram_call in zip(self.bound_calls(g.entries.tolist()), self.bound_calls(g)):
+            assert raw_call() == gram_call()

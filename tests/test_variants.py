@@ -146,3 +146,12 @@ class TestVariantLists:
     def test_empty_rejected(self):
         with pytest.raises(VariantError):
             parse_variant_list(" , ")
+
+
+class TestVariantObjects:
+    def test_pickle_round_trip(self):
+        import pickle
+
+        for variant in full_catalog():
+            copy = pickle.loads(pickle.dumps(variant))
+            assert copy == variant and copy.name == variant.name
