@@ -13,7 +13,10 @@ Three families, distinguished by what they cap:
 The right-hand sides are defined once, in the catalog table of
 ``variants``; this module builds the statistics they read and evaluates a
 variant through its table row (``_eval_on_context``).  Every public bound
-function here is a thin call into that one evaluator.
+function here is a thin call into that one evaluator.  A suite over many
+instances compiles its variants into a ``Plan`` instead, which evaluates
+each distinct (term, selector) pair and each left-hand side once per
+instance and calls every row's right-hand side on those values.
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -354,6 +358,73 @@ def _eval_on_context(variant: Variant, ctx: EvalContext) -> tuple[float, float]:
     """(lhs, rhs) for a variant; raises IncompatibleInstanceError on gating."""
     spec = variant.spec
     return _lhs(spec, ctx), spec.rhs(ctx, *[term(ctx, sel) for term, sel in variant.slot_terms])
+
+
+def _getter(indices: list[int]):
+    """A function of a list returning its items at ``indices`` as a sequence
+    (``itemgetter`` returns a lone item bare, so one index takes a slice)."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices) if indices else lambda values: ()
+
+
+class _View(NamedTuple):
+    """What a plan evaluates on an instance on either side of the orthonormality gate."""
+
+    rows: int                        # the first ``rows`` rows are checked
+    lhs_attrs: tuple                 # the EvalContext left-hand sides they cap
+    lhs_index: np.ndarray            # per row: its index into lhs_attrs
+    terms: tuple                     # the distinct (term, selector) pairs they read
+    slots: tuple                     # per row: its rhs and a getter of its slots' term values
+
+
+class Plan:
+    """A variant tuple compiled for evaluation on many instances.
+
+    The rows are the distinct variants (by name) in order, those without the
+    orthonormality gate first; ``weights`` counts how often each occurs in
+    the tuple.  Each row keeps its table row's ``rhs`` and, per slot, the
+    position of its value among the distinct (term, selector) pairs of the
+    rows, so ``evaluate`` computes each term once per instance however many
+    rows read it, and each left-hand side once.
+    """
+
+    def __init__(self, variants):
+        distinct: dict[str, Variant] = {}
+        weights: dict[str, int] = {}
+        for v in variants:
+            distinct.setdefault(v.name, v)
+            weights[v.name] = weights.get(v.name, 0) + 1
+        self.variants = tuple(sorted(distinct.values(), key=lambda v: v.orthonormal_only))
+        self.names = tuple(v.name for v in self.variants)
+        self.weights = np.array([weights[name] for name in self.names], dtype=np.int64)
+        self.ungated = sum(not v.orthonormal_only for v in self.variants)
+        self._views = (self._view(self.ungated), self._view(len(self.variants)))
+
+    def __reduce__(self):
+        # rebuild from the variants: the table rows hold unpicklable lambdas
+        return Plan, ([v for v, w in zip(self.variants, self.weights.tolist()) for _ in range(w)],)
+
+    def _view(self, rows: int) -> _View:
+        variants = self.variants[:rows]
+        families = {f: k for k, f in enumerate(dict.fromkeys(v.family for v in variants))}
+        terms: dict = {}
+        slots = tuple(
+            (v.spec.rhs, _getter([terms.setdefault(pair, len(terms)) for pair in v.slot_terms]))
+            for v in variants
+        )
+        lhs_index = np.array([families[v.family] for v in variants], dtype=np.intp)
+        return _View(rows, tuple("lhs_" + f for f in families), lhs_index, tuple(terms), slots)
+
+    def evaluate(self, ctx: EvalContext) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(m, lhs, rhs)``: the sides of the first ``m`` rows, the rows checked
+        on this instance (the gated ones only if its family is orthonormal).
+        The context must carry coefficients, as every generated instance does."""
+        view = self._views[self.ungated == len(self.variants) or ctx.is_orthonormal]
+        sides = np.array([getattr(ctx, attr) for attr in view.lhs_attrs], dtype=np.float64)
+        values = [term(ctx, sel) for term, sel in view.terms]
+        rhs = [fn(ctx, *slots(values)) for fn, slots in view.slots]
+        return view.rows, sides[view.lhs_index], np.array(rhs, dtype=np.float64)
 
 
 def _evaluate(variant: Variant, ctx: EvalContext, policy: TolerancePolicy) -> BoundEvaluation:

@@ -205,8 +205,10 @@ def combination_norm_sq(coeffs, family_or_gram) -> float:
     summed vector is computed as well and cross-checked against the double
     sum; the two routes must agree within :data:`ORACLE_REL_TOL` relative to
     the absolute mass ``sum_ij |c_i||c_j||(z_i,z_j)|``.  A non-vanishing
-    imaginary part at the same scale signals a corrupted Gram matrix.  The
-    double-sum value is returned (clamped at zero).
+    imaginary part at the same scale signals a corrupted Gram matrix, and a
+    real part below zero at that scale one that is not positive semidefinite.
+    The double-sum value is returned, with a rounding-sized negative clamped
+    to zero.
     """
     c = _as_complex_vector(coeffs, "coeffs")
     direct = None
@@ -234,6 +236,11 @@ def combination_norm_sq(coeffs, family_or_gram) -> float:
             "the Gram matrix is corrupted"
         )
     result = value.real
+    if result < -ORACLE_REL_TOL * mass:
+        raise ValidationError(
+            f"Gram double sum {result} is negative beyond {ORACLE_REL_TOL} relative to "
+            f"mass {mass}; the Gram matrix is not positive semidefinite"
+        )
     if direct is not None and abs(direct - result) > ORACLE_REL_TOL * mass:
         raise ValidationError(
             f"direct norm {direct} and Gram expansion {result} disagree "

@@ -11,7 +11,6 @@ bound in the catalog is a theorem.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -22,6 +21,7 @@ from .bounds import (
     DEFAULT_POLICY,
     EvalContext,
     IncompatibleInstanceError,
+    Plan,
     TolerancePolicy,
     _eval_on_context,
     _evaluation,
@@ -248,29 +248,85 @@ class SuiteReport:
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\n"
 
 
-def _check_instance(
-    config: GenConfig,
-    index: int,
-    variants: tuple[Variant, ...],
-    policy: TolerancePolicy,
-) -> tuple[list[BoundEvaluation | str], list[dict]]:
-    """Each variant's ``_judge`` result on one instance, and the violations."""
-    inst, coeffs = generate_instance(config, index)
-    ctx = EvalContext(inst, coeffs)
-    results = [_judge(variant, ctx, policy) for variant in variants]
-    violations = [
-        {
-            "instance_id": index,
-            "variant": ev.variant.name,
-            "lhs": ev.lhs,
-            "rhs": ev.rhs,
-            "slack": ev.slack,
-            "instance": instance_to_jsonable(inst, coeffs),
+class _Tally:
+    """A plan's checks over one contiguous range of instances, judged and
+    reduced as arrays with the arithmetic of ``TolerancePolicy.holds`` and
+    ``VariantTotals.record``.  ``nan_seen`` marks the minima whose fold met a
+    NaN sample, after which the next sample restarts it."""
+
+    def __init__(self, plan: Plan):
+        rows = len(plan.names)
+        self.plan = plan
+        self.instances = 0
+        self.passed = 0                  # instances that passed the orthonormality gate
+        self.held = np.zeros(rows, dtype=np.int64)
+        self.mins = np.full((2, rows), np.nan)       # min slack, min relative slack
+        self.nan_seen = np.zeros((2, rows), dtype=bool)
+        self.violations: list[dict] = []
+
+    def add(self, index: int, inst: ProblemInstance, coeffs, policy: TolerancePolicy) -> None:
+        plan = self.plan
+        m, lhs, rhs = plan.evaluate(EvalContext(inst, coeffs))
+        self.instances += 1
+        self.passed += m == len(plan.names)
+        sample, mins = np.empty((2, m)), self.mins[:, :m]
+        with np.errstate(invalid="ignore", over="ignore"):
+            slack = np.subtract(rhs, lhs, out=sample[0])
+            big = np.where(rhs > lhs, rhs, lhs)                     # max(lhs, rhs)
+            holds = slack >= -(policy.tol_abs + policy.tol_rel * big)
+            np.divide(slack, np.where(1e-300 > big, 1e-300, big), out=sample[1])
+            np.copyto(mins, sample, where=~(mins <= sample))       # also true on NaN
+            self.nan_seen[:, :m] |= np.isnan(sample)
+        self.held[:m] += holds
+        if not holds.all():
+            payload = instance_to_jsonable(inst, coeffs)
+            for k in np.flatnonzero(~holds).tolist():
+                violation = {
+                    "instance_id": index,
+                    "variant": plan.names[k],
+                    "lhs": float(lhs[k]),
+                    "rhs": float(rhs[k]),
+                    "slack": float(slack[k]),
+                    "instance": payload,
+                }
+                self.violations.extend([violation] * int(plan.weights[k]))
+
+    @property
+    def checked(self) -> np.ndarray:
+        counts = np.full(self.held.shape, self.passed, dtype=np.int64)
+        counts[: self.plan.ungated] = self.instances
+        return counts
+
+    def merge(self, later: "_Tally") -> None:
+        """Fold in the tally of the instances right after these: the same
+        result as one tally over both ranges."""
+        with np.errstate(invalid="ignore"):
+            replace = (later.checked > 0) & (later.nan_seen | ~(self.mins <= later.mins))
+        np.copyto(self.mins, later.mins, where=replace)
+        self.nan_seen |= later.nan_seen
+        self.instances += later.instances
+        self.passed += later.passed
+        self.held += later.held
+        self.violations.extend(later.violations)
+
+    def totals(self) -> dict[str, VariantTotals]:
+        weights = self.plan.weights
+        checked = (self.checked * weights).tolist()
+        held = (self.held * weights).tolist()
+        skipped = ((self.instances - self.checked) * weights).tolist()
+        min_slack, min_rel = self.mins.tolist()
+        return {
+            name: VariantTotals(checked[k], held[k], checked[k] - held[k], skipped[k], min_slack[k], min_rel[k])
+            for k, name in enumerate(self.plan.names)
         }
-        for ev in results
-        if not isinstance(ev, str) and not ev.holds
-    ]
-    return results, violations
+
+
+def _tally_range(config: GenConfig, plan: Plan, policy: TolerancePolicy, start: int, stop: int) -> _Tally:
+    tally = _Tally(plan)
+    for index in range(start, stop):
+        inst, coeffs = generate_instance(config, index)
+        tally.add(index, inst, coeffs, policy)
+    return tally
 
 
 def run_suite(
@@ -281,36 +337,37 @@ def run_suite(
 ) -> SuiteReport:
     """Check every compatible (instance, variant) pair in the stream.
 
-    ``jobs`` fans instance evaluation out over a thread pool; the report is
-    reduced in instance order either way, so the output does not depend on
-    the parallelism level.
+    The variants are compiled into one ``bounds.Plan``, which evaluates each
+    distinct term once per instance; the checks of an instance are judged
+    and reduced as arrays, with the same results as ``check_variant``
+    folded through ``VariantTotals.record``.  ``jobs`` > 1 splits the stream
+    into that many contiguous index ranges, tallied in forked processes and
+    merged in index order, so the output does not depend on the parallelism
+    level.
     """
     variants = tuple(variants)
-    report = SuiteReport(config, policy, tuple(v.name for v in variants))
-    totals = {v.name: VariantTotals() for v in variants}
-    report.totals = totals
-    aligned = [totals[v.name] for v in variants]
+    plan = Plan(variants)
+    ranges = min(max(jobs, 1), config.count)
+    edges = [config.count * k // ranges for k in range(ranges + 1)]
+    spans = list(zip(edges, edges[1:]))
+    if ranges > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def one(index: int):
-        return _check_instance(config, index, variants, policy)
-
-    def fold(per_instance) -> None:
-        # each instance's rows are folded in as soon as they arrive, so memory
-        # does not grow with the instance count
-        for results, violations in per_instance:
-            for t, ev in zip(aligned, results):
-                if isinstance(ev, str):
-                    t.skipped += 1
-                else:
-                    t.record(ev.lhs, ev.rhs, ev.slack, ev.holds)
-            report.violations.extend(violations)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fold(pool.map(one, range(config.count)))
+        # fork, not spawn: a spawned worker re-imports the caller's main
+        # module, which fails in a script without a __main__ guard; the
+        # pool forks all its workers before it starts its manager thread.
+        with ProcessPoolExecutor(ranges, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_tally_range, config, plan, policy, a, b) for a, b in spans]
+            tallies = [f.result() for f in futures]
     else:
-        fold(one(i) for i in range(config.count))
-    report.violations.sort(key=lambda v: (v["instance_id"], v["variant"]))
+        tallies = [_tally_range(config, plan, policy, 0, config.count)]
+    tally = tallies[0]
+    for later in tallies[1:]:
+        tally.merge(later)
+    report = SuiteReport(config, policy, tuple(v.name for v in variants))
+    report.totals = tally.totals()
+    report.violations = sorted(tally.violations, key=lambda v: (v["instance_id"], v["variant"]))
     return report
 
 

@@ -158,6 +158,20 @@ class TestCombinationNormSq:
         with pytest.raises(ValidationError, match="corrupted"):
             combination_norm_sq([1.0, 1.0], bad)
 
+    @pytest.mark.parametrize(
+        "coeffs, gram",
+        [([1.0, -1.0], [[1.0, 5.0], [5.0, 1.0]]), ([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]])],
+        ids=["indefinite", "negative-diagonal"],
+    )
+    def test_negative_double_sum_rejected(self, coeffs, gram):
+        with pytest.raises(ValidationError, match="not positive semidefinite"):
+            combination_norm_sq(coeffs, np.array(gram))
+
+    def test_rounding_sized_negative_clamped(self):
+        # a negative double sum within the oracle tolerance of the mass counts as rounding
+        g = np.array([[1.0, -1.0 - 1e-12], [-1.0 - 1e-12, 1.0]])
+        assert combination_norm_sq([1.0, 1.0], g) == 0.0
+
     def test_dual_path_oracle_thousand_instances(self):
         # Direct norm of the summed vector vs the Gram double sum, both
         # recomputed here from scratch.  Agreement scale is the absolute mass

@@ -21,8 +21,21 @@ from bbbounds import (
     run_suite,
     search_incomparability,
 )
+from bbbounds.bounds import EvalContext
+from bbbounds.space import instance_to_jsonable
+from bbbounds.verify import SuiteReport, VariantTotals, _judge, _Tally
 
 E1 = [1.0, 0.0]
+
+# At scale 1e150 the scalar statistics (Gram double sum, power sums)
+# overflow, and numpy warns from those modules; the array judge in verify
+# must still add no warning of its own.
+SCALAR_OVERFLOW = pytest.mark.filterwarnings(
+    "ignore::RuntimeWarning:bbbounds.space", "ignore::RuntimeWarning:bbbounds.bounds"
+)
+
+# Families of 24 to 64 vectors in up to 128 dimensions.
+WIDE_CONFIG = GenConfig(n_range=(24, 64), d_range=(16, 128), master_seed=901, count=20)
 
 
 class TestGenConfig:
@@ -152,6 +165,105 @@ class TestCheckVariant:
                 assert res.evaluation.holds
 
 
+def _folded(*samples):
+    """VariantTotals after recording (lhs, rhs, slack, holds) samples in turn."""
+    totals = VariantTotals()
+    for sample in samples:
+        totals.record(*sample)
+    return totals
+
+
+class TestVariantTotalsRecord:
+    # The reduce semantics every suite path must reproduce.
+
+    def test_equal_minima_keep_the_earliest(self):
+        first_zero = _folded((1.0, 1.0, 0.0, True), (1.0, 1.0, -0.0, True))
+        assert math.copysign(1.0, first_zero.min_slack) == 1.0
+        assert math.copysign(1.0, first_zero.min_rel_slack) == 1.0
+        first_negative = _folded((1.0, 1.0, -0.0, True), (1.0, 1.0, 0.0, True))
+        assert math.copysign(1.0, first_negative.min_slack) == -1.0
+        assert math.copysign(1.0, first_negative.min_rel_slack) == -1.0
+
+    def test_nan_minimum_replaced_by_next_sample(self):
+        inf = float("inf")
+        totals = _folded((inf, inf, float("nan"), False), (2.0, 3.0, 1.0, True))
+        assert totals.min_slack == 1.0
+        assert totals.min_rel_slack == 1.0 / 3.0
+        assert (totals.checked, totals.held, totals.violated) == (2, 1, 1)
+
+    def test_nan_sample_replaces_finite_minimum(self):
+        inf = float("inf")
+        totals = _folded((2.0, 3.0, 1.0, True), (inf, inf, float("nan"), False))
+        assert math.isnan(totals.min_slack) and math.isnan(totals.min_rel_slack)
+
+
+INF = float("inf")
+
+# Four instances' (lhs, rhs) for six checks: signed-zero ties, NaN slacks
+# (inf - inf) before, between and after finite ones, and a NaN relative
+# slack beside an infinite slack (1 against inf).  The sixth check is gated:
+# the last instance fails its gate.
+SAMPLES = [
+    [(0.0, 0.0), (0.0, -0.0), (INF, INF), (1.0, 2.0), (1.0, 2.0), (1.0, INF)],
+    [(0.0, -0.0), (0.0, 0.0), (1.0, 3.0), (1.0, 3.0), (INF, INF), (1.0, 2.0)],
+    [(1.0, 2.0), (1.0, 2.0), (1.0, 6.0), (INF, INF), (1.0, 4.0), (1.0, INF)],
+    [(0.0, 0.0), (0.0, -0.0), (1.0, 2.0), (1.0, 2.0), (1.0, 5.0)],
+]
+
+
+class _GivenSides:
+    """Stands in for a ``bounds.Plan``: each ``evaluate`` returns the next
+    instance's sides from SAMPLES."""
+
+    names = tuple(f"v{k}" for k in range(len(SAMPLES[0])))
+    weights = np.ones(len(names), dtype=np.int64)
+    ungated = len(names) - 1
+
+    def __init__(self, samples):
+        self._samples = iter(samples)
+
+    def evaluate(self, ctx):
+        lhs, rhs = np.array(next(self._samples)).T
+        return len(lhs), lhs, rhs
+
+
+class TestArrayReduce:
+    # The suite's array judge and reduce, and the merge of process ranges,
+    # against VariantTotals.record on the same samples.
+
+    @pytest.fixture(autouse=True)
+    def _no_payloads(self, monkeypatch):
+        monkeypatch.setattr("bbbounds.verify.instance_to_jsonable", lambda inst, coeffs: {})
+
+    @staticmethod
+    def _tally(samples, start=0):
+        tally = _Tally(_GivenSides(samples))
+        for index in range(start, start + len(samples)):
+            tally.add(index, None, None, TolerancePolicy())
+        return tally
+
+    @staticmethod
+    def _expected():
+        policy = TolerancePolicy()
+        totals = {name: VariantTotals() for name in _GivenSides.names}
+        for sample in SAMPLES:
+            for name, (lhs, rhs) in zip(_GivenSides.names, sample):
+                totals[name].record(lhs, rhs, rhs - lhs, policy.holds(lhs, rhs))
+            for name in _GivenSides.names[len(sample):]:
+                totals[name].skipped += 1
+        return repr(totals)
+
+    def test_one_range_matches_record(self):
+        assert repr(self._tally(SAMPLES).totals()) == self._expected()
+
+    @pytest.mark.parametrize("cut", range(1, len(SAMPLES)))
+    def test_merged_ranges_match_record(self, cut):
+        tally = self._tally(SAMPLES[:cut])
+        tally.merge(self._tally(SAMPLES[cut:], start=cut))
+        assert repr(tally.totals()) == self._expected()
+        assert [v["instance_id"] for v in tally.violations] == [0, 1, 2]
+
+
 class TestRunSuite:
     def test_totals_consistency_and_zero_violations(self):
         config = GenConfig(master_seed=2, count=200, field_mode="both")
@@ -185,6 +297,24 @@ class TestRunSuite:
         assert serial.to_csv() == threaded.to_csv()
         assert serial.to_json() == threaded.to_json()
 
+    @pytest.mark.parametrize("scale", [pytest.param(1e150, marks=SCALAR_OVERFLOW), 1e-170])
+    def test_process_ranges_merge_like_the_serial_fold(self, scale):
+        # NaN slacks at 1e150, and 0.0 / -0.0 ties among vacuous checks at 1e-170
+        config = GenConfig(master_seed=42, count=60, scale=scale)
+        serial = run_suite(config, full_catalog(), jobs=1)
+        for jobs in (2, 3):
+            parallel = run_suite(config, full_catalog(), jobs=jobs)
+            assert parallel.to_csv() == serial.to_csv()
+            assert parallel.to_json() == serial.to_json()
+
+    def test_more_jobs_than_instances(self):
+        config = GenConfig(master_seed=8, count=3)
+        variants = full_catalog(exponents=(2.0,))
+        serial = run_suite(config, variants)
+        parallel = run_suite(config, variants, jobs=8)
+        assert parallel.to_csv() == serial.to_csv()
+        assert parallel.to_json() == serial.to_json()
+
     def test_csv_shape(self):
         report = run_suite(GenConfig(count=3), [parse_variant("bb:1.2"), parse_variant("bb:4.5")])
         lines = report.to_csv().strip().split("\n")
@@ -204,10 +334,83 @@ class TestRunSuite:
         assert "coeffs" in payload["instance"]
 
 
+def _scalar_report(config, variants, policy=TolerancePolicy()):
+    """The suite one check at a time: ``_judge`` per (instance, variant),
+    reduced through ``VariantTotals.record``."""
+    variants = tuple(variants)
+    report = SuiteReport(config, policy, tuple(v.name for v in variants))
+    report.totals = {v.name: VariantTotals() for v in variants}
+    for index in range(config.count):
+        inst, coeffs = generate_instance(config, index)
+        ctx = EvalContext(inst, coeffs)
+        for variant in variants:
+            ev = _judge(variant, ctx, policy)
+            totals = report.totals[variant.name]
+            if isinstance(ev, str):
+                totals.skipped += 1
+                continue
+            totals.record(ev.lhs, ev.rhs, ev.slack, ev.holds)
+            if not ev.holds:
+                report.violations.append({
+                    "instance_id": index,
+                    "variant": variant.name,
+                    "lhs": ev.lhs,
+                    "rhs": ev.rhs,
+                    "slack": ev.slack,
+                    "instance": instance_to_jsonable(inst, coeffs),
+                })
+    report.violations.sort(key=lambda v: (v["instance_id"], v["variant"]))
+    return report
+
+
+class TestPlanMatchesScalarOracle:
+    # run_suite evaluates a compiled plan and judges with arrays; every
+    # output byte must equal the one-check-at-a-time path.
+    CATALOG = full_catalog()
+
+    @pytest.mark.parametrize(
+        "config, variants, policy",
+        [
+            (GenConfig(master_seed=42, count=200), CATALOG, TolerancePolicy()),
+            (WIDE_CONFIG, CATALOG, TolerancePolicy()),
+            (GenConfig(master_seed=7, count=200, structured_families=True), CATALOG, TolerancePolicy()),
+            pytest.param(
+                GenConfig(master_seed=42, count=100, scale=1e150), CATALOG, TolerancePolicy(),
+                marks=SCALAR_OVERFLOW,
+            ),
+            (GenConfig(master_seed=42, count=100, scale=1e-170), CATALOG, TolerancePolicy()),
+            (GenConfig(master_seed=3, count=10), CATALOG, TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)),
+        ],
+        ids=["seed42", "wide", "structured", "scale1e150", "scale1e-170", "violating-policy"],
+    )
+    def test_csv_and_json_byte_identical(self, config, variants, policy):
+        plan = run_suite(config, variants, policy)
+        oracle = _scalar_report(config, variants, policy)
+        assert plan.to_csv() == oracle.to_csv()
+        assert plan.to_json() == oracle.to_json()
+
+    def test_violating_policy_case_has_violations(self):
+        policy = TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)
+        report = run_suite(GenConfig(master_seed=3, count=10), self.CATALOG, policy)
+        assert report.violated > 0 and len(report.violations) == report.violated
+
+    def test_repeated_and_gated_variants(self):
+        # a name listed twice counts twice, as one totals row fed twice
+        names = ["bessel:1.1", "lemma21:max:sum", "ortho:4.2", "lemma21:max:sum", "bb:1.2"]
+        variants = [parse_variant(n) for n in names]
+        config = GenConfig(master_seed=5, count=30)
+        policy = TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)
+        plan = run_suite(config, variants, policy)
+        oracle = _scalar_report(config, variants, policy)
+        assert plan.totals["lemma21:max:sum"].checked == 60
+        assert plan.to_csv() == oracle.to_csv()
+        assert plan.to_json() == oracle.to_json()
+
+
 class TestWideFamilyGolden:
     # recorded before the Gram and coefficient statistics were built from
     # whole arrays; families of 24 to 64 vectors in up to 128 dimensions
-    CONFIG = GenConfig(n_range=(24, 64), d_range=(16, 128), master_seed=901, count=20)
+    CONFIG = WIDE_CONFIG
     GOLDEN = Path(__file__).parent / "golden"
 
     def test_suite_csv(self):
