@@ -12,11 +12,13 @@ Three families, distinguished by what they cap:
 
 The right-hand sides are defined once, in the catalog table of
 ``variants``; this module builds the statistics they read and evaluates a
-variant through its table row (``_eval_on_context``).  Every public bound
-function here is a thin call into that one evaluator.  A suite over many
-instances compiles its variants into a ``Plan`` instead, which evaluates
-each distinct (term, selector) pair and each left-hand side once per
-instance and calls every row's right-hand side on those values.
+variant through its table row (``_eval_on_context``).  That is the one
+scalar evaluator: every public bound function here is a thin call into it,
+and so is each variant ``tuning`` ranks, pinned as named or with every
+holder slot's value replaced by the tuned minimum of its term.  A suite
+over many instances compiles its variants into a ``Plan`` instead, which
+evaluates each distinct (term, selector) pair and each left-hand side once
+per instance and calls every row's right-hand side on those values.
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
@@ -42,7 +44,7 @@ from .space import (
     combination_norm_sq,
     gram_of_family,
 )
-from .variants import Selector, Variant, _diag_value, _offdiag_value
+from .variants import _TERMS, Selector, Variant, _diag_value, _offdiag_value
 
 __all__ = [
     "ORTHONORMAL_GATE_TOL",
@@ -340,7 +342,14 @@ class EvalContext:
     def lhs_weighted(self) -> float:
         if self.coeffs is None:
             raise IncompatibleInstanceError("requires coefficients")
-        return abs(complex(np.dot(self.coeffs, self.inst.fourier))) ** 2
+        root = abs(complex(np.dot(self.coeffs, self.inst.fourier)))
+        try:
+            return root**2
+        except OverflowError:
+            # a float power raises where numpy would give inf
+            raise ValidationError(
+                f"weighted left-hand side |sum c_i (x, y_i)|^2 overflows: |sum c_i (x, y_i)| = {root!r}"
+            ) from None
 
     @property
     def lhs_fourier(self) -> float:
@@ -354,10 +363,19 @@ def _lhs(spec, ctx: EvalContext) -> float:
     return getattr(ctx, "lhs_" + spec.family)
 
 
-def _eval_on_context(variant: Variant, ctx: EvalContext) -> tuple[float, float]:
-    """(lhs, rhs) for a variant; raises IncompatibleInstanceError on gating."""
+def _eval_on_context(variant: Variant, ctx: EvalContext, tuned=None) -> tuple[float, float]:
+    """(lhs, rhs) for a variant; raises IncompatibleInstanceError on gating.
+
+    ``tuned``, a function of (context, ``_TERMS`` key), gives the value of
+    each holder slot in place of its term at the variant's own exponent.
+    """
     spec = variant.spec
-    return _lhs(spec, ctx), spec.rhs(ctx, *[term(ctx, sel) for term, sel in variant.slot_terms])
+    lhs = _lhs(spec, ctx)
+    values = [
+        tuned(ctx, key) if tuned is not None and sel.kind == "holder" else _TERMS[key](ctx, sel)
+        for key, sel in variant.slot_terms
+    ]
+    return lhs, spec.rhs(ctx, *values)
 
 
 def _getter(indices: list[int]):
@@ -374,7 +392,7 @@ class _View(NamedTuple):
     rows: int                        # the first ``rows`` rows are checked
     lhs_attrs: tuple                 # the EvalContext left-hand sides they cap
     lhs_index: np.ndarray            # per row: its index into lhs_attrs
-    terms: tuple                     # the distinct (term, selector) pairs they read
+    terms: tuple                     # the distinct (_TERMS key, selector) pairs they read
     slots: tuple                     # per row: its rhs and a getter of its slots' term values
 
 
@@ -422,7 +440,7 @@ class Plan:
         The context must carry coefficients, as every generated instance does."""
         view = self._views[self.ungated == len(self.variants) or ctx.is_orthonormal]
         sides = np.array([getattr(ctx, attr) for attr in view.lhs_attrs], dtype=np.float64)
-        values = [term(ctx, sel) for term, sel in view.terms]
+        values = [_TERMS[key](ctx, sel) for key, sel in view.terms]
         rhs = [fn(ctx, *slots(values)) for fn, slots in view.slots]
         return view.rows, sides[view.lhs_index], np.array(rhs, dtype=np.float64)
 

@@ -21,7 +21,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bounds import EvalContext, TolerancePolicy
+from .bounds import EvalContext, IncompatibleInstanceError, TolerancePolicy, _lhs
 from .space import ValidationError, load_instance, save_instance
 from .tuning import PROFILE_FAMILIES, profile_exponent, rank_variants
 from .variants import VariantError, parse_variant_list
@@ -161,9 +161,10 @@ def _cmd_rank(args) -> int:
     ctx = EvalContext(inst, coeffs)
     usable = []
     for variant in variants:
-        ev = _judge(variant, ctx)
-        if isinstance(ev, str):
-            print(f"skipping {variant.name}: {ev}", file=sys.stderr)
+        try:
+            _lhs(variant.spec, ctx)
+        except IncompatibleInstanceError as exc:
+            print(f"skipping {variant.name}: {exc.reason}", file=sys.stderr)
         else:
             usable.append(variant)
     ranking = rank_variants(inst, coeffs, usable)

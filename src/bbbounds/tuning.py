@@ -7,12 +7,14 @@ region).  A boundary minimizer is reported as such rather than extrapolated:
 the limits at both ends of the domain coincide with the max- and sum-selector
 variants that already exist in the catalog.
 
-Rankings evaluate a set of variants on one instance, with every exponent slot
-independently optimized, and order them by right-hand side.  The catalog
-table in ``variants`` names, for each exponent slot, the term it feeds (the
-holder diagonal, the holder off-diagonal, ..., keys of ``_TERMS``); a free
-slot takes the minimum of that term, computed once per instance and shared
-by every variant that uses it.  The profiled families are terms too.
+Rankings evaluate a set of variants on one instance through the scalar
+evaluator ``bounds._eval_on_context`` and order them by right-hand side.
+The catalog table in ``variants`` names, for each exponent slot, the term it
+feeds (the holder diagonal, the holder off-diagonal, ..., keys of
+``_TERMS``).  A tuned ranking passes that evaluator the per-instance minimum
+of each holder slot's term, computed once and shared by every variant that
+uses it; a pinned ranking evaluates every slot at its own exponent.  The
+profiled families are terms too.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import DEFAULT_POLICY, EvalContext, TolerancePolicy, _eval_on_context, _lhs
+from .bounds import EvalContext, _eval_on_context
 from .space import ProblemInstance
 from .variants import _TERMS, EXPONENT_MAX, Variant, VariantError, _check_exponent, holder
 
@@ -79,7 +81,8 @@ class TightnessRanking:
         return "\n".join(lines) + "\n"
 
 
-# Not called here: bench/tracer.py wraps these names; the tuner reaches its terms through _TERMS.
+# Not called here: bench/tracer.py wraps these names (its last shim, to go at
+# its next change); the tuner reaches its terms through _TERMS.
 _diag_value = _offdiag_value = _coarse_offdiag_value = _cor32_rhs_factor = _fourier_rhs = None
 
 
@@ -235,25 +238,6 @@ def profile_exponent(
 # ---------------------------------------------------------------------------
 
 
-def _optimized_rhs(variant: Variant, ctx: EvalContext) -> tuple[float, float]:
-    """(lhs, rhs) with each conjugate-exponent slot independently minimized.
-
-    Slots pinned to max or sum selectors are kept as given; each holder
-    selector or p parameter takes the per-instance minimum of the term its
-    table row feeds it to.  Each evaluated point is itself a valid bound, so
-    minimization cannot break soundness.
-    """
-    spec = variant.spec
-    if all(sel.kind != "holder" for _, sel in variant.slot_terms):
-        return _eval_on_context(variant, ctx)
-    lhs = _lhs(spec, ctx)
-    values = [
-        _tuned_value(ctx, key) if sel.kind == "holder" else term(ctx, sel)
-        for key, (term, sel) in zip(spec.terms, variant.slot_terms)
-    ]
-    return lhs, spec.rhs(ctx, *values)
-
-
 def _relative_slack(lhs: float, rhs: float) -> float:
     if lhs > 0.0:
         return (rhs - lhs) / lhs
@@ -264,25 +248,24 @@ def rank_variants(
     inst: ProblemInstance,
     coeffs,
     variants: Iterable[Variant],
-    policy: TolerancePolicy = DEFAULT_POLICY,
     optimize_exponents: bool = True,
 ) -> TightnessRanking:
     """Order a variant set by rhs on one instance, tightest first.
 
-    Exponent slots are optimized per term by default: each tunable term is
-    minimized once per instance and its minimum is shared by every variant
-    that uses it, so two holder variants differing only in their pinned
-    exponent rank identically (ties then break by name).  All variants must
-    be compatible with the instance; an orthonormal-only variant on a general
-    family raises.
+    Exponent slots are optimized per term by default: each holder selector or
+    p parameter takes the minimum of the term its table row feeds it to,
+    computed once per instance and shared by every variant that uses it, so
+    two holder variants differing only in their pinned exponent rank
+    identically (ties then break by name).  Max and sum selectors are kept as
+    given.  Each evaluated point is itself a valid bound, so minimization
+    cannot break soundness.  All variants must be compatible with the
+    instance; an orthonormal-only variant on a general family raises.
     """
     ctx = EvalContext(inst, coeffs)
+    tuned = _tuned_value if optimize_exponents else None
     entries = []
     for variant in tuple(variants):
-        if optimize_exponents:
-            lhs, rhs = _optimized_rhs(variant, ctx)
-        else:
-            lhs, rhs = _eval_on_context(variant, ctx)
+        lhs, rhs = _eval_on_context(variant, ctx, tuned)
         entries.append(RankEntry(variant.name, rhs, _relative_slack(lhs, rhs)))
     entries.sort(key=lambda e: (e.rhs, e.variant))
     return TightnessRanking(tuple(entries))

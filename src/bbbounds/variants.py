@@ -296,7 +296,7 @@ class Variant:
     """A tagged bound identifier; construct via the classmethods below.
 
     ``spec`` is its row of the catalog table, and ``slot_terms`` pairs each
-    slot's term with its selector (a ``p`` slot as ``holder(p)``).
+    slot's ``_TERMS`` key with its selector (a ``p`` slot as ``holder(p)``).
     """
 
     kind: str
@@ -319,7 +319,7 @@ class Variant:
             object.__setattr__(self, "p", _check_exponent(self.p))
         sels = [holder(self.p) if slot == "p" else getattr(self, slot) for slot in spec.slots]
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "slot_terms", tuple(zip((_TERMS[k] for k in spec.terms), sels)))
+        object.__setattr__(self, "slot_terms", tuple(zip(spec.terms, sels)))
 
     # -- constructors -------------------------------------------------------
 

@@ -11,7 +11,7 @@ bound in the catalog is a theorem.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -88,11 +88,14 @@ def _draw(rng: np.random.Generator, shape, complex_field: bool, scale: float) ->
     return (re * scale).astype(np.complex128)
 
 
+# The two positive scalar triples whose off-diagonal weights A and B order
+# differently: the structured stream opens with them, and demo-remark prints them.
+_CANONICAL_TRIPLES = ((1.0, 1.0, 1.0), (1.0, 0.5, 1.0))
+
+
 def _structured_triple(rng: np.random.Generator, index: int, scale: float) -> tuple[float, float, float]:
-    if index == 0:
-        return (1.0, 1.0, 1.0)
-    if index == 1:
-        return (1.0, 0.5, 1.0)
+    if index < len(_CANONICAL_TRIPLES):
+        return _CANONICAL_TRIPLES[index]
     return tuple(float(abs(v)) * scale for v in rng.standard_normal(3))
 
 
@@ -220,16 +223,8 @@ class SuiteReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "config": {
-                "n_range": list(self.config.n_range),
-                "d_range": list(self.config.d_range),
-                "field_mode": self.config.field_mode,
-                "scale": self.config.scale,
-                "structured_families": self.config.structured_families,
-                "master_seed": self.config.master_seed,
-                "count": self.config.count,
-            },
-            "policy": {"tol_abs": self.policy.tol_abs, "tol_rel": self.policy.tol_rel},
+            "config": asdict(self.config),
+            "policy": asdict(self.policy),
             "variants": {
                 name: {
                     "checked": t.checked,
@@ -421,7 +416,7 @@ def remark_comparison_rows() -> list[tuple[tuple[float, float, float], float, fl
     (1, 1, 1) gives A = sqrt(6) > B = 2; (1, 1/2, 1) gives A = sqrt(3) < B = 2.
     """
     rows = []
-    for triple in ((1.0, 1.0, 1.0), (1.0, 0.5, 1.0)):
+    for triple in _CANONICAL_TRIPLES:
         fam = np.array([[v] for v in triple], dtype=np.complex128)
         inst = ProblemInstance.from_vectors(np.array([1.0 + 0.0j]), fam, field_mode="real")
         a, b = remark4_quantities(inst.family_gram)

@@ -4,11 +4,15 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import bbbounds.tuning as tuning
+import bbbounds.verify as verify
 from bbbounds import ProblemInstance, save_instance
+from bbbounds.cli import main
 
 
 def run_cli(*args, cwd=None):
@@ -79,6 +83,16 @@ class TestVerifyCommand:
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
         assert a.decode() == first.stdout
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_weighted_lhs_overflow_exits_2(self, jobs):
+        # |sum c_i (x, y_i)| is finite at this scale but its square is not
+        proc = run_cli("verify", "--seed", "42", "--count", "40", "--scale", "1e76",
+                       "--variants", "all", "--jobs", jobs)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: weighted left-hand side |sum c_i (x, y_i)|^2 overflows")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestGenAndCheckFile:
@@ -158,6 +172,36 @@ class TestRankAndOptimize:
         assert proc.returncode == 0
         assert "skipping" in proc.stderr
         assert "ortho:4.2" not in proc.stdout
+
+    def test_rank_evaluates_each_usable_variant_once(self, monkeypatch, capsys):
+        calls = Counter()
+
+        def count(owner, attr, key):
+            fn = getattr(owner, attr)
+
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        count(tuning, "_eval_on_context", "rank")
+        count(verify, "_judge", "judge")
+        count(verify, "_eval_on_context", "judge")
+        assert main(["rank", "--seed", "42"]) == 0
+        out, err = capsys.readouterr()
+        assert calls["rank"] == len(out.splitlines()) - 1 == 172
+        assert calls["judge"] == 0
+        # recorded before rank decided its skips from the left-hand side alone
+        assert err.splitlines() == [
+            "skipping ortho:4.2: orthonormality gate",
+            "skipping ortho:4.4:p=1.25: orthonormality gate",
+            "skipping ortho:4.4:p=1.5: orthonormality gate",
+            "skipping ortho:4.4:p=2.0: orthonormality gate",
+            "skipping ortho:4.4:p=3.0: orthonormality gate",
+            "skipping ortho:4.4:p=4.0: orthonormality gate",
+            "skipping bessel:1.1: orthonormality gate",
+        ]
 
     def test_rank_deterministic(self):
         args = ("rank", "--seed", "13", "--n", "4..4", "--dim", "4..4")

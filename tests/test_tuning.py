@@ -270,3 +270,11 @@ class TestTunedTerms:
         variants = [v for v in full_catalog() if not v.orthonormal_only]
         expected = (Path(__file__).parent / "golden" / "rank_seed5_n4.csv").read_text()
         assert rank_variants(inst, coeffs, variants).to_csv() == expected
+
+    def test_pinned_rank_csv_golden(self):
+        # recorded before pinned and tuned ranks shared one evaluator
+        config = GenConfig(master_seed=5, count=1, n_range=(4, 4), d_range=(4, 4))
+        inst, coeffs = generate_instance(config, 0)
+        variants = [v for v in full_catalog() if not v.orthonormal_only]
+        expected = (Path(__file__).parent / "golden" / "rank_pinned_seed5_n4.csv").read_text()
+        assert rank_variants(inst, coeffs, variants, optimize_exponents=False).to_csv() == expected

@@ -423,6 +423,13 @@ class TestWideFamilyGolden:
         expected = (self.GOLDEN / "rank_wide.csv").read_text()
         assert rank_variants(inst, coeffs, variants).to_csv() == expected
 
+    def test_pinned_rank_csv(self):
+        # recorded before pinned and tuned ranks shared one evaluator
+        inst, coeffs = generate_instance(self.CONFIG, 0)
+        variants = [v for v in full_catalog() if not v.orthonormal_only]
+        expected = (self.GOLDEN / "rank_pinned_wide.csv").read_text()
+        assert rank_variants(inst, coeffs, variants, optimize_exponents=False).to_csv() == expected
+
 
 class TestSearchIncomparability:
     def test_structured_witnesses_found_at_canonical_indices(self):
