@@ -16,9 +16,11 @@ variant through its table row (``_eval_on_context``).  That is the one
 scalar evaluator: every public bound function here is a thin call into it,
 and so is each variant ``tuning`` ranks, pinned as named or with every
 holder slot's value replaced by the tuned minimum of its term.  A suite
-over many instances compiles its variants into a ``Plan`` instead, which
-evaluates each distinct (term, selector) pair and each left-hand side once
-per instance and calls every row's right-hand side on those values.
+over many instances compiles its variants into a ``Plan`` instead: one
+table of rows, ungated before gated, which evaluates each distinct (term,
+selector) pair and each left-hand side once per instance and calls every
+row's right-hand side on those values, reading only the table's ungated
+prefix when the family fails the orthonormality gate.
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
@@ -29,6 +31,7 @@ term before exponentiation, which keeps exponents up to the domain cap of 64
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -383,66 +386,52 @@ def _getter(indices: list[int]):
     (``itemgetter`` returns a lone item bare, so one index takes a slice)."""
     if len(indices) == 1:
         return itemgetter(slice(indices[0], indices[0] + 1))
-    return itemgetter(*indices) if indices else lambda values: ()
-
-
-class _View(NamedTuple):
-    """What a plan evaluates on an instance on either side of the orthonormality gate."""
-
-    rows: int                        # the first ``rows`` rows are checked
-    lhs_attrs: tuple                 # the EvalContext left-hand sides they cap
-    lhs_index: np.ndarray            # per row: its index into lhs_attrs
-    terms: tuple                     # the distinct (_TERMS key, selector) pairs they read
-    slots: tuple                     # per row: its rhs and a getter of its slots' term values
+    return itemgetter(*indices) if indices else itemgetter(slice(0, 0))
 
 
 class Plan:
     """A variant tuple compiled for evaluation on many instances.
 
-    The rows are the distinct variants (by name) in order, those without the
+    The rows are the distinct variants in order, those without the
     orthonormality gate first; ``weights`` counts how often each occurs in
-    the tuple.  Each row keeps its table row's ``rhs`` and, per slot, the
-    position of its value among the distinct (term, selector) pairs of the
-    rows, so ``evaluate`` computes each term once per instance however many
-    rows read it, and each left-hand side once.
+    the tuple.  The left-hand sides (``lhs_*`` attributes of ``EvalContext``)
+    and the distinct (term, selector) pairs the rows read are numbered in row
+    order, so the rows before the gate read only a prefix of each, and one
+    table serves both sides of the gate through the prefix sizes ``sizes``.
+    Each row keeps its variant, whose table row gives the ``rhs``, and a
+    getter of its slots' values among the pairs, so ``evaluate`` computes
+    each term once per instance however many rows read it, and each
+    left-hand side once.  A row holds nothing but picklable objects, so a
+    plan pickles as it is for forked workers.
     """
 
     def __init__(self, variants):
-        distinct: dict[str, Variant] = {}
-        weights: dict[str, int] = {}
-        for v in variants:
-            distinct.setdefault(v.name, v)
-            weights[v.name] = weights.get(v.name, 0) + 1
-        self.variants = tuple(sorted(distinct.values(), key=lambda v: v.orthonormal_only))
+        counts = Counter(variants)
+        self.variants = tuple(sorted(counts, key=lambda v: v.orthonormal_only))
         self.names = tuple(v.name for v in self.variants)
-        self.weights = np.array([weights[name] for name in self.names], dtype=np.int64)
+        self.weights = np.array([counts[v] for v in self.variants], dtype=np.int64)
         self.ungated = sum(not v.orthonormal_only for v in self.variants)
-        self._views = (self._view(self.ungated), self._view(len(self.variants)))
-
-    def __reduce__(self):
-        # rebuild from the variants: the table rows hold unpicklable lambdas
-        return Plan, ([v for v, w in zip(self.variants, self.weights.tolist()) for _ in range(w)],)
-
-    def _view(self, rows: int) -> _View:
-        variants = self.variants[:rows]
-        families = {f: k for k, f in enumerate(dict.fromkeys(v.family for v in variants))}
-        terms: dict = {}
-        slots = tuple(
-            (v.spec.rhs, _getter([terms.setdefault(pair, len(terms)) for pair in v.slot_terms]))
-            for v in variants
+        lhs = {a: k for k, a in enumerate(dict.fromkeys("lhs_" + v.family for v in self.variants))}
+        terms = {t: k for k, t in enumerate(dict.fromkeys(t for v in self.variants for t in v.slot_terms))}
+        self.lhs_attrs, self.terms = tuple(lhs), tuple(terms)
+        self.lhs_index = np.array([lhs["lhs_" + v.family] for v in self.variants], dtype=np.intp)
+        self.rows = tuple((v, _getter([terms[t] for t in v.slot_terms])) for v in self.variants)
+        # the (rows, lhs_attrs, terms) prefix sizes without and with the gated rows
+        self.sizes = tuple(
+            (r, len({v.family for v in self.variants[:r]}),
+             len({t for v in self.variants[:r] for t in v.slot_terms}))
+            for r in (self.ungated, len(self.variants))
         )
-        lhs_index = np.array([families[v.family] for v in variants], dtype=np.intp)
-        return _View(rows, tuple("lhs_" + f for f in families), lhs_index, tuple(terms), slots)
 
     def evaluate(self, ctx: EvalContext) -> tuple[int, np.ndarray, np.ndarray]:
         """``(m, lhs, rhs)``: the sides of the first ``m`` rows, the rows checked
         on this instance (the gated ones only if its family is orthonormal).
         The context must carry coefficients, as every generated instance does."""
-        view = self._views[self.ungated == len(self.variants) or ctx.is_orthonormal]
-        sides = np.array([getattr(ctx, attr) for attr in view.lhs_attrs], dtype=np.float64)
-        values = [_TERMS[key](ctx, sel) for key, sel in view.terms]
-        rhs = [fn(ctx, *slots(values)) for fn, slots in view.slots]
-        return view.rows, sides[view.lhs_index], np.array(rhs, dtype=np.float64)
+        m, n_lhs, n_terms = self.sizes[self.ungated < len(self.rows) and ctx.is_orthonormal]
+        sides = np.array([getattr(ctx, attr) for attr in self.lhs_attrs[:n_lhs]], dtype=np.float64)
+        values = [_TERMS[key](ctx, sel) for key, sel in self.terms[:n_terms]]
+        rhs = [v.spec.rhs(ctx, *slots(values)) for v, slots in self.rows[:m]]
+        return m, sides[self.lhs_index[:m]], np.array(rhs, dtype=np.float64)
 
 
 def _evaluate(variant: Variant, ctx: EvalContext, policy: TolerancePolicy) -> BoundEvaluation:

@@ -19,20 +19,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bounds import EvalContext, IncompatibleInstanceError, TolerancePolicy, _lhs
-from .space import ValidationError, load_instance, save_instance
+from .space import load_instance, save_instance
 from .tuning import PROFILE_FAMILIES, profile_exponent, rank_variants
-from .variants import VariantError, parse_variant_list
-from .verify import (
-    GenConfig,
-    SearchBudgetError,
-    _judge,
-    generate_instance,
-    remark_comparison_rows,
-    run_suite,
-)
+from .variants import parse_variant_list
+from .verify import GenConfig, _judge, generate_instance, remark_comparison_rows, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -47,15 +41,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return value, value
 
 
+# The generator and tolerance flags store into the GenConfig and
+# TolerancePolicy field they fill, so ``_from_flags`` builds either object.
 def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, metavar="U64")
+    parser.add_argument("--seed", dest="master_seed", type=int, default=0, metavar="U64")
     parser.add_argument("--count", type=int, default=1000, metavar="N")
-    parser.add_argument("--n", type=_parse_range, default=(1, 8), metavar="MIN..MAX")
-    parser.add_argument("--dim", type=_parse_range, default=(1, 8), metavar="MIN..MAX")
-    parser.add_argument("--field", choices=("real", "complex", "both"), default="both")
+    parser.add_argument("--n", dest="n_range", type=_parse_range, default=(1, 8), metavar="MIN..MAX")
+    parser.add_argument("--dim", dest="d_range", type=_parse_range, default=(1, 8), metavar="MIN..MAX")
+    parser.add_argument("--field", dest="field_mode", choices=("real", "complex", "both"), default="both")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
-        "--structured", action="store_true",
+        "--structured", dest="structured_families", action="store_true",
         help="include positive scalar-triple families in the stream",
     )
 
@@ -65,23 +61,16 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-abs", type=float, default=1e-12)
 
 
-def _config(args, count: int | None = None) -> GenConfig:
-    return GenConfig(
-        n_range=args.n,
-        d_range=args.dim,
-        field_mode=args.field,
-        scale=args.scale,
-        structured_families=args.structured,
-        master_seed=args.seed,
-        count=args.count if count is None else count,
-    )
+def _from_flags(cls, args, **given):
+    """A ``cls`` dataclass with each field from its flag, unless ``given``."""
+    return cls(**{f.name: given.get(f.name, getattr(args, f.name)) for f in fields(cls)})
 
 
 def _instance_for(args):
     """Instance plus optional coefficients, from --file or the seeded stream."""
     if args.file is not None:
         return load_instance(args.file)
-    return generate_instance(_config(args, count=1), 0)
+    return generate_instance(_from_flags(GenConfig, args, count=1), 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +121,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    config = _config(args)
+    config = _from_flags(GenConfig, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for index in range(config.count):
@@ -144,8 +133,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     variants = parse_variant_list(args.variants)
-    policy = TolerancePolicy(tol_abs=args.tol_abs, tol_rel=args.tol_rel)
-    report = run_suite(_config(args), variants, policy, jobs=args.jobs)
+    policy = _from_flags(TolerancePolicy, args)
+    report = run_suite(_from_flags(GenConfig, args), variants, policy, jobs=args.jobs)
     _emit(report.to_csv(), args.csv)
     if args.json:
         Path(args.json).write_text(report.to_json())
@@ -199,7 +188,7 @@ def _cmd_demo_remark(args) -> int:
 
 def _cmd_check_file(args) -> int:
     variants = parse_variant_list(args.variants)
-    policy = TolerancePolicy(tol_abs=args.tol_abs, tol_rel=args.tol_rel)
+    policy = _from_flags(TolerancePolicy, args)
     inst, coeffs = load_instance(args.file)
     ctx = EvalContext(inst, coeffs)
     lines = ["variant,lhs,rhs,slack,status"]
@@ -230,10 +219,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, VariantError, SearchBudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:     # ValidationError and VariantError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -119,10 +119,9 @@ def _golden_refine(
     a, b = math.log(lo), math.log(hi)
     evaluate = lambda u: fn(math.exp(u))
     best_u, best_v = a, evaluate(a)
-    for u in (b,):
-        v = evaluate(u)
-        if v < best_v:
-            best_u, best_v = u, v
+    v = evaluate(b)
+    if v < best_v:
+        best_u, best_v = b, v
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = evaluate(c), evaluate(d)

@@ -27,7 +27,7 @@ from .bounds import (
     _evaluation,
     remark4_quantities,
 )
-from .space import ProblemInstance, instance_to_jsonable
+from .space import ProblemInstance, VectorFamily, instance_to_jsonable
 from .variants import Variant
 
 __all__ = [
@@ -225,15 +225,9 @@ class SuiteReport:
         return {
             "config": asdict(self.config),
             "policy": asdict(self.policy),
+            # the minima of a variant never checked are null, not NaN
             "variants": {
-                name: {
-                    "checked": t.checked,
-                    "held": t.held,
-                    "violated": t.violated,
-                    "skipped": t.skipped,
-                    "min_slack": None if t.checked == 0 else t.min_slack,
-                    "min_rel_slack": None if t.checked == 0 else t.min_rel_slack,
-                }
+                name: {k: None if t.checked == 0 and k.startswith("min_") else v for k, v in vars(t).items()}
                 for name, t in sorted(self.totals.items())
             },
             "violations": self.violations,
@@ -417,8 +411,6 @@ def remark_comparison_rows() -> list[tuple[tuple[float, float, float], float, fl
     """
     rows = []
     for triple in _CANONICAL_TRIPLES:
-        fam = np.array([[v] for v in triple], dtype=np.complex128)
-        inst = ProblemInstance.from_vectors(np.array([1.0 + 0.0j]), fam, field_mode="real")
-        a, b = remark4_quantities(inst.family_gram)
+        a, b = remark4_quantities(VectorFamily(np.array([[v] for v in triple])))
         rows.append((triple, a, b))
     return rows

@@ -5,13 +5,14 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 import bbbounds.tuning as tuning
 import bbbounds.verify as verify
-from bbbounds import ProblemInstance, save_instance
+from bbbounds import GenConfig, ProblemInstance, TolerancePolicy, save_instance
 from bbbounds.cli import main
 
 
@@ -83,6 +84,25 @@ class TestVerifyCommand:
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
         assert a.decode() == first.stdout
+
+    def test_every_generator_and_tolerance_flag_fills_its_field(self, tmp_path):
+        config = GenConfig(n_range=(2, 5), d_range=(3, 6), field_mode="real", scale=2.5,
+                           structured_families=True, master_seed=9, count=12)
+        policy = TolerancePolicy(tol_abs=1e-10, tol_rel=1e-8)
+        for built in (config, policy):
+            assert all(getattr(built, f.name) != f.default for f in fields(built))
+        out = tmp_path / "report.json"
+        proc = run_cli(
+            "verify", "--seed", "9", "--count", "12", "--n", "2..5", "--dim", "3..6",
+            "--field", "real", "--scale", "2.5", "--structured",
+            "--tol-abs", "1e-10", "--tol-rel", "1e-8",
+            "--variants", "lemma21:max:max,bb:1.2", "--json", str(out),
+        )
+        assert proc.returncode == 0
+        payload = json.loads(out.read_text())
+        # JSON has no tuples: compare with the ranges as lists
+        assert payload["config"] == json.loads(json.dumps(asdict(config)))
+        assert payload["policy"] == asdict(policy)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_weighted_lhs_overflow_exits_2(self, jobs):

@@ -1,6 +1,7 @@
 """Generator determinism, suite reporting, skips, and the witness search."""
 
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from bbbounds import (
     run_suite,
     search_incomparability,
 )
-from bbbounds.bounds import EvalContext
-from bbbounds.space import instance_to_jsonable
+from bbbounds.bounds import EvalContext, Plan, _eval_on_context
+from bbbounds.space import instance_to_jsonable, load_instance
 from bbbounds.verify import SuiteReport, VariantTotals, _judge, _Tally
 
 E1 = [1.0, 0.0]
@@ -395,16 +396,33 @@ class TestPlanMatchesScalarOracle:
         assert report.violated > 0 and len(report.violations) == report.violated
 
     def test_repeated_and_gated_variants(self):
-        # a name listed twice counts twice, as one totals row fed twice
+        # a name listed twice counts twice, as one totals row fed twice; with
+        # two jobs the plan reaches its workers pickled, weights and gate included
         names = ["bessel:1.1", "lemma21:max:sum", "ortho:4.2", "lemma21:max:sum", "bb:1.2"]
         variants = [parse_variant(n) for n in names]
         config = GenConfig(master_seed=5, count=30)
         policy = TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)
-        plan = run_suite(config, variants, policy)
         oracle = _scalar_report(config, variants, policy)
-        assert plan.totals["lemma21:max:sum"].checked == 60
-        assert plan.to_csv() == oracle.to_csv()
-        assert plan.to_json() == oracle.to_json()
+        for jobs in (1, 2):
+            plan = run_suite(config, variants, policy, jobs=jobs)
+            assert plan.totals["lemma21:max:sum"].checked == 60
+            assert plan.to_csv() == oracle.to_csv()
+            assert plan.to_json() == oracle.to_json()
+
+    def test_pickled_plan_on_both_sides_of_the_gate(self):
+        # no generated family passes the orthonormality gate, so the gated
+        # rows are checked on the orthonormal golden instance
+        catalog = self.CATALOG + self.CATALOG[:3]
+        plan = pickle.loads(pickle.dumps(Plan(catalog)))
+        assert plan.weights.tolist() == [2] * 3 + [1] * (len(self.CATALOG) - 3)
+        golden = load_instance(Path(__file__).parent / "golden" / "orthonormal_n4.json")
+        for inst, coeffs in (golden, generate_instance(GenConfig(master_seed=42), 0)):
+            ctx = EvalContext(inst, coeffs)
+            rows = [v for v in plan.variants if ctx.is_orthonormal or not v.orthonormal_only]
+            lhs, rhs = zip(*(_eval_on_context(v, EvalContext(inst, coeffs)) for v in rows))
+            m, plan_lhs, plan_rhs = plan.evaluate(ctx)
+            assert m == len(rows) == (len(self.CATALOG) if ctx.is_orthonormal else plan.ungated)
+            assert plan_lhs.tolist() == list(lhs) and plan_rhs.tolist() == list(rhs)
 
 
 class TestWideFamilyGolden:
