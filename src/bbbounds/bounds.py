@@ -11,15 +11,15 @@ Three families, distinguished by what they cap:
   forms and their orthonormal specializations).
 
 The right-hand sides are defined once, in the catalog table of
-``variants``; this module builds the statistics they read and evaluates a
-variant through its table row (``_eval_on_context``).  That is the one
-scalar evaluator: every public bound function here is a thin call into it,
-and so is each variant ``tuning`` ranks, pinned as named or with every
-holder slot's value replaced by the tuned minimum of its term.  A suite
-over many instances compiles its variants into a ``Plan`` instead: one
-table of rows, ungated before gated, which evaluates each distinct (term,
-selector) pair and each left-hand side once per instance and calls every
-row's right-hand side on those values, reading only the table's ungated
+``variants``; this module builds the statistics their terms read and
+evaluates a variant through its table row (``_eval_on_context``).  That is
+the one scalar evaluator: every public bound function here is a thin call
+into it, and so is each variant ``tuning`` ranks, pinned as named or with
+every holder slot's value replaced by the tuned minimum of its term.  A
+suite over many instances compiles its variants into a ``Plan`` instead:
+one table of rows, ungated before gated, which evaluates each distinct
+(term, selector) pair and each left-hand side once per instance and sums
+and scales them for all rows as arrays, reading only the table's ungated
 prefix when the family fails the orthonormality gate.
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
@@ -31,10 +31,10 @@ term before exponentiation, which keeps exponents up to the domain cap of 64
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +86,13 @@ class TolerancePolicy:
 
     tol_abs: float = 1e-12
     tol_rel: float = 1e-9
+
+    def __post_init__(self) -> None:
+        # a NaN margin fails every check and an infinite one passes every
+        # check; a finite negative one is allowed, and forces violations
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def margin(self, lhs: float, rhs: float) -> float:
         return self.tol_abs + self.tol_rel * max(lhs, rhs)
@@ -255,10 +262,10 @@ class GramStats:
             return 0.0
         return self.max_off * (2.0 * self._off.scaled_pow_sum(q)) ** (1.0 / q)
 
-    def orthonormal_within(self, tol: float = ORTHONORMAL_GATE_TOL) -> bool:
-        if self.max_off > tol:
+    def orthonormal_within(self) -> bool:
+        if self.max_off > ORTHONORMAL_GATE_TOL:
             return False
-        return all(abs(d - 1.0) <= tol for d in self._diag.values)
+        return all(abs(d - 1.0) <= ORTHONORMAL_GATE_TOL for d in self._diag.values)
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +376,17 @@ def _lhs(spec, ctx: EvalContext) -> float:
 def _eval_on_context(variant: Variant, ctx: EvalContext, tuned=None) -> tuple[float, float]:
     """(lhs, rhs) for a variant; raises IncompatibleInstanceError on gating.
 
-    ``tuned``, a function of (context, ``_TERMS`` key), gives the value of
-    each holder slot in place of its term at the variant's own exponent.
+    The right-hand side is the sum of the variant's terms, times ``x_norm_sq``
+    for a weighted bound.  ``tuned``, a function of (context, ``_TERMS`` key),
+    gives each holder slot's term in place of its value at the slot's exponent.
     """
-    spec = variant.spec
-    lhs = _lhs(spec, ctx)
+    lhs = _lhs(variant.spec, ctx)
     values = [
-        tuned(ctx, key) if tuned is not None and sel.kind == "holder" else _TERMS[key](ctx, sel)
-        for key, sel in variant.slot_terms
+        tuned(ctx, key) if tuned and sel and sel.kind == "holder" else _TERMS[key](ctx, sel)
+        for key, sel in variant.terms
     ]
-    return lhs, spec.rhs(ctx, *values)
-
-
-def _getter(indices: list[int]):
-    """A function of a list returning its items at ``indices`` as a sequence
-    (``itemgetter`` returns a lone item bare, so one index takes a slice)."""
-    if len(indices) == 1:
-        return itemgetter(slice(indices[0], indices[0] + 1))
-    return itemgetter(*indices) if indices else itemgetter(slice(0, 0))
+    rhs = values[0] + values[1] if len(values) == 2 else values[0]
+    return lhs, rhs * ctx.x_norm_sq if variant.family == "weighted" else rhs
 
 
 class Plan:
@@ -398,11 +398,12 @@ class Plan:
     and the distinct (term, selector) pairs the rows read are numbered in row
     order, so the rows before the gate read only a prefix of each, and one
     table serves both sides of the gate through the prefix sizes ``sizes``.
-    Each row keeps its variant, whose table row gives the ``rhs``, and a
-    getter of its slots' values among the pairs, so ``evaluate`` computes
-    each term once per instance however many rows read it, and each
-    left-hand side once.  A row holds nothing but picklable objects, so a
-    plan pickles as it is for forked workers.
+    A row is one entry of ``lhs_index``, ``two_terms`` and ``weighted`` (its
+    left-hand side, whether it adds two terms, whether ``x_norm_sq`` scales
+    it) and a column of ``term_index`` (its first and last term).  So
+    ``evaluate`` computes each term and left-hand side once per instance,
+    then builds every right-hand side with one gather, one masked add and
+    one masked multiply.  A plan holds no callables, so it pickles as is.
     """
 
     def __init__(self, variants):
@@ -412,14 +413,16 @@ class Plan:
         self.weights = np.array([counts[v] for v in self.variants], dtype=np.int64)
         self.ungated = sum(not v.orthonormal_only for v in self.variants)
         lhs = {a: k for k, a in enumerate(dict.fromkeys("lhs_" + v.family for v in self.variants))}
-        terms = {t: k for k, t in enumerate(dict.fromkeys(t for v in self.variants for t in v.slot_terms))}
+        terms = {t: k for k, t in enumerate(dict.fromkeys(t for v in self.variants for t in v.terms))}
         self.lhs_attrs, self.terms = tuple(lhs), tuple(terms)
         self.lhs_index = np.array([lhs["lhs_" + v.family] for v in self.variants], dtype=np.intp)
-        self.rows = tuple((v, _getter([terms[t] for t in v.slot_terms])) for v in self.variants)
+        self.term_index = np.array([[terms[v.terms[k]] for v in self.variants] for k in (0, -1)], dtype=np.intp)
+        self.two_terms = np.array([len(v.terms) == 2 for v in self.variants], dtype=bool)
+        self.weighted = np.array([v.family == "weighted" for v in self.variants], dtype=bool)
         # the (rows, lhs_attrs, terms) prefix sizes without and with the gated rows
         self.sizes = tuple(
             (r, len({v.family for v in self.variants[:r]}),
-             len({t for v in self.variants[:r] for t in v.slot_terms}))
+             len({t for v in self.variants[:r] for t in v.terms}))
             for r in (self.ungated, len(self.variants))
         )
 
@@ -427,11 +430,15 @@ class Plan:
         """``(m, lhs, rhs)``: the sides of the first ``m`` rows, the rows checked
         on this instance (the gated ones only if its family is orthonormal).
         The context must carry coefficients, as every generated instance does."""
-        m, n_lhs, n_terms = self.sizes[self.ungated < len(self.rows) and ctx.is_orthonormal]
+        m, n_lhs, n_terms = self.sizes[self.ungated < len(self.variants) and ctx.is_orthonormal]
         sides = np.array([getattr(ctx, attr) for attr in self.lhs_attrs[:n_lhs]], dtype=np.float64)
-        values = [_TERMS[key](ctx, sel) for key, sel in self.terms[:n_terms]]
-        rhs = [v.spec.rhs(ctx, *slots(values)) for v, slots in self.rows[:m]]
-        return m, sides[self.lhs_index[:m]], np.array(rhs, dtype=np.float64)
+        values = np.array([_TERMS[key](ctx, sel) for key, sel in self.terms[:n_terms]], dtype=np.float64)
+        rhs, second = values[self.term_index[:, :m]]
+        # the scalar evaluator's float arithmetic, which never warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(rhs, second, out=rhs, where=self.two_terms[:m])
+            np.multiply(rhs, ctx.x_norm_sq, out=rhs, where=self.weighted[:m])
+        return m, sides[self.lhs_index[:m]], rhs
 
 
 def _evaluate(variant: Variant, ctx: EvalContext, policy: TolerancePolicy) -> BoundEvaluation:

@@ -9,11 +9,12 @@ variants that already exist in the catalog.
 
 Rankings evaluate a set of variants on one instance through the scalar
 evaluator ``bounds._eval_on_context`` and order them by right-hand side.
-The catalog table in ``variants`` names, for each exponent slot, the term it
-feeds (the holder diagonal, the holder off-diagonal, ..., keys of
-``_TERMS``).  A tuned ranking passes that evaluator the per-instance minimum
-of each holder slot's term, computed once and shared by every variant that
-uses it; a pinned ranking evaluates every slot at its own exponent.  The
+The catalog table in ``variants`` lists the terms each right-hand side sums
+(the holder diagonal, the holder off-diagonal, ..., keys of ``_TERMS``), the
+first fed by its exponent slots.  A tuned ranking passes that evaluator the
+per-instance minimum of each holder slot's term, computed once and shared by
+every variant that uses it (``special:2.12`` and ``cor32:3`` share
+``coarse``); a pinned ranking evaluates every slot at its own exponent.  The
 profiled families are terms too.
 """
 
@@ -154,8 +155,8 @@ def _golden_refine(
     return math.exp(best_u), best_v
 
 
-def _coarse_grid(lo: float, hi: float, points: int = COARSE_GRID_POINTS) -> list[float]:
-    return [float(t) for t in np.geomspace(lo, hi, points)]
+def _coarse_grid(lo: float, hi: float) -> list[float]:
+    return [float(t) for t in np.geomspace(lo, hi, COARSE_GRID_POINTS)]
 
 
 _DEFAULT_GRID = tuple(_coarse_grid(*DEFAULT_INTERVAL))

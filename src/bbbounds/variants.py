@@ -1,15 +1,15 @@
 """The bound catalog: one table row per variant kind, and the variant names.
 
-Each right-hand side is built from a few shared terms of the per-instance
-statistics (``_TERMS``: the diagonal term, the off-diagonal term, ...).  A
-row of ``_SPECS`` gives the wire-name pattern, whose braces mark the exponent
-slots (a selector pair, ``p``, or none); the family, i.e. which left-hand side
-the bound caps; the right-hand side as a function of the statistics and its
-slots' term values; for each slot, the ``_TERMS`` key of its term, which is
-what exponent tuning minimizes; and the cor32 branch and orthonormal-only
-flag.  Validation, names, parsing and the catalog below, evaluation in
-``bounds`` and tuning in ``tuning`` all derive from the table, so a new bound
-is one row plus its ``Variant`` classmethod.
+Each right-hand side is the sum of one or two shared terms of the
+per-instance statistics (``_TERMS``: the diagonal term, the off-diagonal
+term, a closed form, ...), times ``|x|^2`` for a weighted bound.  A row of
+``_SPECS`` gives the wire-name pattern, whose braces mark the exponent slots
+(a selector pair, ``p``, or none); the family, i.e. which left-hand side the
+bound caps; the ``_TERMS`` keys of the terms it sums, the first fed by the
+slots in order (what exponent tuning minimizes); and the cor32 branch and
+orthonormal-only flag.  Validation, names, parsing and the catalog below,
+evaluation in ``bounds`` and tuning in ``tuning`` all derive from the table,
+so a new bound is one row listing the terms its right-hand side sums.
 
 A selector picks how a diagonal (``|c_i|^2 |z_i|^2``) or ordered off-diagonal
 term is bounded: factor out the max, split by conjugate exponents (holder),
@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, zip_longest
 
 __all__ = [
     "EXPONENT_MAX",
@@ -155,7 +155,7 @@ def _aligned_coarse(s, sel: Selector) -> float:
     return _diag_value(s, sel) + _coarse_offdiag_value(s, sel)
 
 
-def _cor23_sharp(s) -> float:
+def _cor23_sharp(s, _) -> float:
     cs, gs = s.coeff_stats, s.gram_stats
     if cs.sum_a2 == 0.0:
         return 0.0
@@ -165,7 +165,7 @@ def _cor23_sharp(s) -> float:
     return cs.sum_a2 * (gs.max_diag + ratio * gs.norm_off(2.0))
 
 
-def _cor23_weak(s) -> float:
+def _cor23_weak(s, _) -> float:
     cs, gs = s.coeff_stats, s.gram_stats
     if cs.sum_a2 == 0.0:
         return 0.0
@@ -175,12 +175,12 @@ def _cor23_weak(s) -> float:
 # The Fourier bounds read ``fourier_stats``, the magnitudes |(x, y_i)|.
 
 
-def _boas_bellman(s) -> float:
+def _boas_bellman(s, _) -> float:
     gs = s.gram_stats
     return s.x_norm_sq * (gs.max_diag + gs.norm_off(2.0))
 
 
-def _fourier_41(s) -> float:
+def _fourier_41(s, _) -> float:
     gs = s.gram_stats
     return math.sqrt(s.x_norm_sq) * s.fourier_stats.max_a * math.sqrt(gs.sum_diag + gs.sum_off)
 
@@ -194,13 +194,13 @@ def _fourier_43(s, sel: Selector) -> float:
     return math.sqrt(s.x_norm_sq) * f_root * math.sqrt(gs.norm_diag(q) + tail)
 
 
-def _fourier_45(s) -> float:
+def _fourier_45(s, _) -> float:
     gs, n = s.gram_stats, s.gram_stats.n
     tail = (n - 1) * gs.max_off if n >= 2 else 0.0
     return s.x_norm_sq * (gs.max_diag + tail)
 
 
-def _ortho_42(s) -> float:
+def _ortho_42(s, _) -> float:
     return math.sqrt(s.gram_stats.n) * math.sqrt(s.x_norm_sq) * s.fourier_stats.max_a
 
 
@@ -209,36 +209,32 @@ def _ortho_44(s, sel: Selector) -> float:
     return float(s.gram_stats.n) ** (1.0 / sel.conjugate) * math.sqrt(s.x_norm_sq) * f_root
 
 
-# The terms an exponent slot can feed.  Each is a valid bound, or a valid part
-# of one, at every selector, so tuning may minimize it over the exponent; the
-# rows that are whole profiled quantities are named in tuning.PROFILE_FAMILIES.
+# The terms an exponent slot can feed come first: each is a valid bound, or
+# part of one, at every selector, so tuning may minimize it (PROFILE_FAMILIES
+# in tuning names those profiled whole).  The closed forms take None.
 _TERMS = {
     "lemma21:diag": _diag_value,
     "lemma21:offdiag": _offdiag_value,
     "coarse:offdiag": _coarse_offdiag_value,
     "coarse": _aligned_coarse,
-    "cor32:3": lambda s, sel: s.x_norm_sq * _aligned_coarse(s, sel),
+    "cor32:3": lambda s, sel: s.x_norm_sq * _aligned_coarse(s, sel),   # profiled; no row reads it
     "bb:4.3": _fourier_43,
     "ortho:4.4": _ortho_44,
+    "cor23:sharp": _cor23_sharp,
+    "cor23:weak": _cor23_weak,
+    "special:2.11": lambda s, _: _aligned_coarse(s, MAX),
+    "special:2.13": lambda s, _: _aligned_coarse(s, SUM),
+    "bb:1.2": _boas_bellman,
+    "bb:4.1": _fourier_41,
+    "bb:4.5": _fourier_45,
+    "ortho:4.2": _ortho_42,
+    "bessel:1.1": lambda s, _: s.x_norm_sq,
 }
 
 
 # ---------------------------------------------------------------------------
 # The table
 # ---------------------------------------------------------------------------
-
-
-def _sum(s, diag: float, offdiag: float) -> float:
-    return diag + offdiag
-
-
-def _weighted_sum(s, diag: float, offdiag: float) -> float:
-    return s.x_norm_sq * (diag + offdiag)
-
-
-def _whole(s, term: float) -> float:
-    """The slot's term is the whole bound."""
-    return term
 
 
 # How each slot appears in a wire name: a selector is max, sum or holder:<p>.
@@ -248,11 +244,10 @@ _SLOT_FORMS = {"diag": "holder:[^:]*|[^:]*", "offdiag": "holder:[^:]*|[^:]*", "p
 class _Spec:
     """One row of the catalog table; the module docstring lists the columns."""
 
-    def __init__(self, pattern, kind, family, rhs, terms=(), branch=None, orthonormal_only=False):
+    def __init__(self, pattern, kind, family, terms, branch=None, orthonormal_only=False):
         self.pattern = pattern
         self.kind = kind
         self.family = family
-        self.rhs = rhs
         self.terms = terms
         self.branch = branch
         self.orthonormal_only = orthonormal_only
@@ -267,25 +262,25 @@ C, W, F = "combination", "weighted", "fourier"    # the families
 
 # In catalog order: full_catalog expands the rows in turn.
 _SPECS = (
-    _Spec("lemma21:{diag}:{offdiag}", "lemma21", C, _sum, ("lemma21:diag", "lemma21:offdiag")),
-    _Spec("coarse:{diag}:{offdiag}", "coarse", C, _sum, ("lemma21:diag", "coarse:offdiag")),
-    _Spec("thm31:{diag}:{offdiag}", "thm31", W, _weighted_sum, ("lemma21:diag", "lemma21:offdiag")),
-    _Spec("cor23:sharp", "cor23_sharp", C, _cor23_sharp),
-    _Spec("cor23:weak", "cor23_weak", C, _cor23_weak),
-    _Spec("special:2.11", "special_211", C, lambda s: _aligned_coarse(s, MAX)),
-    _Spec("special:2.13", "special_213", C, lambda s: _aligned_coarse(s, SUM)),
-    _Spec("special:2.12:p={p}", "special_212", C, _whole, ("coarse",)),
-    _Spec("cor32:1", "cor32", W, lambda s: s.x_norm_sq * _cor23_weak(s), branch=1),
-    _Spec("cor32:2", "cor32", W, lambda s: s.x_norm_sq * _aligned_coarse(s, MAX), branch=2),
-    _Spec("cor32:4", "cor32", W, lambda s: s.x_norm_sq * _aligned_coarse(s, SUM), branch=4),
-    _Spec("cor32:3:p={p}", "cor32", W, _whole, ("cor32:3",), branch=3),
-    _Spec("bb:1.2", "bb_12", F, _boas_bellman),
-    _Spec("bb:4.1", "bb_41", F, _fourier_41),
-    _Spec("bb:4.5", "bb_45", F, _fourier_45),
-    _Spec("bb:4.3:p={p}", "bb_43", F, _whole, ("bb:4.3",)),
-    _Spec("ortho:4.2", "ortho_42", F, _ortho_42, orthonormal_only=True),
-    _Spec("ortho:4.4:p={p}", "ortho_44", F, _whole, ("ortho:4.4",), orthonormal_only=True),
-    _Spec("bessel:1.1", "bessel_11", F, lambda s: s.x_norm_sq, orthonormal_only=True),
+    _Spec("lemma21:{diag}:{offdiag}", "lemma21", C, ("lemma21:diag", "lemma21:offdiag")),
+    _Spec("coarse:{diag}:{offdiag}", "coarse", C, ("lemma21:diag", "coarse:offdiag")),
+    _Spec("thm31:{diag}:{offdiag}", "thm31", W, ("lemma21:diag", "lemma21:offdiag")),
+    _Spec("cor23:sharp", "cor23_sharp", C, ("cor23:sharp",)),
+    _Spec("cor23:weak", "cor23_weak", C, ("cor23:weak",)),
+    _Spec("special:2.11", "special_211", C, ("special:2.11",)),
+    _Spec("special:2.13", "special_213", C, ("special:2.13",)),
+    _Spec("special:2.12:p={p}", "special_212", C, ("coarse",)),
+    _Spec("cor32:1", "cor32", W, ("cor23:weak",), branch=1),
+    _Spec("cor32:2", "cor32", W, ("special:2.11",), branch=2),
+    _Spec("cor32:4", "cor32", W, ("special:2.13",), branch=4),
+    _Spec("cor32:3:p={p}", "cor32", W, ("coarse",), branch=3),
+    _Spec("bb:1.2", "bb_12", F, ("bb:1.2",)),
+    _Spec("bb:4.1", "bb_41", F, ("bb:4.1",)),
+    _Spec("bb:4.5", "bb_45", F, ("bb:4.5",)),
+    _Spec("bb:4.3:p={p}", "bb_43", F, ("bb:4.3",)),
+    _Spec("ortho:4.2", "ortho_42", F, ("ortho:4.2",), orthonormal_only=True),
+    _Spec("ortho:4.4:p={p}", "ortho_44", F, ("ortho:4.4",), orthonormal_only=True),
+    _Spec("bessel:1.1", "bessel_11", F, ("bessel:1.1",), orthonormal_only=True),
 )
 
 _SPEC_OF = {(spec.kind, spec.branch): spec for spec in _SPECS}
@@ -295,8 +290,8 @@ _SPEC_OF = {(spec.kind, spec.branch): spec for spec in _SPECS}
 class Variant:
     """A tagged bound identifier; construct via the classmethods below.
 
-    ``spec`` is its row of the catalog table, and ``slot_terms`` pairs each
-    slot's ``_TERMS`` key with its selector (a ``p`` slot as ``holder(p)``).
+    ``spec`` is its row of the catalog table, and ``terms`` pairs each term's
+    ``_TERMS`` key with its slot's selector (``p`` as ``holder(p)``) or None.
     """
 
     kind: str
@@ -319,7 +314,7 @@ class Variant:
             object.__setattr__(self, "p", _check_exponent(self.p))
         sels = [holder(self.p) if slot == "p" else getattr(self, slot) for slot in spec.slots]
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "slot_terms", tuple(zip(spec.terms, sels)))
+        object.__setattr__(self, "terms", tuple(zip_longest(spec.terms, sels)))
 
     # -- constructors -------------------------------------------------------
 
@@ -408,10 +403,6 @@ class Variant:
 
     def __str__(self) -> str:
         return self.name
-
-    def __reduce__(self):
-        # rebuild from the fields: the table row holds unpicklable lambdas
-        return Variant, (self.kind, self.diag, self.offdiag, self.branch, self.p)
 
 
 def _parse_float(tok: str, text: str) -> float:

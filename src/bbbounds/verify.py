@@ -199,7 +199,6 @@ class SuiteReport:
 
     config: GenConfig
     policy: TolerancePolicy
-    variant_names: tuple[str, ...]
     totals: dict[str, VariantTotals] = field(default_factory=dict)
     violations: list[dict] = field(default_factory=list)
 
@@ -332,11 +331,12 @@ def run_suite(
     folded through ``VariantTotals.record``.  ``jobs`` > 1 splits the stream
     into that many contiguous index ranges, tallied in forked processes and
     merged in index order, so the output does not depend on the parallelism
-    level.
+    level; ``jobs`` < 1 raises ValueError.
     """
-    variants = tuple(variants)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     plan = Plan(variants)
-    ranges = min(max(jobs, 1), config.count)
+    ranges = min(jobs, config.count)
     edges = [config.count * k // ranges for k in range(ranges + 1)]
     spans = list(zip(edges, edges[1:]))
     if ranges > 1:
@@ -354,7 +354,7 @@ def run_suite(
     tally = tallies[0]
     for later in tallies[1:]:
         tally.merge(later)
-    report = SuiteReport(config, policy, tuple(v.name for v in variants))
+    report = SuiteReport(config, policy)
     report.totals = tally.totals()
     report.violations = sorted(tally.violations, key=lambda v: (v["instance_id"], v["variant"]))
     return report

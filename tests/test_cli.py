@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +114,30 @@ class TestVerifyCommand:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: weighted left-hand side |sum c_i (x, y_i)|^2 overflows")
         assert proc.stderr.count("\n") == 1
+
+
+class TestMalformedNumericFlags:
+    # a NaN tolerance would report every check violated, an infinite one
+    # would pass every check, and a job count below 1 would run serially
+    ORTHONORMAL = str(Path(__file__).parent / "golden" / "orthonormal_n4.json")
+    VERIFY = ("verify", "--seed", "1", "--count", "5", "--variants", "bb:1.2")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (*VERIFY, "--tol-rel", "nan"),
+            (*VERIFY, "--tol-abs", "inf"),
+            ("check-file", ORTHONORMAL, "--variants", "bb:1.2", "--tol-abs", "nan"),
+            (*VERIFY, "--jobs", "0"),
+            (*VERIFY, "--jobs=-3"),
+        ],
+        ids=["tol-rel-nan", "tol-abs-inf", "check-file-tol-abs-nan", "jobs-0", "jobs-negative"],
+    )
+    def test_exits_2_with_one_error_line(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestGenAndCheckFile:

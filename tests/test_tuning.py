@@ -261,7 +261,29 @@ class TestTunedTerms:
         inst, coeffs = orthonormal_instance()
         ranking = rank_variants(inst, coeffs, full_catalog())
         assert len(ranking.entries) == len(full_catalog())
-        assert 0 < len(calls) <= 7
+        # the six slot terms; special:2.12 and cor32:3 share ``coarse``
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("optimize_exponents", [True, False], ids=["tuned", "pinned"])
+    def test_weighted_bound_is_x_norm_sq_times_its_combination_twin(self, optimize_exponents):
+        # each weighted bound is Schwarz against x times a combination bound,
+        # bit for bit, whether its holder slots are pinned or tuned
+        twins = (("thm31:", "lemma21:"), ("cor32:1", "cor23:weak"), ("cor32:2", "special:2.11"),
+                 ("cor32:3:", "special:2.12:"), ("cor32:4", "special:2.13"))
+        variants = [v for v in full_catalog() if not v.orthonormal_only]
+        weighted = [v.name for v in variants if v.family == "weighted"]
+        wide = GenConfig(n_range=(24, 64), d_range=(16, 128), master_seed=901, count=6)
+        checked = 0
+        for config in (GenConfig(master_seed=42, count=60), wide):
+            for index in range(config.count):
+                inst, coeffs = generate_instance(config, index)
+                ranking = rank_variants(inst, coeffs, variants, optimize_exponents)
+                rhs = {e.variant: e.rhs for e in ranking.entries}
+                for name in weighted:
+                    (prefix, twin), = [(w, c) for w, c in twins if name.startswith(w)]
+                    assert rhs[name] == inst.x_norm_sq * rhs[twin + name[len(prefix):]], name
+                    checked += 1
+        assert checked == 66 * 57
 
     def test_rank_csv_golden(self):
         # recorded before the tunable terms were shared across variants

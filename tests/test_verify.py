@@ -339,7 +339,7 @@ def _scalar_report(config, variants, policy=TolerancePolicy()):
     """The suite one check at a time: ``_judge`` per (instance, variant),
     reduced through ``VariantTotals.record``."""
     variants = tuple(variants)
-    report = SuiteReport(config, policy, tuple(v.name for v in variants))
+    report = SuiteReport(config, policy)
     report.totals = {v.name: VariantTotals() for v in variants}
     for index in range(config.count):
         inst, coeffs = generate_instance(config, index)
