@@ -17,10 +17,10 @@ the one scalar evaluator: every public bound function here is a thin call
 into it, and so is each variant ``tuning`` ranks, pinned as named or with
 every holder slot's value replaced by the tuned minimum of its term.  A
 suite over many instances compiles its variants into a ``Plan`` instead:
-one table of rows, ungated before gated, which evaluates each distinct
-(term, selector) pair and each left-hand side once per instance and sums
-and scales them for all rows as arrays, reading only the table's ungated
-prefix when the family fails the orthonormality gate.
+one table of rows, which evaluates each distinct (term, selector) pair and
+each left-hand side once per instance, sums and scales them for all rows
+as arrays, and marks the gated rows unchecked when the family fails the
+orthonormality gate.
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
@@ -392,26 +392,27 @@ def _eval_on_context(variant: Variant, ctx: EvalContext, tuned=None) -> tuple[fl
 class Plan:
     """A variant tuple compiled for evaluation on many instances.
 
-    The rows are the distinct variants in order, those without the
-    orthonormality gate first; ``weights`` counts how often each occurs in
-    the tuple.  The left-hand sides (``lhs_*`` attributes of ``EvalContext``)
-    and the distinct (term, selector) pairs the rows read are numbered in row
-    order, so the rows before the gate read only a prefix of each, and one
-    table serves both sides of the gate through the prefix sizes ``sizes``.
-    A row is one entry of ``lhs_index``, ``two_terms`` and ``weighted`` (its
-    left-hand side, whether it adds two terms, whether ``x_norm_sq`` scales
-    it) and a column of ``term_index`` (its first and last term).  So
-    ``evaluate`` computes each term and left-hand side once per instance,
-    then builds every right-hand side with one gather, one masked add and
-    one masked multiply.  A plan holds no callables, so it pickles as is.
+    The rows are the distinct variants in the caller's order; ``weights``
+    counts how often each occurs in the tuple, and ``gated`` marks the rows
+    behind the orthonormality gate.  The left-hand sides (``lhs_*``
+    attributes of ``EvalContext``) and the distinct (term, selector) pairs
+    the rows read are numbered once.  A row is one entry of ``lhs_index``,
+    ``two_terms``, ``weighted`` and ``gated`` (its left-hand side, whether it
+    adds two terms, whether ``x_norm_sq`` scales it, whether it needs an
+    orthonormal family) and a column of ``term_index`` (its first and last
+    term).  So ``evaluate`` computes each term and left-hand side once per
+    instance, the gated ones on every family (they are closed forms, which
+    neither raise nor warn), then builds every right-hand side with one
+    gather, one masked add and one masked multiply.  A plan holds no
+    callables, so it pickles as is.
     """
 
     def __init__(self, variants):
         counts = Counter(variants)
-        self.variants = tuple(sorted(counts, key=lambda v: v.orthonormal_only))
+        self.variants = tuple(counts)
         self.names = tuple(v.name for v in self.variants)
-        self.weights = np.array([counts[v] for v in self.variants], dtype=np.int64)
-        self.ungated = sum(not v.orthonormal_only for v in self.variants)
+        self.weights = np.array(list(counts.values()), dtype=np.int64)
+        self.gated = np.array([v.orthonormal_only for v in self.variants], dtype=bool)
         lhs = {a: k for k, a in enumerate(dict.fromkeys("lhs_" + v.family for v in self.variants))}
         terms = {t: k for k, t in enumerate(dict.fromkeys(t for v in self.variants for t in v.terms))}
         self.lhs_attrs, self.terms = tuple(lhs), tuple(terms)
@@ -419,26 +420,20 @@ class Plan:
         self.term_index = np.array([[terms[v.terms[k]] for v in self.variants] for k in (0, -1)], dtype=np.intp)
         self.two_terms = np.array([len(v.terms) == 2 for v in self.variants], dtype=bool)
         self.weighted = np.array([v.family == "weighted" for v in self.variants], dtype=bool)
-        # the (rows, lhs_attrs, terms) prefix sizes without and with the gated rows
-        self.sizes = tuple(
-            (r, len({v.family for v in self.variants[:r]}),
-             len({t for v in self.variants[:r] for t in v.terms}))
-            for r in (self.ungated, len(self.variants))
-        )
 
-    def evaluate(self, ctx: EvalContext) -> tuple[int, np.ndarray, np.ndarray]:
-        """``(m, lhs, rhs)``: the sides of the first ``m`` rows, the rows checked
-        on this instance (the gated ones only if its family is orthonormal).
-        The context must carry coefficients, as every generated instance does."""
-        m, n_lhs, n_terms = self.sizes[self.ungated < len(self.variants) and ctx.is_orthonormal]
-        sides = np.array([getattr(ctx, attr) for attr in self.lhs_attrs[:n_lhs]], dtype=np.float64)
-        values = np.array([_TERMS[key](ctx, sel) for key, sel in self.terms[:n_terms]], dtype=np.float64)
-        rhs, second = values[self.term_index[:, :m]]
+    def evaluate(self, ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(checked, lhs, rhs)`` for every row: whether the row is checked on
+        this instance (a gated one only if its family is orthonormal), and its
+        two sides, which mean nothing where it is not.  The context must carry
+        coefficients, as every generated instance does."""
+        sides = np.array([getattr(ctx, attr) for attr in self.lhs_attrs], dtype=np.float64)
+        values = np.array([_TERMS[key](ctx, sel) for key, sel in self.terms], dtype=np.float64)
+        rhs, second = values[self.term_index]
         # the scalar evaluator's float arithmetic, which never warns
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(rhs, second, out=rhs, where=self.two_terms[:m])
-            np.multiply(rhs, ctx.x_norm_sq, out=rhs, where=self.weighted[:m])
-        return m, sides[self.lhs_index[:m]], rhs
+            np.add(rhs, second, out=rhs, where=self.two_terms)
+            np.multiply(rhs, ctx.x_norm_sq, out=rhs, where=self.weighted)
+        return ~self.gated | ctx.is_orthonormal, sides[self.lhs_index], rhs
 
 
 def _evaluate(variant: Variant, ctx: EvalContext, policy: TolerancePolicy) -> BoundEvaluation:

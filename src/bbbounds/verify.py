@@ -239,14 +239,16 @@ class SuiteReport:
 class _Tally:
     """A plan's checks over one contiguous range of instances, judged and
     reduced as arrays with the arithmetic of ``TolerancePolicy.holds`` and
-    ``VariantTotals.record``.  ``nan_seen`` marks the minima whose fold met a
-    NaN sample, after which the next sample restarts it."""
+    ``VariantTotals.record``, under the per-row ``checked`` mask of each
+    instance.  ``checked`` and ``held`` count per row; ``nan_seen`` marks the
+    minima whose fold met a NaN sample, after which the next sample restarts
+    it."""
 
     def __init__(self, plan: Plan):
         rows = len(plan.names)
         self.plan = plan
         self.instances = 0
-        self.passed = 0                  # instances that passed the orthonormality gate
+        self.checked = np.zeros(rows, dtype=np.int64)
         self.held = np.zeros(rows, dtype=np.int64)
         self.mins = np.full((2, rows), np.nan)       # min slack, min relative slack
         self.nan_seen = np.zeros((2, rows), dtype=bool)
@@ -254,21 +256,22 @@ class _Tally:
 
     def add(self, index: int, inst: ProblemInstance, coeffs, policy: TolerancePolicy) -> None:
         plan = self.plan
-        m, lhs, rhs = plan.evaluate(EvalContext(inst, coeffs))
+        checked, lhs, rhs = plan.evaluate(EvalContext(inst, coeffs))
         self.instances += 1
-        self.passed += m == len(plan.names)
-        sample, mins = np.empty((2, m)), self.mins[:, :m]
+        self.checked += checked
+        sample = np.empty((2, len(lhs)))
         with np.errstate(invalid="ignore", over="ignore"):
             slack = np.subtract(rhs, lhs, out=sample[0])
             big = np.where(rhs > lhs, rhs, lhs)                     # max(lhs, rhs)
             holds = slack >= -(policy.tol_abs + policy.tol_rel * big)
             np.divide(slack, np.where(1e-300 > big, 1e-300, big), out=sample[1])
-            np.copyto(mins, sample, where=~(mins <= sample))       # also true on NaN
-            self.nan_seen[:, :m] |= np.isnan(sample)
-        self.held[:m] += holds
-        if not holds.all():
+            np.copyto(self.mins, sample, where=checked & ~(self.mins <= sample))  # also true on NaN
+            self.nan_seen |= checked & np.isnan(sample)
+        self.held += checked & holds
+        failed = np.flatnonzero(checked & ~holds)
+        if failed.size:
             payload = instance_to_jsonable(inst, coeffs)
-            for k in np.flatnonzero(~holds).tolist():
+            for k in failed.tolist():
                 violation = {
                     "instance_id": index,
                     "variant": plan.names[k],
@@ -279,12 +282,6 @@ class _Tally:
                 }
                 self.violations.extend([violation] * int(plan.weights[k]))
 
-    @property
-    def checked(self) -> np.ndarray:
-        counts = np.full(self.held.shape, self.passed, dtype=np.int64)
-        counts[: self.plan.ungated] = self.instances
-        return counts
-
     def merge(self, later: "_Tally") -> None:
         """Fold in the tally of the instances right after these: the same
         result as one tally over both ranges."""
@@ -293,7 +290,7 @@ class _Tally:
         np.copyto(self.mins, later.mins, where=replace)
         self.nan_seen |= later.nan_seen
         self.instances += later.instances
-        self.passed += later.passed
+        self.checked += later.checked
         self.held += later.held
         self.violations.extend(later.violations)
 

@@ -38,6 +38,10 @@ SCALAR_OVERFLOW = pytest.mark.filterwarnings(
 # Families of 24 to 64 vectors in up to 128 dimensions.
 WIDE_CONFIG = GenConfig(n_range=(24, 64), d_range=(16, 128), master_seed=901, count=20)
 
+# A complex orthonormal family with coefficients: the one instance on which
+# the orthonormal-only variants are checked.
+ORTHONORMAL = Path(__file__).parent / "golden" / "orthonormal_n4.json"
+
 
 class TestGenConfig:
     def test_defaults_valid(self):
@@ -203,29 +207,31 @@ INF = float("inf")
 # Four instances' (lhs, rhs) for six checks: signed-zero ties, NaN slacks
 # (inf - inf) before, between and after finite ones, and a NaN relative
 # slack beside an infinite slack (1 against inf).  The sixth check is gated:
-# the last instance fails its gate.
+# the last instance fails its gate, and its sides there, a NaN slack that
+# would also be a violation, must not count.
 SAMPLES = [
     [(0.0, 0.0), (0.0, -0.0), (INF, INF), (1.0, 2.0), (1.0, 2.0), (1.0, INF)],
     [(0.0, -0.0), (0.0, 0.0), (1.0, 3.0), (1.0, 3.0), (INF, INF), (1.0, 2.0)],
     [(1.0, 2.0), (1.0, 2.0), (1.0, 6.0), (INF, INF), (1.0, 4.0), (1.0, INF)],
-    [(0.0, 0.0), (0.0, -0.0), (1.0, 2.0), (1.0, 2.0), (1.0, 5.0)],
+    [(0.0, 0.0), (0.0, -0.0), (1.0, 2.0), (1.0, 2.0), (1.0, 5.0), (INF, INF)],
 ]
+CHECKED = [[True] * 6] * 3 + [[True] * 5 + [False]]
 
 
 class _GivenSides:
     """Stands in for a ``bounds.Plan``: each ``evaluate`` returns the next
-    instance's sides from SAMPLES."""
+    instance's mask from CHECKED and sides from SAMPLES."""
 
     names = tuple(f"v{k}" for k in range(len(SAMPLES[0])))
     weights = np.ones(len(names), dtype=np.int64)
-    ungated = len(names) - 1
 
-    def __init__(self, samples):
-        self._samples = iter(samples)
+    def __init__(self, start, stop):
+        self._rows = iter(zip(CHECKED[start:stop], SAMPLES[start:stop]))
 
     def evaluate(self, ctx):
-        lhs, rhs = np.array(next(self._samples)).T
-        return len(lhs), lhs, rhs
+        checked, sample = next(self._rows)
+        lhs, rhs = np.array(sample).T
+        return np.array(checked), lhs, rhs
 
 
 class TestArrayReduce:
@@ -237,9 +243,9 @@ class TestArrayReduce:
         monkeypatch.setattr("bbbounds.verify.instance_to_jsonable", lambda inst, coeffs: {})
 
     @staticmethod
-    def _tally(samples, start=0):
-        tally = _Tally(_GivenSides(samples))
-        for index in range(start, start + len(samples)):
+    def _tally(start, stop):
+        tally = _Tally(_GivenSides(start, stop))
+        for index in range(start, stop):
             tally.add(index, None, None, TolerancePolicy())
         return tally
 
@@ -247,20 +253,21 @@ class TestArrayReduce:
     def _expected():
         policy = TolerancePolicy()
         totals = {name: VariantTotals() for name in _GivenSides.names}
-        for sample in SAMPLES:
-            for name, (lhs, rhs) in zip(_GivenSides.names, sample):
-                totals[name].record(lhs, rhs, rhs - lhs, policy.holds(lhs, rhs))
-            for name in _GivenSides.names[len(sample):]:
-                totals[name].skipped += 1
+        for mask, sample in zip(CHECKED, SAMPLES):
+            for name, checked, (lhs, rhs) in zip(_GivenSides.names, mask, sample):
+                if checked:
+                    totals[name].record(lhs, rhs, rhs - lhs, policy.holds(lhs, rhs))
+                else:
+                    totals[name].skipped += 1
         return repr(totals)
 
     def test_one_range_matches_record(self):
-        assert repr(self._tally(SAMPLES).totals()) == self._expected()
+        assert repr(self._tally(0, len(SAMPLES)).totals()) == self._expected()
 
     @pytest.mark.parametrize("cut", range(1, len(SAMPLES)))
     def test_merged_ranges_match_record(self, cut):
-        tally = self._tally(SAMPLES[:cut])
-        tally.merge(self._tally(SAMPLES[cut:], start=cut))
+        tally = self._tally(0, cut)
+        tally.merge(self._tally(cut, len(SAMPLES)))
         assert repr(tally.totals()) == self._expected()
         assert [v["instance_id"] for v in tally.violations] == [0, 1, 2]
 
@@ -414,15 +421,55 @@ class TestPlanMatchesScalarOracle:
         # rows are checked on the orthonormal golden instance
         catalog = self.CATALOG + self.CATALOG[:3]
         plan = pickle.loads(pickle.dumps(Plan(catalog)))
+        assert plan.variants == tuple(self.CATALOG)
         assert plan.weights.tolist() == [2] * 3 + [1] * (len(self.CATALOG) - 3)
-        golden = load_instance(Path(__file__).parent / "golden" / "orthonormal_n4.json")
-        for inst, coeffs in (golden, generate_instance(GenConfig(master_seed=42), 0)):
+        for (inst, coeffs), orthonormal in ((load_instance(ORTHONORMAL), True), (generate_instance(GenConfig(master_seed=42), 0), False)):
             ctx = EvalContext(inst, coeffs)
-            rows = [v for v in plan.variants if ctx.is_orthonormal or not v.orthonormal_only]
+            checked, plan_lhs, plan_rhs = plan.evaluate(ctx)
+            assert checked.tolist() == [orthonormal or not v.orthonormal_only for v in plan.variants]
+            rows = [v for v, c in zip(plan.variants, checked) if c]
             lhs, rhs = zip(*(_eval_on_context(v, EvalContext(inst, coeffs)) for v in rows))
-            m, plan_lhs, plan_rhs = plan.evaluate(ctx)
-            assert m == len(rows) == (len(self.CATALOG) if ctx.is_orthonormal else plan.ungated)
-            assert plan_lhs.tolist() == list(lhs) and plan_rhs.tolist() == list(rhs)
+            assert plan_lhs[checked].tolist() == list(lhs) and plan_rhs[checked].tolist() == list(rhs)
+
+    @pytest.mark.parametrize("cut", [0, 3])
+    def test_one_tally_on_both_sides_of_the_gate(self, cut):
+        # the orthonormal golden between seed-42 instances, under a policy
+        # that turns near-equalities into violations; cut > 0 merges two
+        # tallies split there
+        config = GenConfig(master_seed=42, count=4)
+        generated = [generate_instance(config, k) for k in range(config.count)]
+        golden = load_instance(ORTHONORMAL)
+        stream = [generated[0], golden, generated[1], generated[2], golden, generated[3]]
+        policy = TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)
+        plan = Plan(self.CATALOG)
+
+        def tally(start, stop):
+            t = _Tally(plan)
+            for index in range(start, stop):
+                t.add(index, *stream[index], policy)
+            return t
+
+        result = tally(0, len(stream))
+        if cut:
+            result = tally(0, cut)
+            result.merge(tally(cut, len(stream)))
+        totals = {v.name: VariantTotals() for v in self.CATALOG}
+        violations = []
+        for index, (inst, coeffs) in enumerate(stream):
+            ctx = EvalContext(inst, coeffs)
+            for variant in self.CATALOG:
+                ev = _judge(variant, ctx, policy)
+                if isinstance(ev, str):
+                    totals[variant.name].skipped += 1
+                    continue
+                totals[variant.name].record(ev.lhs, ev.rhs, ev.slack, ev.holds)
+                if not ev.holds:
+                    violations.append((index, variant.name, ev.lhs, ev.rhs, ev.slack))
+        assert repr(result.totals()) == repr(totals)
+        assert [(v["instance_id"], v["variant"], v["lhs"], v["rhs"], v["slack"]) for v in result.violations] == violations
+        gated = [v.name for v in self.CATALOG if v.orthonormal_only]
+        assert {totals[name].checked for name in gated} == {2}
+        assert {1, 4} <= {index for index, *_ in violations}
 
 
 class TestWideFamilyGolden:
