@@ -124,11 +124,19 @@ class IncompatibleInstanceError(ValueError):
         self.reason = reason
 
 
+def _sequential_sum(a: np.ndarray) -> float:
+    """The float sum of an array from left to right, as ``sum(a.tolist(), 0.0)``
+    gives it before Python 3.12 (which compensates; ``np.sum`` adds pairwise).
+    ``np.add.accumulate`` adds in order, and ``+ 0.0`` turns the -0.0 of an
+    all-negative-zero array into the 0.0 that a 0.0 start gives."""
+    return float(np.add.accumulate(a)[-1]) + 0.0 if a.size else 0.0
+
+
 class _PowerStats:
     """Memoized scaled power sums of a fixed float64 array of nonnegative values.
 
     ``values``, ``maximum`` and ``total`` are Python floats; ``total`` is the
-    sequential sum in input order.  The array work is exact: sorting, and one
+    sequential sum in input order, the same on every Python version.  The array work is exact: sorting, and one
     IEEE division per element.  The power sums stay scalar Python loops on
     purpose: ``np.power`` differs from ``r**p`` in the last bit in about 5% of
     entries, at every exponent tried (2.0 included), so a vectorised sum would
@@ -139,7 +147,7 @@ class _PowerStats:
 
     def __init__(self, values: np.ndarray):
         self.values = values.tolist()
-        self.total = sum(self.values, 0.0)
+        self.total = _sequential_sum(values)
         desc = np.sort(values)[::-1]
         self.maximum = float(desc[0]) if desc.size else 0.0
         self.second = float(desc[1]) if desc.size >= 2 else 0.0
@@ -194,7 +202,7 @@ class CoeffStats:
         a = np.hypot(c.real, c.imag)
         self.n = a.shape[0]
         self._pow = _PowerStats(a)
-        self.sum_a2 = sum((a * a).tolist(), 0.0)
+        self.sum_a2 = _sequential_sum(a * a)
         self.max_a = self._pow.maximum
         self.max_a2 = self.max_a * self.max_a
         self.top2_prod = self.max_a * self._pow.second if self.n >= 2 else 0.0

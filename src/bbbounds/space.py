@@ -208,7 +208,8 @@ def combination_norm_sq(coeffs, family_or_gram) -> float:
     imaginary part at the same scale signals a corrupted Gram matrix, and a
     real part below zero at that scale one that is not positive semidefinite.
     The double-sum value is returned, with a rounding-sized negative clamped
-    to zero.
+    to zero.  A raw array in place of a family must pass
+    :meth:`GramMatrix.validate` first; a :class:`GramMatrix` is taken as is.
     """
     c = _as_complex_vector(coeffs, "coeffs")
     direct = None
@@ -222,7 +223,7 @@ def combination_norm_sq(coeffs, family_or_gram) -> float:
         g = gram_of_family(family_or_gram).entries
     else:
         if not isinstance(family_or_gram, GramMatrix):
-            family_or_gram = GramMatrix(np.asarray(family_or_gram))
+            family_or_gram = GramMatrix(np.asarray(family_or_gram)).validate()
         g = family_or_gram.entries
         if g.shape[0] != c.shape[0]:
             raise ValidationError(

@@ -60,8 +60,8 @@ class GenConfig:
     def __post_init__(self) -> None:
         n_lo, n_hi = self.n_range
         d_lo, d_hi = self.d_range
-        if not (0 <= n_lo <= n_hi):
-            raise ValueError(f"empty n_range {self.n_range}")
+        if not (1 <= n_lo <= n_hi):
+            raise ValueError(f"empty or invalid n_range {self.n_range}")
         if not (1 <= d_lo <= d_hi):
             raise ValueError(f"empty or invalid d_range {self.d_range}")
         if self.field_mode not in ("real", "complex", "both"):

@@ -39,7 +39,7 @@ from bbbounds import (
     special_bound,
     weighted_sum_bound,
 )
-from bbbounds.bounds import CoeffStats, GramStats
+from bbbounds.bounds import CoeffStats, GramStats, _PowerStats
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -603,12 +603,20 @@ class TestSoundnessSweep:
 # ---------------------------------------------------------------------------
 
 
+def sequential_sum(values):
+    """Left to right from 0.0; the builtin ``sum`` compensates from Python 3.12 on."""
+    s = 0.0
+    for v in values:
+        s += v
+    return s
+
+
 def reference_power_stats(values):
     """The per-entry summaries: Python floats, sorted after scaling."""
     values = [float(v) for v in values]
     m = max(values, default=0.0)
     scaled = sorted((v / m for v in values), reverse=True) if m > 0.0 else []
-    return values, m, sum(values, 0.0), scaled
+    return values, m, sequential_sum(values), scaled
 
 
 def reference_scaled_pow_sum(scaled, p):
@@ -653,7 +661,7 @@ def assert_gram_stats_identical(gram):
     assert_power_stats_identical(gs._off, off)
     _, max_off, total_off, _ = reference_power_stats(off)
     assert gs.sum_off == 2.0 * total_off and gs.max_off == max_off
-    assert gs.sum_diag == sum(diag, 0.0) and gs.max_diag == max(diag, default=0.0)
+    assert gs.sum_diag == sequential_sum(diag) and gs.max_diag == max(diag, default=0.0)
     for v in (gs.sum_off, gs.max_off, gs.sum_diag, gs.max_diag):
         assert type(v) is float
 
@@ -664,7 +672,7 @@ def assert_coeff_stats_identical(coeffs):
     assert_power_stats_identical(cs._pow, a)
     top = sorted(a, reverse=True)
     assert cs.n == len(a)
-    assert cs.sum_a2 == sum([v * v for v in a], 0.0)
+    assert cs.sum_a2 == sequential_sum([v * v for v in a])
     assert cs.max_a == max(a, default=0.0)
     assert cs.top2_prod == (top[0] * top[1] if len(a) >= 2 else 0.0)
     for v in (cs.sum_a2, cs.max_a, cs.max_a2, cs.top2_prod, cs.sum_bracket):
@@ -703,6 +711,12 @@ class TestStatsBitIdentity:
             assert_gram_stats_identical(ints.tolist())
             assert_coeff_stats_identical(rng.integers(-9, 10, n).tolist())
             assert_coeff_stats_identical(rng.standard_normal(n).astype(np.float32))
+
+
+    def test_totals_add_left_to_right(self):
+        # Python 3.12's sum gives 1.0000000000000002 here
+        assert _PowerStats(np.array([1.0, 1e-16, 1e-16])).total == 1.0
+        assert CoeffStats([1.0, 1e-8, 1e-8]).sum_a2 == 1.0
 
 
 class TestRawGramInput:

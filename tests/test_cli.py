@@ -118,7 +118,8 @@ class TestVerifyCommand:
 
 class TestMalformedNumericFlags:
     # a NaN tolerance would report every check violated, an infinite one
-    # would pass every check, and a job count below 1 would run serially
+    # would pass every check, a job count below 1 would run serially, and
+    # empty families would hold every check with slack 0.0
     ORTHONORMAL = str(Path(__file__).parent / "golden" / "orthonormal_n4.json")
     VERIFY = ("verify", "--seed", "1", "--count", "5", "--variants", "bb:1.2")
 
@@ -130,8 +131,9 @@ class TestMalformedNumericFlags:
             ("check-file", ORTHONORMAL, "--variants", "bb:1.2", "--tol-abs", "nan"),
             (*VERIFY, "--jobs", "0"),
             (*VERIFY, "--jobs=-3"),
+            (*VERIFY, "--n", "0..0"),
         ],
-        ids=["tol-rel-nan", "tol-abs-inf", "check-file-tol-abs-nan", "jobs-0", "jobs-negative"],
+        ids=["tol-rel-nan", "tol-abs-inf", "check-file-tol-abs-nan", "jobs-0", "jobs-negative", "n-0"],
     )
     def test_exits_2_with_one_error_line(self, args):
         proc = run_cli(*args)

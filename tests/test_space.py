@@ -152,9 +152,12 @@ class TestCombinationNormSq:
         g = gram_of_family(VectorFamily.from_rows([E1, E1]))
         assert combination_norm_sq([1.0, 2.0], g) == pytest.approx(9.0)
 
+    # An unvalidated GramMatrix reaches the double-sum checks; a raw array
+    # would stop at GramMatrix.validate.
+
     def test_corrupted_gram_detected(self):
         # A non-Hermitian matrix leaves an imaginary residue in the double sum.
-        bad = np.array([[1.0, 1.0j], [0.0, 1.0]])
+        bad = GramMatrix(np.array([[1.0, 1.0j], [0.0, 1.0]]))
         with pytest.raises(ValidationError, match="corrupted"):
             combination_norm_sq([1.0, 1.0], bad)
 
@@ -165,7 +168,17 @@ class TestCombinationNormSq:
     )
     def test_negative_double_sum_rejected(self, coeffs, gram):
         with pytest.raises(ValidationError, match="not positive semidefinite"):
-            combination_norm_sq(coeffs, np.array(gram))
+            combination_norm_sq(coeffs, GramMatrix(np.array(gram)))
+
+    @pytest.mark.parametrize(
+        "gram, message",
+        [([[1, 5], [5, 1]], "not positive semidefinite"), ([[1, 0.5j], [0.5j, 1]], "not Hermitian")],
+        ids=["indefinite", "not-hermitian"],
+    )
+    def test_raw_array_validated(self, gram, message):
+        # both double sums at [1, 0] are 1.0, which passes the double-sum checks
+        with pytest.raises(ValidationError, match=message):
+            combination_norm_sq([1, 0], gram)
 
     def test_rounding_sized_negative_clamped(self):
         # a negative double sum within the oracle tolerance of the mass counts as rounding

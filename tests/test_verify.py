@@ -52,6 +52,7 @@ class TestGenConfig:
         [
             {"n_range": (3, 2)},
             {"n_range": (-1, 2)},
+            {"n_range": (0, 2)},
             {"d_range": (0, 2)},
             {"field_mode": "quaternion"},
             {"scale": 0.0},
