@@ -125,10 +125,9 @@ class IncompatibleInstanceError(ValueError):
 
 
 def _sequential_sum(a: np.ndarray) -> float:
-    """The float sum of an array from left to right, as ``sum(a.tolist(), 0.0)``
-    gives it before Python 3.12 (which compensates; ``np.sum`` adds pairwise).
-    ``np.add.accumulate`` adds in order, and ``+ 0.0`` turns the -0.0 of an
-    all-negative-zero array into the 0.0 that a 0.0 start gives."""
+    """``sum(a.tolist(), 0.0)`` as Python 3.11 adds it, left to right (3.12
+    compensates, and ``np.sum`` adds pairwise); ``+ 0.0`` maps the -0.0 of an
+    all-negative-zero array to the 0.0 that a 0.0 start gives."""
     return float(np.add.accumulate(a)[-1]) + 0.0 if a.size else 0.0
 
 
@@ -136,11 +135,11 @@ class _PowerStats:
     """Memoized scaled power sums of a fixed float64 array of nonnegative values.
 
     ``values``, ``maximum`` and ``total`` are Python floats; ``total`` is the
-    sequential sum in input order, the same on every Python version.  The array work is exact: sorting, and one
-    IEEE division per element.  The power sums stay scalar Python loops on
-    purpose: ``np.power`` differs from ``r**p`` in the last bit in about 5% of
-    entries, at every exponent tried (2.0 included), so a vectorised sum would
-    change the reported numbers.
+    sequential sum in input order, the same on every Python version.  The
+    array work is exact: sorting, and one IEEE division per element.  The
+    power sums stay scalar Python loops on purpose: ``np.power`` differs from
+    ``r**p`` in the last bit in about 5% of entries, at every exponent tried
+    (2.0 included), so a vectorised sum would change the reported numbers.
     """
 
     __slots__ = ("values", "maximum", "second", "total", "_scaled", "_memo", "_bracket_memo")
@@ -401,15 +400,14 @@ class Plan:
     """A variant tuple compiled for evaluation on many instances.
 
     The rows are the distinct variants in the caller's order; ``weights``
-    counts how often each occurs in the tuple, and ``gated`` marks the rows
-    behind the orthonormality gate.  The left-hand sides (``lhs_*``
-    attributes of ``EvalContext``) and the distinct (term, selector) pairs
-    the rows read are numbered once.  A row is one entry of ``lhs_index``,
-    ``two_terms``, ``weighted`` and ``gated`` (its left-hand side, whether it
-    adds two terms, whether ``x_norm_sq`` scales it, whether it needs an
-    orthonormal family) and a column of ``term_index`` (its first and last
-    term).  So ``evaluate`` computes each term and left-hand side once per
-    instance, the gated ones on every family (they are closed forms, which
+    counts how often each occurs in the tuple.  The left-hand sides
+    (``lhs_*`` attributes of ``EvalContext``) and the distinct (term,
+    selector) pairs the rows read are numbered once.  A row is one entry of
+    ``lhs_index``, ``two_terms``, ``weighted`` and ``gated`` (its left-hand
+    side, whether it adds two terms, whether ``x_norm_sq`` scales it, whether
+    it needs an orthonormal family) and a column of ``term_index`` (its first
+    and last term).  So ``evaluate`` computes each term and left-hand side
+    once per instance, the gated ones on every family (closed forms, which
     neither raise nor warn), then builds every right-hand side with one
     gather, one masked add and one masked multiply.  A plan holds no
     callables, so it pickles as is.

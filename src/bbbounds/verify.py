@@ -239,10 +239,9 @@ class SuiteReport:
 class _Tally:
     """A plan's checks over one contiguous range of instances, judged and
     reduced as arrays with the arithmetic of ``TolerancePolicy.holds`` and
-    ``VariantTotals.record``, under the per-row ``checked`` mask of each
-    instance.  ``checked`` and ``held`` count per row; ``nan_seen`` marks the
-    minima whose fold met a NaN sample, after which the next sample restarts
-    it."""
+    ``VariantTotals.record`` under each instance's per-row ``checked`` mask.
+    ``nan_seen`` marks the minima whose fold met a NaN sample, after which
+    the next sample restarts it."""
 
     def __init__(self, plan: Plan):
         rows = len(plan.names)
@@ -268,7 +267,7 @@ class _Tally:
             np.copyto(self.mins, sample, where=checked & ~(self.mins <= sample))  # also true on NaN
             self.nan_seen |= checked & np.isnan(sample)
         self.held += checked & holds
-        failed = np.flatnonzero(checked & ~holds)
+        failed = (checked & ~holds).nonzero()[0]
         if failed.size:
             payload = instance_to_jsonable(inst, coeffs)
             for k in failed.tolist():
