@@ -712,7 +712,6 @@ class TestStatsBitIdentity:
             assert_coeff_stats_identical(rng.integers(-9, 10, n).tolist())
             assert_coeff_stats_identical(rng.standard_normal(n).astype(np.float32))
 
-
     def test_totals_add_left_to_right(self):
         # Python 3.12's sum gives 1.0000000000000002 here
         assert _PowerStats(np.array([1.0, 1e-16, 1e-16])).total == 1.0

@@ -424,7 +424,8 @@ class TestPlanMatchesScalarOracle:
         plan = pickle.loads(pickle.dumps(Plan(catalog)))
         assert plan.variants == tuple(self.CATALOG)
         assert plan.weights.tolist() == [2] * 3 + [1] * (len(self.CATALOG) - 3)
-        for (inst, coeffs), orthonormal in ((load_instance(ORTHONORMAL), True), (generate_instance(GenConfig(master_seed=42), 0), False)):
+        sides = ((load_instance(ORTHONORMAL), True), (generate_instance(GenConfig(master_seed=42), 0), False))
+        for (inst, coeffs), orthonormal in sides:
             ctx = EvalContext(inst, coeffs)
             checked, plan_lhs, plan_rhs = plan.evaluate(ctx)
             assert checked.tolist() == [orthonormal or not v.orthonormal_only for v in plan.variants]
@@ -450,9 +451,8 @@ class TestPlanMatchesScalarOracle:
                 t.add(index, *stream[index], policy)
             return t
 
-        result = tally(0, len(stream))
+        result = tally(0, cut or len(stream))
         if cut:
-            result = tally(0, cut)
             result.merge(tally(cut, len(stream)))
         totals = {v.name: VariantTotals() for v in self.CATALOG}
         violations = []
