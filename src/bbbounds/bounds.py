@@ -12,15 +12,13 @@ Three families, distinguished by what they cap:
 
 The right-hand sides are defined once, in the catalog table of
 ``variants``; this module builds the statistics their terms read and
-evaluates a variant through its table row (``_eval_on_context``).  That is
-the one scalar evaluator: every public bound function here is a thin call
-into it, and so is each variant ``tuning`` ranks, pinned as named or with
-every holder slot's value replaced by the tuned minimum of its term.  A
-suite over many instances compiles its variants into a ``Plan`` instead:
-one table of rows, which evaluates each distinct (term, selector) pair and
-each left-hand side once per instance, sums and scales them for all rows
-as arrays, and marks the gated rows unchecked when the family fails the
-orthonormality gate.
+evaluates variants through one evaluator, a ``Plan`` of rows that
+evaluates each distinct (term, selector) pair and each left-hand side once
+per instance and builds all right-hand sides as arrays.  Every caller takes
+its plan from ``plan_for``: the suite, ``check_variant``, ``check-file``,
+the public bound functions here, and ``tuning``, which ranks with each
+holder slot's term replaced by its tuned minimum.  A scalar evaluator, one
+variant at a time, is kept in the tests as the plan's oracle.
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
@@ -32,7 +30,6 @@ term before exponentiation, which keeps exponents up to the domain cap of 64
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -94,11 +91,10 @@ class TolerancePolicy:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
-    def margin(self, lhs: float, rhs: float) -> float:
-        return self.tol_abs + self.tol_rel * max(lhs, rhs)
-
-    def holds(self, lhs: float, rhs: float) -> bool:
-        return rhs - lhs >= -self.margin(lhs, rhs)
+    def holds(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The verdicts on float64 arrays, ``max`` as Python's (``lhs`` unless
+        ``rhs`` is larger); call it under ``np.errstate`` that ignores over and invalid."""
+        return rhs - lhs >= -(self.tol_abs + self.tol_rel * np.where(rhs > lhs, rhs, lhs))
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -110,10 +106,6 @@ class BoundEvaluation(NamedTuple):
     rhs: float
     slack: float
     holds: bool
-
-
-def _evaluation(variant: Variant, lhs: float, rhs: float, policy: TolerancePolicy) -> BoundEvaluation:
-    return BoundEvaluation(variant, lhs, rhs, rhs - lhs, policy.holds(lhs, rhs))
 
 
 class IncompatibleInstanceError(ValueError):
@@ -134,19 +126,16 @@ def _sequential_sum(a: np.ndarray) -> float:
 class _PowerStats:
     """Memoized scaled power sums of a fixed float64 array of nonnegative values.
 
-    ``values``, ``maximum`` and ``total`` are Python floats; ``total`` is the
-    sequential sum in input order, the same on every Python version.  The
-    array work is exact: sorting, and one IEEE division per element.  The
-    power sums stay scalar Python loops on purpose: ``np.power`` differs from
-    ``r**p`` in the last bit in about 5% of entries, at every exponent tried
-    (2.0 included), so a vectorised sum would change the reported numbers.
+    ``maximum`` and ``second`` are Python floats.  The array work is exact:
+    sorting, and one IEEE division per element.  The power sums stay scalar
+    Python loops on purpose: ``np.power`` differs from ``r**p`` in the last
+    bit in about 5% of entries, at every exponent tried (2.0 included), so a
+    vectorised sum would change the reported numbers.
     """
 
-    __slots__ = ("values", "maximum", "second", "total", "_scaled", "_memo", "_bracket_memo")
+    __slots__ = ("maximum", "second", "_scaled", "_memo", "_bracket_memo")
 
     def __init__(self, values: np.ndarray):
-        self.values = values.tolist()
-        self.total = _sequential_sum(values)
         desc = np.sort(values)[::-1]
         self.maximum = float(desc[0]) if desc.size else 0.0
         self.second = float(desc[1]) if desc.size >= 2 else 0.0
@@ -183,12 +172,6 @@ class _PowerStats:
             s = max(2.0 * r + r * r - r2, 0.0)
             self._bracket_memo[p] = s
         return s
-
-    def p_norm(self, p: float) -> float:
-        """(sum v^p)^(1/p), computed with the maximum factored out."""
-        if self.maximum == 0.0:
-            return 0.0
-        return self.maximum * self.scaled_pow_sum(p) ** (1.0 / p)
 
 
 class CoeffStats:
@@ -246,22 +229,26 @@ class GramStats:
     stay scalar; see ``_PowerStats``.
     """
 
-    __slots__ = ("n", "_diag", "_off", "sum_diag", "max_diag", "sum_off", "max_off")
+    __slots__ = ("n", "diag", "_diag", "_off", "sum_diag", "max_diag", "sum_off", "max_off")
 
     def __init__(self, gram):
         e = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.complex128)
         n = e.shape[0]
         self.n = n
         u = e[_upper_pairs(n)]
-        self._diag = _PowerStats(e.diagonal().real)
-        self._off = _PowerStats(np.hypot(u.real, u.imag))
-        self.sum_diag = self._diag.total
+        self.diag, off = e.diagonal().real, np.hypot(u.real, u.imag)
+        self._diag = _PowerStats(self.diag)
+        self._off = _PowerStats(off)
+        self.sum_diag = _sequential_sum(self.diag)
         self.max_diag = self._diag.maximum
-        self.sum_off = 2.0 * self._off.total     # ordered pairs
+        self.sum_off = 2.0 * _sequential_sum(off)     # ordered pairs
         self.max_off = self._off.maximum
 
     def norm_diag(self, q: float) -> float:
-        return self._diag.p_norm(q)
+        """(sum of diagonal^q)^(1/q)."""
+        if self.max_diag == 0.0:
+            return 0.0
+        return self.max_diag * self._diag.scaled_pow_sum(q) ** (1.0 / q)
 
     def norm_off(self, q: float) -> float:
         """(sum over ordered pairs of |entry|^q)^(1/q)."""
@@ -272,7 +259,7 @@ class GramStats:
     def orthonormal_within(self) -> bool:
         if self.max_off > ORTHONORMAL_GATE_TOL:
             return False
-        return all(abs(d - 1.0) <= ORTHONORMAL_GATE_TOL for d in self._diag.values)
+        return bool(np.all(np.abs(self.diag - 1.0) <= ORTHONORMAL_GATE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +332,12 @@ class EvalContext:
         return self.inst.x_norm_sq
 
     @cached_property
-    def is_orthonormal(self) -> bool:
-        return self.gram_stats.orthonormal_within()
-
-    @cached_property
     def lhs_combination(self) -> float:
-        if self.coeffs is None:
-            raise IncompatibleInstanceError("requires coefficients")
         target = self.inst.family if self.inst.family is not None else self.inst.family_gram
         return combination_norm_sq(self.coeffs, target)
 
     @cached_property
     def lhs_weighted(self) -> float:
-        if self.coeffs is None:
-            raise IncompatibleInstanceError("requires coefficients")
         root = abs(complex(np.dot(self.coeffs, self.inst.fourier)))
         try:
             return root**2
@@ -373,78 +352,102 @@ class EvalContext:
         return self.fourier_stats.sum_a2
 
 
-def _lhs(spec, ctx: EvalContext) -> float:
-    """The quantity a table row's bound caps; raises IncompatibleInstanceError on gating."""
-    if spec.orthonormal_only and not ctx.is_orthonormal:
-        raise IncompatibleInstanceError("orthonormality gate")
-    return getattr(ctx, "lhs_" + spec.family)
-
-
-def _eval_on_context(variant: Variant, ctx: EvalContext, tuned=None) -> tuple[float, float]:
-    """(lhs, rhs) for a variant; raises IncompatibleInstanceError on gating.
-
-    The right-hand side is the sum of the variant's terms, times ``x_norm_sq``
-    for a weighted bound.  ``tuned``, a function of (context, ``_TERMS`` key),
-    gives each holder slot's term in place of its value at the slot's exponent.
-    """
-    lhs = _lhs(variant.spec, ctx)
-    values = [
-        tuned(ctx, key) if tuned and sel and sel.kind == "holder" else _TERMS[key](ctx, sel)
-        for key, sel in variant.terms
-    ]
-    rhs = values[0] + values[1] if len(values) == 2 else values[0]
-    return lhs, rhs * ctx.x_norm_sq if variant.family == "weighted" else rhs
+# Why a plan skips a row, by the ``need`` it has of an instance: none, an
+# orthonormal family, or coefficients (every combination and weighted bound;
+# no orthonormal-only bound reads them).
+SKIP_REASONS = (None, "orthonormality gate", "requires coefficients")
 
 
 class Plan:
     """A variant tuple compiled for evaluation on many instances.
 
-    The rows are the distinct variants in the caller's order; ``weights``
-    counts how often each occurs in the tuple.  The left-hand sides
-    (``lhs_*`` attributes of ``EvalContext``) and the distinct (term,
-    selector) pairs the rows read are numbered once.  A row is one entry of
-    ``lhs_index``, ``two_terms``, ``weighted`` and ``gated`` (its left-hand
-    side, whether it adds two terms, whether ``x_norm_sq`` scales it, whether
-    it needs an orthonormal family) and a column of ``term_index`` (its first
-    and last term).  So ``evaluate`` computes each term and left-hand side
-    once per instance, the gated ones on every family (closed forms, which
-    neither raise nor warn), then builds every right-hand side with one
-    gather, one masked add and one masked multiply.  A plan holds no
-    callables, so it pickles as is.
+    The rows are the distinct variants in the caller's order; ``order`` is
+    the row of each entry of the tuple, and ``weights`` counts the entries
+    of each row.  The left-hand sides (``lhs_*`` attributes of
+    ``EvalContext``) and the distinct (term, selector) pairs the rows read
+    are numbered once.  A row is one entry of ``need``, ``lhs_index``,
+    ``two_terms`` and ``weighted`` (its index in ``SKIP_REASONS``, its
+    left-hand side, whether it adds two terms, whether ``x_norm_sq`` scales
+    it) and a column of ``term_index`` (its first and last term).  So
+    ``evaluate`` computes each term and left-hand side once per instance,
+    those of gated rows on every family (closed forms, which neither raise
+    nor warn) and those read with coefficients only when there are some,
+    then builds every right-hand side with one gather, one masked add and
+    one masked multiply.  A plan holds no callables, so it pickles as is.
     """
 
     def __init__(self, variants):
-        counts = Counter(variants)
-        self.variants = tuple(counts)
+        rows: dict[Variant, int] = {}
+        self.order = tuple(rows.setdefault(v, len(rows)) for v in variants)
+        self.variants = tuple(rows)
         self.names = tuple(v.name for v in self.variants)
-        self.weights = np.array(list(counts.values()), dtype=np.int64)
-        self.gated = np.array([v.orthonormal_only for v in self.variants], dtype=bool)
+        self.weights = np.bincount(self.order, minlength=len(rows))
+        need = [1 if v.orthonormal_only else 2 if v.requires_coeffs else 0 for v in self.variants]
+        self.need = np.array(need, dtype=np.intp)
         lhs = {a: k for k, a in enumerate(dict.fromkeys("lhs_" + v.family for v in self.variants))}
         terms = {t: k for k, t in enumerate(dict.fromkeys(t for v in self.variants for t in v.terms))}
         self.lhs_attrs, self.terms = tuple(lhs), tuple(terms)
+        # the rows that read one left-hand side or term all require coefficients, or none does
+        reads = {item: v.requires_coeffs for v in self.variants for item in ("lhs_" + v.family, *v.terms)}
+        self.lhs_coeffs, self.term_coeffs = [reads[a] for a in lhs], [reads[t] for t in terms]
         self.lhs_index = np.array([lhs["lhs_" + v.family] for v in self.variants], dtype=np.intp)
         self.term_index = np.array([[terms[v.terms[k]] for v in self.variants] for k in (0, -1)], dtype=np.intp)
         self.two_terms = np.array([len(v.terms) == 2 for v in self.variants], dtype=bool)
         self.weighted = np.array([v.family == "weighted" for v in self.variants], dtype=bool)
 
-    def evaluate(self, ctx: EvalContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(checked, lhs, rhs)`` for every row: whether the row is checked on
-        this instance (a gated one only if its family is orthonormal), and its
-        two sides, which mean nothing where it is not.  The context must carry
-        coefficients, as every generated instance does."""
-        sides = np.array([getattr(ctx, attr) for attr in self.lhs_attrs], dtype=np.float64)
-        values = np.array([_TERMS[key](ctx, sel) for key, sel in self.terms], dtype=np.float64)
-        rhs, second = values[self.term_index]
+    def skips(self, ctx: EvalContext) -> np.ndarray:
+        """Each row's index in SKIP_REASONS on this instance, 0 where it is
+        checked, found without evaluating anything."""
+        gate = (self.need == 1).any() and not ctx.gram_stats.orthonormal_within()
+        unmet = np.array([False, gate, ctx.coeffs is None])
+        return self.need * unmet[self.need]
+
+    def evaluate(self, ctx: EvalContext, tuned=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(skips, lhs, rhs)`` for every row, the two sides meaning nothing
+        where it is skipped.  ``tuned``, a function of (context, ``_TERMS``
+        key), gives each holder slot's term in place of its value at the
+        slot's exponent."""
+        bare = ctx.coeffs is None
+        sides = [math.nan if bare and c else getattr(ctx, a) for a, c in zip(self.lhs_attrs, self.lhs_coeffs)]
+        values = [
+            math.nan if bare and c
+            else tuned(ctx, key) if tuned and sel and sel.kind == "holder"
+            else _TERMS[key](ctx, sel)
+            for (key, sel), c in zip(self.terms, self.term_coeffs)
+        ]
+        rhs, second = np.array(values, dtype=np.float64)[self.term_index]
         # the scalar evaluator's float arithmetic, which never warns
         with np.errstate(over="ignore", invalid="ignore"):
             np.add(rhs, second, out=rhs, where=self.two_terms)
-            np.multiply(rhs, ctx.x_norm_sq, out=rhs, where=self.weighted)
-        return ~self.gated | ctx.is_orthonormal, sides[self.lhs_index], rhs
+            if self.weighted.any():
+                np.multiply(rhs, ctx.x_norm_sq, out=rhs, where=self.weighted)
+        return self.skips(ctx), np.array(sides, dtype=np.float64)[self.lhs_index], rhs
+
+    def check(self, ctx: EvalContext, policy: TolerancePolicy) -> list[BoundEvaluation | str]:
+        """Each variant of the caller's tuple, in its order: its evaluation, in
+        Python floats and bools, or the reason it is skipped."""
+        skips, lhs, rhs = self.evaluate(ctx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack, holds = rhs - lhs, policy.holds(lhs, rhs)
+        rows = [
+            SKIP_REASONS[s] if s else BoundEvaluation(v, *sides)
+            for v, s, *sides in zip(self.variants, *(a.tolist() for a in (skips, lhs, rhs, slack, holds)))
+        ]
+        return [rows[k] for k in self.order]
 
 
-def _evaluate(variant: Variant, ctx: EvalContext, policy: TolerancePolicy) -> BoundEvaluation:
-    lhs, rhs = _eval_on_context(variant, ctx)
-    return _evaluation(variant, lhs, rhs, policy)
+@lru_cache(maxsize=256)
+def plan_for(variants: tuple[Variant, ...]) -> Plan:
+    """The plan of a variant tuple, built once for equal tuples: a build
+    costs more than an evaluation."""
+    return Plan(variants)
+
+
+def _bound(variant: Variant, ctx: EvalContext, policy: TolerancePolicy) -> BoundEvaluation:
+    ev = plan_for((variant,)).check(ctx, policy)[0]
+    if isinstance(ev, str):
+        raise IncompatibleInstanceError(ev)
+    return ev
 
 
 def evaluate_variant(
@@ -460,7 +463,7 @@ def evaluate_variant(
     :class:`IncompatibleInstanceError` when coefficients are missing or an
     orthonormal-only variant meets a non-orthonormal family.
     """
-    return _evaluate(variant, EvalContext(inst, coeffs), policy)
+    return _bound(variant, EvalContext(inst, coeffs), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +499,7 @@ def lemma21_bound(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> BoundEvaluation:
     """The base combination bound: diagonal term plus off-diagonal term."""
-    return _evaluate(Variant.lemma21(dsel, osel), EvalContext.of_combination(coeffs, family_or_gram), policy)
+    return _bound(Variant.lemma21(dsel, osel), EvalContext.of_combination(coeffs, family_or_gram), policy)
 
 
 def cor23_bounds(
@@ -510,7 +513,8 @@ def cor23_bounds(
     all-zero coefficients.
     """
     ctx = EvalContext.of_combination(coeffs, family_or_gram)
-    return _evaluate(Variant.cor23_sharp(), ctx, policy), _evaluate(Variant.cor23_weak(), ctx, policy)
+    sharp, weak = plan_for((Variant.cor23_sharp(), Variant.cor23_weak())).check(ctx, policy)
+    return sharp, weak
 
 
 def coarse_bound(
@@ -524,7 +528,7 @@ def coarse_bound(
     (n-1)-weighted diagonal power sums.  Dominates the base bound with the
     same selectors on every instance.
     """
-    return _evaluate(Variant.coarse(dsel, osel), EvalContext.of_combination(coeffs, family_or_gram), policy)
+    return _bound(Variant.coarse(dsel, osel), EvalContext.of_combination(coeffs, family_or_gram), policy)
 
 
 def special_bound(
@@ -533,7 +537,7 @@ def special_bound(
     """One of the three aligned coarse bounds (max/max, holder p both slots, sum/sum)."""
     if not variant.name.startswith("special:"):
         raise ValidationError(f"not a special variant: {variant.name}")
-    return _evaluate(variant, EvalContext.of_combination(coeffs, family_or_gram), policy)
+    return _bound(variant, EvalContext.of_combination(coeffs, family_or_gram), policy)
 
 
 # ---------------------------------------------------------------------------

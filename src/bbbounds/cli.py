@@ -22,11 +22,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bounds import EvalContext, IncompatibleInstanceError, TolerancePolicy, _lhs
+from .bounds import SKIP_REASONS, EvalContext, TolerancePolicy, plan_for
 from .space import load_instance, save_instance
 from .tuning import PROFILE_FAMILIES, profile_exponent, rank_variants
 from .variants import parse_variant_list
-from .verify import GenConfig, _judge, generate_instance, remark_comparison_rows, run_suite
+from .verify import GenConfig, generate_instance, remark_comparison_rows, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -147,16 +147,12 @@ def _cmd_verify(args) -> int:
 def _cmd_rank(args) -> int:
     variants = parse_variant_list(args.variants)
     inst, coeffs = _instance_for(args)
-    ctx = EvalContext(inst, coeffs)
-    usable = []
-    for variant in variants:
-        try:
-            _lhs(variant.spec, ctx)
-        except IncompatibleInstanceError as exc:
-            print(f"skipping {variant.name}: {exc.reason}", file=sys.stderr)
-        else:
-            usable.append(variant)
-    ranking = rank_variants(inst, coeffs, usable)
+    plan = plan_for(variants)
+    skips = plan.skips(EvalContext(inst, coeffs))[list(plan.order)].tolist()
+    ranking = rank_variants(inst, coeffs, [v for v, skip in zip(variants, skips) if not skip])
+    for variant, skip in zip(variants, skips):
+        if skip:
+            print(f"skipping {variant.name}: {SKIP_REASONS[skip]}", file=sys.stderr)
     _emit(ranking.to_csv(), args.csv)
     return EXIT_OK
 
@@ -190,11 +186,9 @@ def _cmd_check_file(args) -> int:
     variants = parse_variant_list(args.variants)
     policy = _from_flags(TolerancePolicy, args)
     inst, coeffs = load_instance(args.file)
-    ctx = EvalContext(inst, coeffs)
     lines = ["variant,lhs,rhs,slack,status"]
     violated = 0
-    for variant in variants:
-        ev = _judge(variant, ctx, policy)
+    for variant, ev in zip(variants, plan_for(variants).check(EvalContext(inst, coeffs), policy)):
         if isinstance(ev, str):
             lines.append(f"{variant.name},,,,skipped:{ev}")
             continue

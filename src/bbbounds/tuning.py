@@ -7,15 +7,16 @@ region).  A boundary minimizer is reported as such rather than extrapolated:
 the limits at both ends of the domain coincide with the max- and sum-selector
 variants that already exist in the catalog.
 
-Rankings evaluate a set of variants on one instance through the scalar
-evaluator ``bounds._eval_on_context`` and order them by right-hand side.
-The catalog table in ``variants`` lists the terms each right-hand side sums
-(the holder diagonal, the holder off-diagonal, ..., keys of ``_TERMS``), the
-first fed by its exponent slots.  A tuned ranking passes that evaluator the
-per-instance minimum of each holder slot's term, computed once and shared by
-every variant that uses it (``special:2.12`` and ``cor32:3`` share
-``coarse``); a pinned ranking evaluates every slot at its own exponent.  The
-profiled families are terms too.
+Rankings evaluate a set of variants on one instance through the plan of
+their tuple (``bounds.plan_for``), the same evaluator the suite runs, and
+order them by right-hand side.  The catalog table in ``variants`` lists the
+terms each right-hand side sums (the holder diagonal, the holder
+off-diagonal, ..., keys of ``_TERMS``), the first fed by its exponent slots.
+A tuned ranking passes ``Plan.evaluate`` the per-instance minimum of each
+holder slot's term, computed once and shared by every variant that uses it
+(``special:2.12`` and ``cor32:3`` share ``coarse``); a pinned ranking
+evaluates every slot at its own exponent.  The profiled families are terms
+too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import EvalContext, _eval_on_context
+from .bounds import SKIP_REASONS, EvalContext, IncompatibleInstanceError, plan_for
 from .space import ProblemInstance
 from .variants import _TERMS, EXPONENT_MAX, Variant, VariantError, _check_exponent, holder
 
@@ -83,8 +84,9 @@ class TightnessRanking:
 
 
 # Not called here: bench/tracer.py wraps these names (its last shim, to go at
-# its next change); the tuner reaches its terms through _TERMS.
-_diag_value = _offdiag_value = _coarse_offdiag_value = _cor32_rhs_factor = _fourier_rhs = None
+# its next change); the tuner reaches its terms through _TERMS, and ranks
+# through a plan.
+_diag_value = _offdiag_value = _coarse_offdiag_value = _cor32_rhs_factor = _fourier_rhs = _eval_on_context = None
 
 
 def _term_fn(term: str, ctx: EvalContext) -> Callable[[float], float]:
@@ -259,13 +261,15 @@ def rank_variants(
     identically (ties then break by name).  Max and sum selectors are kept as
     given.  Each evaluated point is itself a valid bound, so minimization
     cannot break soundness.  All variants must be compatible with the
-    instance; an orthonormal-only variant on a general family raises.
+    instance: an orthonormal-only variant on a general family, or one that
+    requires coefficients when ``coeffs`` is None, raises
+    IncompatibleInstanceError.  A variant listed twice is ranked twice.
     """
-    ctx = EvalContext(inst, coeffs)
-    tuned = _tuned_value if optimize_exponents else None
-    entries = []
-    for variant in tuple(variants):
-        lhs, rhs = _eval_on_context(variant, ctx, tuned)
-        entries.append(RankEntry(variant.name, rhs, _relative_slack(lhs, rhs)))
+    plan = plan_for(tuple(variants))
+    skips, lhs, rhs = plan.evaluate(EvalContext(inst, coeffs), _tuned_value if optimize_exponents else None)
+    if skips.any():
+        raise IncompatibleInstanceError(SKIP_REASONS[skips[skips > 0][0]])
+    lhs, rhs = lhs.tolist(), rhs.tolist()
+    entries = [RankEntry(plan.names[k], rhs[k], _relative_slack(lhs[k], rhs[k])) for k in plan.order]
     entries.sort(key=lambda e: (e.rhs, e.variant))
     return TightnessRanking(tuple(entries))

@@ -6,6 +6,10 @@ suite report is a pure function of ``(config, variants, policy)``.  Violations
 are collected with full instance payloads rather than raised; a violated
 inequality is the most valuable output the suite can produce, since every
 bound in the catalog is a theorem.
+
+Checks read the plan of their variants (``bounds.plan_for``): one row for
+``check_variant``, and a whole suite's rows judged and reduced as arrays by
+``_Tally``, which the tests hold to ``VariantTotals.record``.
 """
 
 from __future__ import annotations
@@ -20,11 +24,9 @@ from .bounds import (
     BoundEvaluation,
     DEFAULT_POLICY,
     EvalContext,
-    IncompatibleInstanceError,
     Plan,
     TolerancePolicy,
-    _eval_on_context,
-    _evaluation,
+    plan_for,
     remark4_quantities,
 )
 from .space import ProblemInstance, VectorFamily, instance_to_jsonable
@@ -145,16 +147,9 @@ class VerificationResult(NamedTuple):
         return self.evaluation is None
 
 
-def _judge(
-    variant: Variant, ctx: EvalContext, policy: TolerancePolicy = DEFAULT_POLICY
-) -> BoundEvaluation | str:
-    """One variant on one instance: its evaluation, or the reason it was skipped
-    (missing coefficients, or the orthonormality gate), never a violation."""
-    try:
-        lhs, rhs = _eval_on_context(variant, ctx)
-    except IncompatibleInstanceError as exc:
-        return exc.reason
-    return _evaluation(variant, lhs, rhs, policy)
+# Not called here: bench/tracer.py wraps this name by attribute, as it does
+# the names kept in tuning, until it wraps Plan.evaluate instead.
+_eval_on_context = None
 
 
 def check_variant(
@@ -165,7 +160,7 @@ def check_variant(
     instance_id: int = 0,
 ) -> VerificationResult:
     """Evaluate one variant on one instance; incompatibilities become skips."""
-    ev = _judge(variant, EvalContext(inst, coeffs), policy)
+    ev = plan_for((variant,)).check(EvalContext(inst, coeffs), policy)[0]
     if isinstance(ev, str):
         return VerificationResult(instance_id, variant.name, None, ev)
     return VerificationResult(instance_id, variant.name, ev, None)
@@ -237,9 +232,9 @@ class SuiteReport:
 
 
 class _Tally:
-    """A plan's checks over one contiguous range of instances, judged and
-    reduced as arrays with the arithmetic of ``TolerancePolicy.holds`` and
-    ``VariantTotals.record`` under each instance's per-row ``checked`` mask.
+    """A plan's checks over one contiguous range of instances, judged by
+    ``TolerancePolicy.holds`` and reduced as arrays with the arithmetic of
+    ``VariantTotals.record``, on the rows that each instance does not skip.
     ``nan_seen`` marks the minima whose fold met a NaN sample, after which
     the next sample restarts it."""
 
@@ -255,14 +250,15 @@ class _Tally:
 
     def add(self, index: int, inst: ProblemInstance, coeffs, policy: TolerancePolicy) -> None:
         plan = self.plan
-        checked, lhs, rhs = plan.evaluate(EvalContext(inst, coeffs))
+        skips, lhs, rhs = plan.evaluate(EvalContext(inst, coeffs))
+        checked = skips == 0
         self.instances += 1
         self.checked += checked
         sample = np.empty((2, len(lhs)))
         with np.errstate(invalid="ignore", over="ignore"):
+            holds = policy.holds(lhs, rhs)
             slack = np.subtract(rhs, lhs, out=sample[0])
             big = np.where(rhs > lhs, rhs, lhs)                     # max(lhs, rhs)
-            holds = slack >= -(policy.tol_abs + policy.tol_rel * big)
             np.divide(slack, np.where(1e-300 > big, 1e-300, big), out=sample[1])
             np.copyto(self.mins, sample, where=checked & ~(self.mins <= sample))  # also true on NaN
             self.nan_seen |= checked & np.isnan(sample)
@@ -321,17 +317,17 @@ def run_suite(
 ) -> SuiteReport:
     """Check every compatible (instance, variant) pair in the stream.
 
-    The variants are compiled into one ``bounds.Plan``, which evaluates each
-    distinct term once per instance; the checks of an instance are judged
-    and reduced as arrays, with the same results as ``check_variant``
-    folded through ``VariantTotals.record``.  ``jobs`` > 1 splits the stream
+    The plan of the variants (``bounds.plan_for``) evaluates each distinct
+    term once per instance; ``_Tally`` judges and reduces the checks of an
+    instance as arrays, with the same results as ``check_variant`` folded
+    through ``VariantTotals.record``.  ``jobs`` > 1 splits the stream
     into that many contiguous index ranges, tallied in forked processes and
     merged in index order, so the output does not depend on the parallelism
     level; ``jobs`` < 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    plan = Plan(variants)
+    plan = plan_for(tuple(variants))
     ranges = min(jobs, config.count)
     edges = [config.count * k // ranges for k in range(ranges + 1)]
     spans = list(zip(edges, edges[1:]))

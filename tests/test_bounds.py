@@ -39,7 +39,7 @@ from bbbounds import (
     special_bound,
     weighted_sum_bound,
 )
-from bbbounds.bounds import CoeffStats, GramStats, _PowerStats
+from bbbounds.bounds import ORTHONORMAL_GATE_TOL, CoeffStats, GramStats
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -368,6 +368,15 @@ class TestFourier:
         with pytest.raises(ValidationError):
             fourier_bound(Variant.cor32(1), inst)
 
+    def test_evaluate_variant_skip_reasons(self):
+        inst = ProblemInstance.from_vectors([1.0, 0.0], DUP_PAIR, field_mode="real")
+        cases = ((Variant.ortho_44(2.0), C12, "orthonormality gate"), (Variant.ortho_42(), None, "orthonormality gate"),
+                 (Variant.thm31(MAX, SUM), None, "requires coefficients"), (Variant.cor23_weak(), None, "requires coefficients"))
+        for variant, coeffs, reason in cases:
+            with pytest.raises(IncompatibleInstanceError) as info:
+                evaluate_variant(variant, inst, coeffs)
+            assert info.value.reason == str(info.value) == reason
+
     def test_mpf_specialization_relations(self):
         # With c_i = conj((x, y_i)), each Fourier bound is the corresponding
         # weighted bound after dividing by sum |c|^2 or taking a square root.
@@ -616,7 +625,7 @@ def reference_power_stats(values):
     values = [float(v) for v in values]
     m = max(values, default=0.0)
     scaled = sorted((v / m for v in values), reverse=True) if m > 0.0 else []
-    return values, m, sequential_sum(values), scaled
+    return m, scaled
 
 
 def reference_scaled_pow_sum(scaled, p):
@@ -637,17 +646,16 @@ def reference_pair_bracket(scaled, p):
 
 
 def assert_power_stats_identical(ps, values):
-    values, m, total, scaled = reference_power_stats(values)
-    assert list(ps.values) == values
+    m, scaled = reference_power_stats(values)
     assert list(ps._scaled) == scaled
-    assert ps.total == total and ps.maximum == m
+    assert ps.maximum == m
     for p in (1.0, 2.0, 1.25):
         s = ps.scaled_pow_sum(p)
         b = ps.pair_bracket_scaled(p)
         assert s == reference_scaled_pow_sum(scaled, p)
         assert b == reference_pair_bracket(scaled, p)
         assert type(s) is float and type(b) is float
-    for v in (*ps.values, *ps._scaled, ps.total, ps.maximum):
+    for v in (*ps._scaled, ps.maximum):
         assert type(v) is float
 
 
@@ -659,11 +667,12 @@ def assert_gram_stats_identical(gram):
     off = [abs(complex(e[i, j])) for i in range(n) for j in range(i + 1, n)]
     assert_power_stats_identical(gs._diag, diag)
     assert_power_stats_identical(gs._off, off)
-    _, max_off, total_off, _ = reference_power_stats(off)
-    assert gs.sum_off == 2.0 * total_off and gs.max_off == max_off
+    assert gs.sum_off == 2.0 * sequential_sum(off) and gs.max_off == max(off, default=0.0)
     assert gs.sum_diag == sequential_sum(diag) and gs.max_diag == max(diag, default=0.0)
     for v in (gs.sum_off, gs.max_off, gs.sum_diag, gs.max_diag):
         assert type(v) is float
+    tol = ORTHONORMAL_GATE_TOL
+    assert gs.orthonormal_within() is (not gs.max_off > tol and all(abs(d - 1.0) <= tol for d in diag))
 
 
 def assert_coeff_stats_identical(coeffs):
@@ -714,8 +723,15 @@ class TestStatsBitIdentity:
 
     def test_totals_add_left_to_right(self):
         # Python 3.12's sum gives 1.0000000000000002 here
-        assert _PowerStats(np.array([1.0, 1e-16, 1e-16])).total == 1.0
+        assert GramStats(np.diag([1.0, 1e-16, 1e-16])).sum_diag == 1.0
         assert CoeffStats([1.0, 1e-8, 1e-8]).sum_a2 == 1.0
+
+    def test_orthonormality_gate_reads_the_diagonal_exactly(self):
+        tol = ORTHONORMAL_GATE_TOL
+        for diag, orthonormal in (
+            ([], True), ([1.0, 1.0 - tol / 2], True), ([1.0, 1.0 + 2 * tol], False), ([1.0, math.nan], False),
+        ):
+            assert GramStats(np.diag(diag)).orthonormal_within() is orthonormal
 
 
 class TestRawGramInput:

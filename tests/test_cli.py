@@ -4,16 +4,14 @@ import json
 import re
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import bbbounds.tuning as tuning
-import bbbounds.verify as verify
 from bbbounds import GenConfig, ProblemInstance, TolerancePolicy, save_instance
+from bbbounds.bounds import Plan
 from bbbounds.cli import main
 
 
@@ -221,24 +219,19 @@ class TestRankAndOptimize:
         assert "ortho:4.2" not in proc.stdout
 
     def test_rank_evaluates_each_usable_variant_once(self, monkeypatch, capsys):
-        calls = Counter()
+        # the skips come from the plan without evaluating it, and the usable
+        # variants from one evaluation of theirs
+        rows = []
+        evaluate = Plan.evaluate
 
-        def count(owner, attr, key):
-            fn = getattr(owner, attr)
+        def counted(plan, ctx, tuned=None):
+            rows.append(len(plan.variants))
+            return evaluate(plan, ctx, tuned)
 
-            def counted(*args):
-                calls[key] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(owner, attr, counted)
-
-        count(tuning, "_eval_on_context", "rank")
-        count(verify, "_judge", "judge")
-        count(verify, "_eval_on_context", "judge")
+        monkeypatch.setattr(Plan, "evaluate", counted)
         assert main(["rank", "--seed", "42"]) == 0
         out, err = capsys.readouterr()
-        assert calls["rank"] == len(out.splitlines()) - 1 == 172
-        assert calls["judge"] == 0
+        assert rows == [172] and len(out.splitlines()) - 1 == 172
         # recorded before rank decided its skips from the left-hand side alone
         assert err.splitlines() == [
             "skipping ortho:4.2: orthonormality gate",

@@ -1,7 +1,8 @@
 """Byte-for-byte goldens of the suite, optimize, check-file and rank outputs.
 
 The files under ``golden/`` were recorded before the variant table replaced
-the per-kind dispatch; every output here must stay identical.
+the per-kind dispatch, and the skip-line ones before a plan decided every
+caller's skips; every output here must stay identical.
 """
 
 from pathlib import Path
@@ -54,3 +55,30 @@ class TestOrthonormalInstance:
         inst, coeffs = load_instance(ORTHONORMAL)
         ranking = rank_variants(inst, coeffs, full_catalog())
         assert ranking.to_csv() == (GOLDEN / "rank_orthonormal_n4.csv").read_text()
+
+
+class TestSkipLines:
+    # The seed-42 instance that ``gen --seed 42 --count 1`` writes, and the
+    # same instance saved without its coefficients: the goldens whose lines
+    # skip variants, for the orthonormality gate and for the coefficients.
+    INSTANCE = GOLDEN / "seed42_instance.json"
+    NO_COEFFS = GOLDEN / "seed42_instance_nocoeffs.json"
+
+    @pytest.mark.parametrize("path, golden", [(INSTANCE, "check_seed42.csv"), (NO_COEFFS, "check_seed42_nocoeffs.csv")])
+    def test_check_file_all(self, capsys, path, golden):
+        code, out = run_main(capsys, "check-file", str(path), "--variants", "all")
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_check_file_keeps_the_order_and_repeats_of_its_list(self, capsys):
+        names = ["ortho:4.2", "lemma21:max:max", "ortho:4.2", "lemma21:max:max", "bb:1.2"]
+        code, out = run_main(capsys, "check-file", str(self.INSTANCE), "--variants", ",".join(names))
+        golden = {line.split(",")[0]: line for line in (GOLDEN / "check_seed42.csv").read_text().splitlines()}
+        assert code == 0
+        assert out.splitlines() == [golden["variant"]] + [golden[name] for name in names]
+
+    def test_rank_without_coefficients(self, capsys):
+        assert main(["rank", "--file", str(self.NO_COEFFS)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (GOLDEN / "rank_seed42_nocoeffs.csv").read_text()
+        assert err == (GOLDEN / "rank_seed42_nocoeffs.err").read_text()

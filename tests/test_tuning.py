@@ -9,6 +9,7 @@ import pytest
 import bbbounds.tuning as tuning
 from bbbounds import (
     DEFAULT_INTERVAL,
+    IncompatibleInstanceError,
     MAX,
     ProblemInstance,
     Variant,
@@ -24,6 +25,7 @@ from bbbounds import (
     profile_exponent,
     rank_variants,
 )
+from bbbounds.bounds import Plan, plan_for
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -206,6 +208,30 @@ class TestRanking:
         usable = [v for v in variants if not v.orthonormal_only]
         assert rank_variants(inst, coeffs, usable) == rank_variants(inst, coeffs, usable)
 
+    @pytest.mark.parametrize("optimize_exponents", [True, False], ids=["tuned", "pinned"])
+    def test_variant_listed_twice_ranks_twice(self, optimize_exponents):
+        inst, coeffs = generate_instance(GenConfig(master_seed=5, count=1), 0)
+        twice, once = Variant.lemma21(holder(2.0), MAX), Variant.boas_bellman()
+        ranking = rank_variants(inst, coeffs, (twice, once, twice), optimize_exponents)
+        names = [e.variant for e in ranking.entries]
+        assert sorted(names) == sorted([twice.name, once.name, twice.name])
+        entries = {e.variant: e for e in ranking.entries}
+        assert [e for e in ranking.entries if e.variant == twice.name] == [entries[twice.name]] * 2
+
+    def test_empty_tuple_gives_the_header_alone(self):
+        inst, coeffs = generate_instance(GenConfig(master_seed=5, count=1), 0)
+        for optimize_exponents in (True, False):
+            assert rank_variants(inst, coeffs, (), optimize_exponents).to_csv() == "rank,variant,rhs,rel_slack\n"
+
+    def test_incompatible_variants_raise_their_reason(self):
+        inst, coeffs = generate_instance(GenConfig(master_seed=5, count=1, n_range=(2, 2)), 0)
+        cases = (([Variant.boas_bellman(), Variant.bessel()], coeffs, "orthonormality gate"),
+                 ([Variant.boas_bellman(), Variant.cor23_weak()], None, "requires coefficients"))
+        for variants, given, reason in cases:
+            with pytest.raises(IncompatibleInstanceError) as info:
+                rank_variants(inst, given, variants)
+            assert info.value.reason == reason
+
     def test_csv_format(self):
         inst = basis_instance(2)
         ranking = rank_variants(inst, [1.0, 1.0], [Variant.cor23_weak(), Variant.bessel()])
@@ -292,6 +318,27 @@ class TestTunedTerms:
         variants = [v for v in full_catalog() if not v.orthonormal_only]
         expected = (Path(__file__).parent / "golden" / "rank_seed5_n4.csv").read_text()
         assert rank_variants(inst, coeffs, variants).to_csv() == expected
+
+    def test_tuned_and_pinned_ranks_share_one_plan(self, monkeypatch):
+        # equal variant tuples (not the same object) find the plan the first
+        # call built; both ranks still match their goldens
+        plan_for.cache_clear()
+        built = []
+        init = Plan.__init__
+
+        def counted(plan, variants):
+            built.append(len(variants))
+            init(plan, variants)
+
+        monkeypatch.setattr(Plan, "__init__", counted)
+        config = GenConfig(master_seed=5, count=1, n_range=(4, 4), d_range=(4, 4))
+        inst, coeffs = generate_instance(config, 0)
+        golden = Path(__file__).parent / "golden"
+        for optimize_exponents, name in ((True, "rank_seed5_n4.csv"), (False, "rank_pinned_seed5_n4.csv")):
+            variants = [v for v in full_catalog() if not v.orthonormal_only]
+            ranking = rank_variants(inst, coeffs, variants, optimize_exponents)
+            assert ranking.to_csv() == (golden / name).read_text()
+        assert built == [172]
 
     def test_pinned_rank_csv_golden(self):
         # recorded before pinned and tuned ranks shared one evaluator

@@ -9,11 +9,13 @@ import pytest
 
 from bbbounds import (
     GenConfig,
+    IncompatibleInstanceError,
     ProblemInstance,
     SearchBudgetError,
     TolerancePolicy,
     VectorFamily,
     check_variant,
+    evaluate_variant,
     full_catalog,
     generate_instance,
     orthonormalize,
@@ -22,9 +24,11 @@ from bbbounds import (
     run_suite,
     search_incomparability,
 )
-from bbbounds.bounds import EvalContext, Plan, _eval_on_context
+from bbbounds.bounds import SKIP_REASONS, BoundEvaluation, EvalContext, Plan
 from bbbounds.space import instance_to_jsonable, load_instance
-from bbbounds.verify import SuiteReport, VariantTotals, _judge, _Tally
+from bbbounds.tuning import RankEntry, TightnessRanking, _relative_slack, _tuned_value
+from bbbounds.variants import _TERMS
+from bbbounds.verify import SuiteReport, VariantTotals, _Tally
 
 E1 = [1.0, 0.0]
 
@@ -221,7 +225,8 @@ CHECKED = [[True] * 6] * 3 + [[True] * 5 + [False]]
 
 class _GivenSides:
     """Stands in for a ``bounds.Plan``: each ``evaluate`` returns the next
-    instance's mask from CHECKED and sides from SAMPLES."""
+    instance's skips from CHECKED (the gate where unchecked) and sides from
+    SAMPLES."""
 
     names = tuple(f"v{k}" for k in range(len(SAMPLES[0])))
     weights = np.ones(len(names), dtype=np.int64)
@@ -232,7 +237,7 @@ class _GivenSides:
     def evaluate(self, ctx):
         checked, sample = next(self._rows)
         lhs, rhs = np.array(sample).T
-        return np.array(checked), lhs, rhs
+        return np.where(checked, 0, 1), lhs, rhs
 
 
 class TestArrayReduce:
@@ -257,7 +262,7 @@ class TestArrayReduce:
         for mask, sample in zip(CHECKED, SAMPLES):
             for name, checked, (lhs, rhs) in zip(_GivenSides.names, mask, sample):
                 if checked:
-                    totals[name].record(lhs, rhs, rhs - lhs, policy.holds(lhs, rhs))
+                    totals[name].record(lhs, rhs, rhs - lhs, holds(policy, lhs, rhs))
                 else:
                     totals[name].skipped += 1
         return repr(totals)
@@ -343,9 +348,42 @@ class TestRunSuite:
         assert "coeffs" in payload["instance"]
 
 
+# The scalar evaluator, one variant on one instance at a time, read straight
+# from the variant's table row: the oracle every caller of a plan must match.
+
+
+def sides(variant, ctx, tuned=None):
+    """(lhs, rhs), ``tuned`` giving each holder slot's term; raises
+    IncompatibleInstanceError where a plan skips the variant."""
+    if variant.orthonormal_only and not ctx.gram_stats.orthonormal_within():
+        raise IncompatibleInstanceError("orthonormality gate")
+    if variant.requires_coeffs and ctx.coeffs is None:
+        raise IncompatibleInstanceError("requires coefficients")
+    lhs = getattr(ctx, "lhs_" + variant.family)
+    values = [
+        tuned(ctx, key) if tuned and sel and sel.kind == "holder" else _TERMS[key](ctx, sel)
+        for key, sel in variant.terms
+    ]
+    rhs = values[0] + values[1] if len(values) == 2 else values[0]
+    return lhs, rhs * ctx.x_norm_sq if variant.family == "weighted" else rhs
+
+
+def holds(policy, lhs, rhs):
+    return rhs - lhs >= -(policy.tol_abs + policy.tol_rel * max(lhs, rhs))
+
+
+def judge(variant, ctx, policy):
+    """The variant's evaluation, or the reason it is skipped."""
+    try:
+        lhs, rhs = sides(variant, ctx)
+    except IncompatibleInstanceError as exc:
+        return exc.reason
+    return BoundEvaluation(variant, lhs, rhs, rhs - lhs, holds(policy, lhs, rhs))
+
+
 def _scalar_report(config, variants, policy=TolerancePolicy()):
-    """The suite one check at a time: ``_judge`` per (instance, variant),
-    reduced through ``VariantTotals.record``."""
+    """The suite one check at a time: the scalar oracle's ``judge`` per
+    (instance, variant), reduced through ``VariantTotals.record``."""
     variants = tuple(variants)
     report = SuiteReport(config, policy)
     report.totals = {v.name: VariantTotals() for v in variants}
@@ -353,7 +391,7 @@ def _scalar_report(config, variants, policy=TolerancePolicy()):
         inst, coeffs = generate_instance(config, index)
         ctx = EvalContext(inst, coeffs)
         for variant in variants:
-            ev = _judge(variant, ctx, policy)
+            ev = judge(variant, ctx, policy)
             totals = report.totals[variant.name]
             if isinstance(ev, str):
                 totals.skipped += 1
@@ -373,8 +411,9 @@ def _scalar_report(config, variants, policy=TolerancePolicy()):
 
 
 class TestPlanMatchesScalarOracle:
-    # run_suite evaluates a compiled plan and judges with arrays; every
-    # output byte must equal the one-check-at-a-time path.
+    # every caller of the plan (run_suite's array judge, check_variant,
+    # rank_variants) must give the output of the one-check-at-a-time oracle,
+    # byte for byte
     CATALOG = full_catalog()
 
     @pytest.mark.parametrize(
@@ -424,14 +463,62 @@ class TestPlanMatchesScalarOracle:
         plan = pickle.loads(pickle.dumps(Plan(catalog)))
         assert plan.variants == tuple(self.CATALOG)
         assert plan.weights.tolist() == [2] * 3 + [1] * (len(self.CATALOG) - 3)
-        sides = ((load_instance(ORTHONORMAL), True), (generate_instance(GenConfig(master_seed=42), 0), False))
-        for (inst, coeffs), orthonormal in sides:
+        instances = ((load_instance(ORTHONORMAL), True), (generate_instance(GenConfig(master_seed=42), 0), False))
+        for (inst, coeffs), orthonormal in instances:
             ctx = EvalContext(inst, coeffs)
-            checked, plan_lhs, plan_rhs = plan.evaluate(ctx)
+            skips, plan_lhs, plan_rhs = plan.evaluate(ctx)
+            checked = skips == 0
             assert checked.tolist() == [orthonormal or not v.orthonormal_only for v in plan.variants]
+            assert set(skips.tolist()) == {0} if orthonormal else {0, SKIP_REASONS.index("orthonormality gate")}
             rows = [v for v, c in zip(plan.variants, checked) if c]
-            lhs, rhs = zip(*(_eval_on_context(v, EvalContext(inst, coeffs)) for v in rows))
+            lhs, rhs = zip(*(sides(v, EvalContext(inst, coeffs)) for v in rows))
             assert plan_lhs[checked].tolist() == list(lhs) and plan_rhs[checked].tolist() == list(rhs)
+
+    @pytest.mark.parametrize("with_coeffs", [True, False], ids=["coeffs", "no-coeffs"])
+    def test_check_variant_and_evaluate_variant(self, with_coeffs):
+        # one variant's row of its plan, skip reasons included, under a
+        # policy that turns near-equalities into violations
+        policy = TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)
+        config = GenConfig(master_seed=42, count=12)
+        stream = [generate_instance(config, k) for k in range(config.count)] + [load_instance(ORTHONORMAL)]
+        for inst, coeffs in stream:
+            coeffs = coeffs if with_coeffs else None
+            for variant in self.CATALOG:
+                expected = judge(variant, EvalContext(inst, coeffs), policy)
+                result = check_variant(variant, inst, coeffs, policy)
+                if isinstance(expected, str):
+                    assert result.skip_reason == expected and result.evaluation is None
+                    with pytest.raises(IncompatibleInstanceError) as info:
+                        evaluate_variant(variant, inst, coeffs, policy)
+                    assert info.value.reason == expected
+                else:
+                    # repr tells a numpy float or bool from a Python one
+                    assert repr(result.evaluation) == repr(expected) and result.skip_reason is None
+                    assert repr(evaluate_variant(variant, inst, coeffs, policy)) == repr(expected)
+
+    @pytest.mark.parametrize("optimize_exponents", [True, False], ids=["tuned", "pinned"])
+    def test_rank_variants(self, optimize_exponents):
+        tuned = _tuned_value if optimize_exponents else None
+
+        def rank(inst, coeffs, variants):
+            ctx = EvalContext(inst, coeffs)
+            entries = []
+            for variant in variants:
+                lhs, rhs = sides(variant, ctx, tuned)
+                entries.append(RankEntry(variant.name, rhs, _relative_slack(lhs, rhs)))
+            entries.sort(key=lambda e: (e.rhs, e.variant))
+            return TightnessRanking(tuple(entries)).to_csv()
+
+        usable = [v for v in self.CATALOG if not v.orthonormal_only]
+        fourier = [v for v in usable if v.family == "fourier"]
+        config = GenConfig(master_seed=42, count=30)
+        stream = [generate_instance(config, k) for k in range(config.count)]
+        stream += [generate_instance(WIDE_CONFIG, k) for k in range(3)]
+        for inst, coeffs in stream:
+            for variants, given in ((usable, coeffs), (fourier, None)):
+                assert rank_variants(inst, given, variants, optimize_exponents).to_csv() == rank(inst, given, variants)
+        inst, coeffs = load_instance(ORTHONORMAL)
+        assert rank_variants(inst, coeffs, self.CATALOG, optimize_exponents).to_csv() == rank(inst, coeffs, self.CATALOG)
 
     @pytest.mark.parametrize("cut", [0, 3])
     def test_one_tally_on_both_sides_of_the_gate(self, cut):
@@ -459,7 +546,7 @@ class TestPlanMatchesScalarOracle:
         for index, (inst, coeffs) in enumerate(stream):
             ctx = EvalContext(inst, coeffs)
             for variant in self.CATALOG:
-                ev = _judge(variant, ctx, policy)
+                ev = judge(variant, ctx, policy)
                 if isinstance(ev, str):
                     totals[variant.name].skipped += 1
                     continue
