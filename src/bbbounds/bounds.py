@@ -14,11 +14,23 @@ The right-hand sides are defined once, in the catalog table of
 ``variants``; this module builds the statistics their terms read and
 evaluates variants through one evaluator, a ``Plan`` of rows that
 evaluates each distinct (term, selector) pair and each left-hand side once
-per instance and builds all right-hand sides as arrays.  Every caller takes
-its plan from ``plan_for``: the suite, ``check_variant``, ``check-file``,
-the public bound functions here, and ``tuning``, which ranks with each
-holder slot's term replaced by its tuned minimum.  A scalar evaluator, one
-variant at a time, is kept in the tests as the plan's oracle.
+and builds all right-hand sides as arrays.  Every caller takes its plan from
+``plan_for``: the suite, ``check_variant``, ``check-file``, the public bound
+functions here, and ``tuning``, which ranks with each holder slot's term
+replaced by its tuned minimum.  A scalar evaluator, one variant at a time,
+is kept in the tests as the plan's oracle.
+
+A plan evaluates one instance (``EvalContext``), whose statistics are
+Python floats, or a block of consecutive instances (``EvalBlock``), whose
+statistics are float64 arrays with a leading instance axis; the suite
+evaluates blocks.  The same term functions run on both, and each instance
+of a block gets the bits of its own evaluation: the block forms of the
+statistics (``_GramBlock``, ``_CoeffBlock``, ``_PowerBlock``) sort each
+instance's magnitudes and divide by their maximum as one instance does, pad
+short rows with zeros, which add exactly 0.0, sum left to right along the
+row, and take every power with Python's float power on the real entries
+only (float64 ``np.power`` differs from it in the last bit); the contexts
+carry the rest of the arithmetic that differs between floats and arrays.
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
@@ -32,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -116,21 +129,58 @@ class IncompatibleInstanceError(ValueError):
         self.reason = reason
 
 
-def _sequential_sum(a: np.ndarray) -> float:
-    """``sum(a.tolist(), 0.0)`` as Python 3.11 adds it, left to right (3.12
-    compensates, and ``np.sum`` adds pairwise); ``+ 0.0`` maps the -0.0 of an
-    all-negative-zero array to the 0.0 that a 0.0 start gives."""
-    return float(np.add.accumulate(a)[-1]) + 0.0 if a.size else 0.0
+def _sequential_sum(a: np.ndarray):
+    """The sum along the last axis as ``sum(row.tolist(), 0.0)`` adds it in
+    Python 3.11, left to right (3.12 compensates, and ``np.sum`` adds
+    pairwise): a float for one row, an array for a block of rows.  ``+ 0.0``
+    maps the -0.0 of an all-negative-zero row to the 0.0 that a 0.0 start
+    gives, so zero padding after a row's entries leaves its sum unchanged."""
+    if not a.shape[-1]:
+        return np.zeros(a.shape[:-1]) if a.ndim > 1 else 0.0
+    total = np.add.accumulate(a, axis=-1)[..., -1] + 0.0
+    return total if a.ndim > 1 else float(total)
+
+
+class _Block(tuple):
+    """The inputs of consecutive instances, one each: given to ``GramStats``
+    or ``CoeffStats``, it builds their block form."""
+
+
+def _padded(rows: list, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of different lengths as one zero-padded (instances, width) array,
+    with the mask of the real entries, which come first in each row."""
+    lengths = np.array([row.shape[0] for row in rows])
+    real = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    out = np.zeros(real.shape, dtype=dtype)
+    out[real] = np.concatenate(rows)
+    return out, real
+
+
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` entry by entry with Python's float power
+    (object-dtype ``np.power``): float64 ``np.power`` differs from it in the
+    last bit on some entries."""
+    return np.power(base.astype(object), exponent).astype(np.float64)
+
+
+def _min(a: np.ndarray, b) -> np.ndarray:
+    """Python's ``min(a, b)`` entry by entry: ``a`` unless ``b`` is smaller, so a NaN ``a`` stays."""
+    return np.where(b < a, b, a)
+
+
+def _max(a: np.ndarray, b) -> np.ndarray:
+    """Python's ``max(a, b)`` entry by entry: ``a`` unless ``b`` is larger."""
+    return np.where(b > a, b, a)
 
 
 class _PowerStats:
     """Memoized scaled power sums of a fixed float64 array of nonnegative values.
 
-    ``maximum`` and ``second`` are Python floats.  The array work is exact:
-    sorting, and one IEEE division per element.  The power sums stay scalar
-    Python loops on purpose: ``np.power`` differs from ``r**p`` in the last
-    bit in about 5% of entries, at every exponent tried (2.0 included), so a
-    vectorised sum would change the reported numbers.
+    ``maximum`` and ``second`` are Python floats, and the power sums are
+    Python loops of ``r**p``, which keeps one instance's evaluation on floats
+    (the tuner calls it at a fresh exponent each time).  The array work is
+    exact: sorting, and one IEEE division per element.  ``_PowerBlock`` is
+    the same for a block of instances.
     """
 
     __slots__ = ("maximum", "second", "_scaled", "_memo", "_bracket_memo")
@@ -174,10 +224,63 @@ class _PowerStats:
         return s
 
 
-class CoeffStats:
-    """Magnitude summaries of one coefficient vector, shared across bounds."""
+class _PowerBlock:
+    """``_PowerStats`` of a block of instances, one padded row each, as arrays
+    with a leading instance axis, bit for bit the values ``_PowerStats``
+    gives each row: the real entries of a row are sorted in descending order
+    and divided by their maximum, the padding is zero, powers are taken on
+    the real entries only, with Python's float power one entry at a time
+    (float64 ``np.power`` differs from it), and sums add left to right along
+    the row.
+    """
 
-    __slots__ = ("n", "_pow", "sum_a2", "max_a", "max_a2", "top2_prod", "sum_bracket")
+    __slots__ = ("maximum", "second", "_scaled", "_live", "_entries", "_memo", "_bracket_memo")
+
+    def __init__(self, values: np.ndarray, real: np.ndarray):
+        # the zero padding sorts after a row's nonnegative entries, so the
+        # real mask still marks them, and a short row's second is 0.0
+        desc = np.sort(values, axis=1)[:, ::-1]
+        zeros = np.zeros(len(desc))
+        self.maximum = desc[:, 0] if desc.shape[1] else zeros
+        self.second = desc[:, 1] if desc.shape[1] >= 2 else zeros
+        m = self.maximum
+        self._live = real & (m > 0.0)[:, None]
+        self._scaled = np.divide(desc, m[:, None], out=np.zeros(desc.shape), where=self._live)
+        self._entries = self._scaled[self._live]
+        self._memo: dict[float, np.ndarray] = {}
+        self._bracket_memo: dict[float, np.ndarray] = {}
+
+    def _powers(self, p: float) -> np.ndarray:
+        out = np.zeros(self._scaled.shape)
+        out[self._live] = np.fromiter(map(pow, self._entries.tolist(), repeat(p)), np.float64, self._entries.size)
+        return out
+
+    def scaled_pow_sum(self, p: float) -> np.ndarray:
+        s = self._memo.get(p)
+        if s is None:
+            s = self._memo[p] = _sequential_sum(self._powers(p))
+        return s
+
+    def pair_bracket_scaled(self, p: float) -> np.ndarray:
+        s = self._bracket_memo.get(p)
+        if s is None:
+            tail = self._powers(p)[:, 1:]
+            r, r2 = _sequential_sum(tail), _sequential_sum(tail * tail)
+            s = self._bracket_memo[p] = _max(2.0 * r + r * r - r2, 0.0)
+        return s
+
+
+class CoeffStats:
+    """Magnitude summaries of one coefficient vector, shared across bounds.
+
+    Given a ``_Block`` of coefficient vectors, it builds ``_CoeffBlock``, the
+    same summaries of each as arrays with a leading instance axis.
+    """
+
+    __slots__ = ("n", "_pow", "sum_a2", "max_a", "max_a2", "top2_prod")
+
+    def __new__(cls, coeffs):
+        return object.__new__(_CoeffBlock if isinstance(coeffs, _Block) else cls)
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=np.complex128)
@@ -188,8 +291,12 @@ class CoeffStats:
         self.max_a = self._pow.maximum
         self.max_a2 = self.max_a * self.max_a
         self.top2_prod = self.max_a * self._pow.second if self.n >= 2 else 0.0
-        # (sum a)^2 - sum a^2, the ordered pair sum of a_i a_j
-        self.sum_bracket = self.holder_bracket_root(1.0)
+
+    @property
+    def sum_bracket(self):
+        """(sum a)^2 - sum a^2, the ordered pair sum of a_i a_j, computed when
+        read (only the sum selector's off-diagonal term reads it)."""
+        return self.holder_bracket_root(1.0)
 
     def norm_a2(self, p: float) -> float:
         """(sum a^(2p))^(1/p), the p-norm of the squared magnitudes."""
@@ -210,6 +317,50 @@ class CoeffStats:
         return max(root, self.top2_prod * 2.0 ** (1.0 / g))
 
 
+def _per_exponent(method):
+    """A block statistic's method, computed once per exponent: the terms read
+    each norm at the same few exponents, and a root power costs one Python
+    float power per instance."""
+
+    def memoized(self, p: float) -> np.ndarray:
+        key = (method.__name__, p)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = method(self, p)
+        return value
+
+    return memoized
+
+
+class _CoeffBlock(CoeffStats):
+    """``CoeffStats`` of a block of coefficient vectors, bit for bit: each
+    summary an array with a leading instance axis.  A guard of the scalar
+    form that only saves work is dropped (its value comes out the same), and
+    the one that keeps an inf times zero from giving NaN is a mask."""
+
+    __slots__ = ("_memo",)
+
+    def __init__(self, coeffs: _Block):
+        self._memo: dict = {}
+        c, real = _padded([np.asarray(v, dtype=np.complex128) for v in coeffs], np.complex128)
+        a = np.hypot(c.real, c.imag)
+        self.n = real.sum(axis=1)
+        self._pow = _PowerBlock(a, real)
+        self.sum_a2 = _sequential_sum(a * a)
+        self.max_a = self._pow.maximum
+        self.max_a2 = self.max_a * self.max_a
+        self.top2_prod = np.where(self.n >= 2, self.max_a * self._pow.second, 0.0)
+
+    @_per_exponent
+    def norm_a2(self, p: float) -> np.ndarray:
+        return self.max_a2 * _pow(self._pow.scaled_pow_sum(2.0 * p), 1.0 / p)
+
+    @_per_exponent
+    def holder_bracket_root(self, g: float) -> np.ndarray:
+        root = self.max_a2 * _pow(self._pow.pair_bracket_scaled(g), 1.0 / g)
+        return np.where(self.n < 2, 0.0, _max(root, self.top2_prod * 2.0 ** (1.0 / g)))
+
+
 @lru_cache(maxsize=128)
 def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major indices of the strict upper triangle of an n x n matrix."""
@@ -219,20 +370,28 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _gram_entries(gram) -> np.ndarray:
+    return gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.complex128)
+
+
 class GramStats:
     """Diagonal and ordered off-diagonal summaries of one Gram matrix.
 
     The entries are read as whole arrays: the real diagonal, and the
     magnitudes of the strict upper triangle in row-major order, taken with
     ``np.hypot``, which matches Python's ``abs(complex)`` bit for bit
-    (``np.abs`` on complex arrays does not everywhere).  Power sums over them
-    stay scalar; see ``_PowerStats``.
+    (``np.abs`` on complex arrays does not everywhere).  Given a ``_Block``
+    of Gram matrices, it builds ``_GramBlock``, the same summaries of each
+    as arrays with a leading instance axis.
     """
 
     __slots__ = ("n", "diag", "_diag", "_off", "sum_diag", "max_diag", "sum_off", "max_off")
 
+    def __new__(cls, gram):
+        return object.__new__(_GramBlock if isinstance(gram, _Block) else cls)
+
     def __init__(self, gram):
-        e = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.complex128)
+        e = _gram_entries(gram)
         n = e.shape[0]
         self.n = n
         u = e[_upper_pairs(n)]
@@ -262,6 +421,40 @@ class GramStats:
         return bool(np.all(np.abs(self.diag - 1.0) <= ORTHONORMAL_GATE_TOL))
 
 
+class _GramBlock(GramStats):
+    """``GramStats`` of a block of Gram matrices, bit for bit: each summary
+    an array with a leading instance axis, each instance's diagonal and
+    magnitudes padded with zeros after its own.  A zero maximum needs no
+    guard: its power sum is 0.0 too."""
+
+    __slots__ = ("_real", "_memo")
+
+    def __init__(self, grams: _Block):
+        self._memo: dict = {}
+        entries = [_gram_entries(g) for g in grams]
+        self.diag, self._real = _padded([e.diagonal().real for e in entries])
+        u, off_real = _padded([e[_upper_pairs(e.shape[0])] for e in entries], np.complex128)
+        off = np.hypot(u.real, u.imag)
+        self.n = self._real.sum(axis=1)
+        self._diag, self._off = _PowerBlock(self.diag, self._real), _PowerBlock(off, off_real)
+        self.sum_diag = _sequential_sum(self.diag)
+        self.max_diag = self._diag.maximum
+        self.sum_off = 2.0 * _sequential_sum(off)
+        self.max_off = self._off.maximum
+
+    @_per_exponent
+    def norm_diag(self, q: float) -> np.ndarray:
+        return self.max_diag * _pow(self._diag.scaled_pow_sum(q), 1.0 / q)
+
+    @_per_exponent
+    def norm_off(self, q: float) -> np.ndarray:
+        return self.max_off * _pow(2.0 * self._off.scaled_pow_sum(q), 1.0 / q)
+
+    def orthonormal_within(self) -> np.ndarray:
+        near = (np.abs(self.diag - 1.0) <= ORTHONORMAL_GATE_TOL) | ~self._real
+        return ~(self.max_off > ORTHONORMAL_GATE_TOL) & near.all(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -284,6 +477,12 @@ class EvalContext:
     catalog pays for each power sum once.  ``tuned`` keeps the minimum of
     each exponent term that tuning has minimized on this instance.
     """
+
+    # the arithmetic of the terms (``variants``) on Python floats
+    sqrt = staticmethod(math.sqrt)
+    pow = staticmethod(pow)
+    min = staticmethod(min)
+    zero_where = staticmethod(lambda zero, value: 0.0 if zero else value)
 
     def __init__(self, inst: ProblemInstance | None, coeffs=None):
         self.inst = inst
@@ -352,6 +551,55 @@ class EvalContext:
         return self.fourier_stats.sum_a2
 
 
+def _stacked(attr: str) -> cached_property:
+    """One instance attribute of every context of a block, as an array."""
+    return cached_property(lambda block: np.array([getattr(ctx, attr) for ctx in block.contexts]))
+
+
+class EvalBlock:
+    """The contexts (``EvalContext``) of consecutive instances, all with
+    coefficients, evaluated together: the same statistics and left-hand
+    sides, each an array with a leading instance axis.  The statistics are
+    the block forms of ``GramStats`` and ``CoeffStats``, built on first use;
+    like Python floats, they compute without numpy warnings.  The
+    combination and weighted left-hand sides are each context's own.
+    """
+
+    # the arithmetic of the terms (``variants``) on arrays, bit for bit as on floats
+    sqrt = staticmethod(np.sqrt)
+    pow = staticmethod(_pow)
+    min = staticmethod(_min)
+    zero_where = staticmethod(lambda zero, value: np.where(zero, 0.0, value))
+
+    def __init__(self, contexts: list[EvalContext]):
+        self.contexts = contexts
+        self.coeffs = _Block(ctx.coeffs for ctx in contexts)
+
+    def __len__(self) -> int:
+        return len(self.contexts)
+
+    @cached_property
+    def gram_stats(self) -> GramStats:
+        # each family Gram read in place, where ProblemInstance.family_gram copies it
+        with np.errstate(all="ignore"):
+            return GramStats(_Block(ctx.inst.bordered.entries[1:, 1:] for ctx in self.contexts))
+
+    @cached_property
+    def coeff_stats(self) -> CoeffStats:
+        with np.errstate(all="ignore"):
+            return CoeffStats(self.coeffs)
+
+    @cached_property
+    def fourier_stats(self) -> CoeffStats:
+        with np.errstate(all="ignore"):
+            return CoeffStats(_Block(ctx.inst.fourier for ctx in self.contexts))
+
+    x_norm_sq = _stacked("x_norm_sq")
+    lhs_combination = _stacked("lhs_combination")
+    lhs_weighted = _stacked("lhs_weighted")
+    lhs_fourier = EvalContext.lhs_fourier
+
+
 # Why a plan skips a row, by the ``need`` it has of an instance: none, an
 # orthonormal family, or coefficients (every combination and weighted bound;
 # no orthonormal-only bound reads them).
@@ -383,7 +631,7 @@ class Plan:
         self.names = tuple(v.name for v in self.variants)
         self.weights = np.bincount(self.order, minlength=len(rows))
         need = [1 if v.orthonormal_only else 2 if v.requires_coeffs else 0 for v in self.variants]
-        self.need = np.array(need, dtype=np.intp)
+        self.need = np.array(need, dtype=np.int8)
         lhs = {a: k for k, a in enumerate(dict.fromkeys("lhs_" + v.family for v in self.variants))}
         terms = {t: k for k, t in enumerate(dict.fromkeys(t for v in self.variants for t in v.terms))}
         self.lhs_attrs, self.terms = tuple(lhs), tuple(terms)
@@ -395,33 +643,38 @@ class Plan:
         self.two_terms = np.array([len(v.terms) == 2 for v in self.variants], dtype=bool)
         self.weighted = np.array([v.family == "weighted" for v in self.variants], dtype=bool)
 
-    def skips(self, ctx: EvalContext) -> np.ndarray:
+    def skips(self, ctx: EvalContext | EvalBlock) -> np.ndarray:
         """Each row's index in SKIP_REASONS on this instance, 0 where it is
-        checked, found without evaluating anything."""
-        gate = (self.need == 1).any() and not ctx.gram_stats.orthonormal_within()
-        unmet = np.array([False, gate, ctx.coeffs is None])
-        return self.need * unmet[self.need]
+        checked, found without evaluating anything; for a block, one row of
+        them per instance."""
+        unmet = np.zeros((len(ctx), 3) if isinstance(ctx, EvalBlock) else 3, dtype=bool)
+        if (self.need == 1).any():
+            unmet[..., 1] = np.logical_not(ctx.gram_stats.orthonormal_within())
+        unmet[..., 2] = ctx.coeffs is None
+        return self.need * unmet[..., self.need]
 
-    def evaluate(self, ctx: EvalContext, tuned=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, ctx: EvalContext | EvalBlock, tuned=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(skips, lhs, rhs)`` for every row, the two sides meaning nothing
-        where it is skipped.  ``tuned``, a function of (context, ``_TERMS``
-        key), gives each holder slot's term in place of its value at the
-        slot's exponent."""
+        where it is skipped; for a block, arrays of (instances, rows), each
+        instance's row bit for bit its own evaluation.  ``tuned``, a function
+        of (context, ``_TERMS`` key), gives each holder slot's term in place
+        of its value at the slot's exponent."""
         bare = ctx.coeffs is None
         sides = [math.nan if bare and c else getattr(ctx, a) for a, c in zip(self.lhs_attrs, self.lhs_coeffs)]
-        values = [
-            math.nan if bare and c
-            else tuned(ctx, key) if tuned and sel and sel.kind == "holder"
-            else _TERMS[key](ctx, sel)
-            for (key, sel), c in zip(self.terms, self.term_coeffs)
-        ]
-        rhs, second = np.array(values, dtype=np.float64)[self.term_index]
-        # the scalar evaluator's float arithmetic, which never warns
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the terms compute as Python floats do, which never warn
+        with np.errstate(all="ignore"):
+            values = [
+                math.nan if bare and c
+                else tuned(ctx, key) if tuned and sel and sel.kind == "holder"
+                else _TERMS[key](ctx, sel)
+                for (key, sel), c in zip(self.terms, self.term_coeffs)
+            ]
+            values = np.array(values, dtype=np.float64).T
+            rhs, second = values[..., self.term_index[0]], values[..., self.term_index[1]]
             np.add(rhs, second, out=rhs, where=self.two_terms)
             if self.weighted.any():
-                np.multiply(rhs, ctx.x_norm_sq, out=rhs, where=self.weighted)
-        return self.skips(ctx), np.array(sides, dtype=np.float64)[self.lhs_index], rhs
+                np.multiply(rhs, np.asarray(ctx.x_norm_sq)[..., None], out=rhs, where=self.weighted)
+        return self.skips(ctx), np.array(sides, dtype=np.float64).T[..., self.lhs_index], rhs
 
     def check(self, ctx: EvalContext, policy: TolerancePolicy) -> list[BoundEvaluation | str]:
         """Each variant of the caller's tuple, in its order: its evaluation, in

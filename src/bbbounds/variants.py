@@ -15,7 +15,9 @@ A selector picks how a diagonal (``|c_i|^2 |z_i|^2``) or ordered off-diagonal
 term is bounded: factor out the max, split by conjugate exponents (holder),
 or factor out the other side's max.  A ``p`` slot is a holder selector shared
 by the whole bound.  The terms read only ``coeff_stats``, ``gram_stats``,
-``fourier_stats`` and ``x_norm_sq`` of the statistics (``bounds.EvalContext``).
+``fourier_stats`` and ``x_norm_sq`` of the statistics, of one instance
+(``bounds.EvalContext``) or of a block of them (``bounds.EvalBlock``), and
+compute with their ``sqrt``, ``pow``, ``min`` and ``zero_where``.
 
 Names are stable strings used verbatim by the CLI and in reports, e.g.
 ``lemma21:holder:2.0:max`` or ``cor32:3:p=1.5``.
@@ -23,7 +25,6 @@ Names are stable strings used verbatim by the CLI and in reports, e.g.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,6 +114,16 @@ def holder(p: float) -> Selector:
 # Terms: functions of (statistics, selector)
 # ---------------------------------------------------------------------------
 
+# Each term runs unchanged on one instance's statistics, Python floats, and
+# on a block's, float64 arrays with a leading instance axis, and gives each
+# instance the same bits on both.  IEEE arithmetic (+, -, *, /) agrees
+# between the two; the rest goes through the statistics' own ``sqrt``,
+# ``pow`` (Python's float power, entry by entry on a block), ``min``
+# (Python's tie and NaN rules) and ``zero_where``.  A zero guard returns 0.0
+# early on one instance, as an ``if``, and is a mask on a block
+# (``zero_where``), which computes the value on every instance first: an inf
+# times the guarded zero would be NaN.
+
 
 def _diag_value(s, sel: Selector) -> float:
     """Bound on ``sum |a_i|^2 |z_i|^2``."""
@@ -125,29 +136,36 @@ def _diag_value(s, sel: Selector) -> float:
 
 
 def _offdiag_value(s, sel: Selector) -> float:
-    """Bound on the ordered cross-term sum ``sum_{i != j} |a_i a_j (z_i, z_j)|``."""
+    """Bound on the ordered cross-term sum ``sum_{i != j} |a_i a_j (z_i, z_j)|``;
+    zero when every off-diagonal entry vanishes (n <= 1 included)."""
     cs, gs = s.coeff_stats, s.gram_stats
-    if gs.n <= 1 or gs.max_off == 0.0:
+    zero = gs.max_off == 0.0
+    if zero is True:
         return 0.0
     if sel.kind == "max":
-        return cs.top2_prod * gs.sum_off
-    if sel.kind == "sum":
-        return cs.sum_bracket * gs.max_off
-    return cs.holder_bracket_root(sel.exponent) * gs.norm_off(sel.conjugate)
+        value = cs.top2_prod * gs.sum_off
+    elif sel.kind == "sum":
+        value = cs.sum_bracket * gs.max_off
+    else:
+        value = cs.holder_bracket_root(sel.exponent) * gs.norm_off(sel.conjugate)
+    return s.zero_where(zero, value)
 
 
 def _coarse_offdiag_value(s, sel: Selector) -> float:
     """The cross-term bound with the coefficient factors replaced by
     (n-1)-weighted diagonal power sums."""
     cs, gs = s.coeff_stats, s.gram_stats
-    if gs.n <= 1 or gs.max_off == 0.0:
+    zero = gs.max_off == 0.0
+    if zero is True:
         return 0.0
     if sel.kind == "max":
-        return cs.max_a2 * gs.sum_off
-    if sel.kind == "sum":
-        return (gs.n - 1) * cs.sum_a2 * gs.max_off
-    g = sel.exponent
-    return (gs.n - 1) ** (1.0 / g) * cs.norm_a2(g) * gs.norm_off(sel.conjugate)
+        value = cs.max_a2 * gs.sum_off
+    elif sel.kind == "sum":
+        value = (gs.n - 1) * cs.sum_a2 * gs.max_off
+    else:
+        g = sel.exponent
+        value = s.pow(gs.n - 1, 1.0 / g) * cs.norm_a2(g) * gs.norm_off(sel.conjugate)
+    return s.zero_where(zero, value)
 
 
 def _aligned_coarse(s, sel: Selector) -> float:
@@ -157,19 +175,21 @@ def _aligned_coarse(s, sel: Selector) -> float:
 
 def _cor23_sharp(s, _) -> float:
     cs, gs = s.coeff_stats, s.gram_stats
-    if cs.sum_a2 == 0.0:
+    zero = cs.sum_a2 == 0.0
+    if zero is True:
         return 0.0
     # sqrt((sum a^2)^2 - sum a^4) is the pair bracket root at exponent 2;
     # its coefficient is at most 1, so clamp rounding to keep sharp <= weak.
-    ratio = min(cs.holder_bracket_root(2.0) / cs.sum_a2, 1.0)
-    return cs.sum_a2 * (gs.max_diag + ratio * gs.norm_off(2.0))
+    ratio = s.min(cs.holder_bracket_root(2.0) / cs.sum_a2, 1.0)
+    return s.zero_where(zero, cs.sum_a2 * (gs.max_diag + ratio * gs.norm_off(2.0)))
 
 
 def _cor23_weak(s, _) -> float:
     cs, gs = s.coeff_stats, s.gram_stats
-    if cs.sum_a2 == 0.0:
+    zero = cs.sum_a2 == 0.0
+    if zero is True:
         return 0.0
-    return cs.sum_a2 * (gs.max_diag + gs.norm_off(2.0))
+    return s.zero_where(zero, cs.sum_a2 * (gs.max_diag + gs.norm_off(2.0)))
 
 
 # The Fourier bounds read ``fourier_stats``, the magnitudes |(x, y_i)|.
@@ -182,31 +202,32 @@ def _boas_bellman(s, _) -> float:
 
 def _fourier_41(s, _) -> float:
     gs = s.gram_stats
-    return math.sqrt(s.x_norm_sq) * s.fourier_stats.max_a * math.sqrt(gs.sum_diag + gs.sum_off)
+    return s.sqrt(s.x_norm_sq) * s.fourier_stats.max_a * s.sqrt(gs.sum_diag + gs.sum_off)
 
 
 def _fourier_43(s, sel: Selector) -> float:
     gs, n = s.gram_stats, s.gram_stats.n
     p, q = sel.exponent, sel.conjugate
     # (sum |f|^(2p))^(1/(2p))
-    f_root = math.sqrt(s.fourier_stats.norm_a2(p))
-    tail = (n - 1) ** (1.0 / p) * gs.norm_off(q) if n >= 2 else 0.0
-    return math.sqrt(s.x_norm_sq) * f_root * math.sqrt(gs.norm_diag(q) + tail)
+    f_root = s.sqrt(s.fourier_stats.norm_a2(p))
+    zero = n < 2
+    tail = 0.0 if zero is True else s.zero_where(zero, s.pow(n - 1, 1.0 / p) * gs.norm_off(q))
+    return s.sqrt(s.x_norm_sq) * f_root * s.sqrt(gs.norm_diag(q) + tail)
 
 
 def _fourier_45(s, _) -> float:
-    gs, n = s.gram_stats, s.gram_stats.n
-    tail = (n - 1) * gs.max_off if n >= 2 else 0.0
-    return s.x_norm_sq * (gs.max_diag + tail)
+    gs = s.gram_stats
+    # (n - 1) * max_off is 0.0 when n = 1, where max_off is 0.0
+    return s.x_norm_sq * (gs.max_diag + (gs.n - 1) * gs.max_off)
 
 
 def _ortho_42(s, _) -> float:
-    return math.sqrt(s.gram_stats.n) * math.sqrt(s.x_norm_sq) * s.fourier_stats.max_a
+    return s.sqrt(s.gram_stats.n) * s.sqrt(s.x_norm_sq) * s.fourier_stats.max_a
 
 
 def _ortho_44(s, sel: Selector) -> float:
-    f_root = math.sqrt(s.fourier_stats.norm_a2(sel.exponent))
-    return float(s.gram_stats.n) ** (1.0 / sel.conjugate) * math.sqrt(s.x_norm_sq) * f_root
+    f_root = s.sqrt(s.fourier_stats.norm_a2(sel.exponent))
+    return s.pow(s.gram_stats.n, 1.0 / sel.conjugate) * s.sqrt(s.x_norm_sq) * f_root
 
 
 # The terms an exponent slot can feed come first: each is a valid bound, or

@@ -8,13 +8,18 @@ inequality is the most valuable output the suite can produce, since every
 bound in the catalog is a theorem.
 
 Checks read the plan of their variants (``bounds.plan_for``): one row for
-``check_variant``, and a whole suite's rows judged and reduced as arrays by
-``_Tally``, which the tests hold to ``VariantTotals.record``.
+``check_variant``, and a whole suite's rows for blocks of consecutive
+instances (``bounds.EvalBlock``), judged and reduced as (instances, rows)
+arrays by ``_Tally``, which the tests hold to ``VariantTotals.record``.  A
+block holds the instances of at most ``_BLOCK_ENTRIES`` padded entries, so
+memory stays flat as the count grows; where the blocks are cut changes no
+output bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -23,6 +28,7 @@ import numpy as np
 from .bounds import (
     BoundEvaluation,
     DEFAULT_POLICY,
+    EvalBlock,
     EvalContext,
     Plan,
     TolerancePolicy,
@@ -68,8 +74,8 @@ class GenConfig:
             raise ValueError(f"empty or invalid d_range {self.d_range}")
         if self.field_mode not in ("real", "complex", "both"):
             raise ValueError(f"unknown field_mode {self.field_mode!r}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError("scale must be positive and finite")
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if not (0 <= self.master_seed < 2**64):
@@ -231,12 +237,34 @@ class SuiteReport:
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\n"
 
 
+def _first_minima(samples: np.ndarray, checked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum that ``VariantTotals.record`` folds from each column of
+    (instances, rows) samples, where checked, starting from NaN, and whether
+    a NaN sample was met.  A NaN sample restarts the fold, so only the samples
+    after a column's last NaN count; of those equal to their minimum, the
+    earliest is kept, which tells 0.0 from -0.0.  NaN where none is left."""
+    nan = checked & np.isnan(samples)
+    met = nan.any(axis=0)
+    live = checked
+    if met.any():
+        count = len(samples)
+        last = np.where(met, count - 1 - nan[::-1].argmax(axis=0), -1)
+        live = checked & (np.arange(count)[:, None] > last)
+    masked = np.where(live, samples, np.inf)
+    low = masked.min(axis=0)
+    zero = (low == 0.0).nonzero()[0]
+    if zero.size:
+        low[zero] = masked[(masked[:, zero] == 0.0).argmax(axis=0), zero]
+    return np.where(live.any(axis=0), low, np.nan), met
+
+
 class _Tally:
-    """A plan's checks over one contiguous range of instances, judged by
-    ``TolerancePolicy.holds`` and reduced as arrays with the arithmetic of
-    ``VariantTotals.record``, on the rows that each instance does not skip.
-    ``nan_seen`` marks the minima whose fold met a NaN sample, after which
-    the next sample restarts it."""
+    """A plan's checks over one contiguous range of instances, added a block
+    of consecutive instances at a time, judged by ``TolerancePolicy.holds``
+    and reduced as (instances, rows) arrays on the rows that each instance
+    does not skip, with the results of ``VariantTotals.record`` fed the
+    checks one at a time.  ``nan_seen`` marks the minima whose fold met a
+    NaN sample, after which the next sample restarts it."""
 
     def __init__(self, plan: Plan):
         rows = len(plan.names)
@@ -248,42 +276,50 @@ class _Tally:
         self.nan_seen = np.zeros((2, rows), dtype=bool)
         self.violations: list[dict] = []
 
-    def add(self, index: int, inst: ProblemInstance, coeffs, policy: TolerancePolicy) -> None:
+    def add(self, start: int, block: EvalBlock, policy: TolerancePolicy) -> None:
+        """Judge and fold the instances ``start``, ``start + 1``, ... of ``block``."""
         plan = self.plan
-        skips, lhs, rhs = plan.evaluate(EvalContext(inst, coeffs))
+        skips, lhs, rhs = plan.evaluate(block)
         checked = skips == 0
-        self.instances += 1
-        self.checked += checked
-        sample = np.empty((2, len(lhs)))
         with np.errstate(invalid="ignore", over="ignore"):
             holds = policy.holds(lhs, rhs)
-            slack = np.subtract(rhs, lhs, out=sample[0])
-            big = np.where(rhs > lhs, rhs, lhs)                     # max(lhs, rhs)
-            np.divide(slack, np.where(1e-300 > big, 1e-300, big), out=sample[1])
-            np.copyto(self.mins, sample, where=checked & ~(self.mins <= sample))  # also true on NaN
-            self.nan_seen |= checked & np.isnan(sample)
-        self.held += checked & holds
-        failed = (checked & ~holds).nonzero()[0]
-        if failed.size:
-            payload = instance_to_jsonable(inst, coeffs)
-            for k in failed.tolist():
-                violation = {
-                    "instance_id": index,
-                    "variant": plan.names[k],
-                    "lhs": float(lhs[k]),
-                    "rhs": float(rhs[k]),
-                    "slack": float(slack[k]),
-                    "instance": payload,
-                }
-                self.violations.extend([violation] * int(plan.weights[k]))
+            slack = rhs - lhs
+            rel = np.where(rhs > lhs, rhs, lhs)                     # max(lhs, rhs, 1e-300)
+            np.copyto(rel, 1e-300, where=1e-300 > rel)
+            np.divide(slack, rel, out=rel)
+        mins, nans = zip(*(_first_minima(sample, checked) for sample in (slack, rel)))
+        self._fold(np.stack(mins), np.stack(nans), checked.any(axis=0))
+        self.instances += len(block)
+        self.checked += checked.sum(axis=0)
+        self.held += (checked & holds).sum(axis=0)
+        failed = checked & ~holds
+        payloads: dict[int, dict] = {}
+        for b, k in zip(*failed.nonzero()):
+            if b not in payloads:
+                ctx = block.contexts[b]
+                payloads[b] = instance_to_jsonable(ctx.inst, ctx.coeffs)
+            violation = {
+                "instance_id": start + int(b),
+                "variant": plan.names[k],
+                "lhs": float(lhs[b, k]),
+                "rhs": float(rhs[b, k]),
+                "slack": float(slack[b, k]),
+                "instance": payloads[b],
+            }
+            self.violations.extend([violation] * int(plan.weights[k]))
+
+    def _fold(self, later_mins: np.ndarray, later_nan: np.ndarray, later_checked: np.ndarray) -> None:
+        """Fold in the minima of the checks right after these: a later NaN, or
+        a later minimum not above this one, replaces it."""
+        with np.errstate(invalid="ignore"):
+            replace = later_checked & (later_nan | ~(self.mins <= later_mins))
+        np.copyto(self.mins, later_mins, where=replace)
+        self.nan_seen |= later_nan
 
     def merge(self, later: "_Tally") -> None:
         """Fold in the tally of the instances right after these: the same
         result as one tally over both ranges."""
-        with np.errstate(invalid="ignore"):
-            replace = (later.checked > 0) & (later.nan_seen | ~(self.mins <= later.mins))
-        np.copyto(self.mins, later.mins, where=replace)
-        self.nan_seen |= later.nan_seen
+        self._fold(later.mins, later.nan_seen, later.checked > 0)
         self.instances += later.instances
         self.checked += later.checked
         self.held += later.held
@@ -301,11 +337,35 @@ class _Tally:
         }
 
 
+# A block holds at most this many padded entries in its widest array, by
+# instance the larger of the plan's rows and its n (n - 1) / 2 off-diagonal
+# magnitudes (or n): the (instances, rows) sides and verdicts and the power
+# temporaries stay small whatever --count is.
+_BLOCK_ENTRIES = 8192
+
+
 def _tally_range(config: GenConfig, plan: Plan, policy: TolerancePolicy, start: int, stop: int) -> _Tally:
+    """The tally of instances ``start`` to ``stop``, each generated and given
+    its left-hand sides in index order (so the first one to raise is the
+    same as one instance at a time), then evaluated in blocks."""
     tally = _Tally(plan)
+    # the Fourier side is a statistic of the block; the other two may raise
+    sides = [attr for attr in plan.lhs_attrs if attr != "lhs_fourier"]
+    block: list[EvalContext] = []
+    width = 0
     for index in range(start, stop):
-        inst, coeffs = generate_instance(config, index)
-        tally.add(index, inst, coeffs, policy)
+        ctx = EvalContext(*generate_instance(config, index))
+        for attr in sides:
+            getattr(ctx, attr)
+        n = ctx.inst.n
+        entries = max(len(plan.names), n, n * (n - 1) // 2)
+        if block and (len(block) + 1) * max(width, entries) > _BLOCK_ENTRIES:
+            tally.add(index - len(block), EvalBlock(block), policy)
+            block, width = [], 0
+        block.append(ctx)
+        width = max(width, entries)
+    if block:
+        tally.add(stop - len(block), EvalBlock(block), policy)
     return tally
 
 
@@ -317,13 +377,15 @@ def run_suite(
 ) -> SuiteReport:
     """Check every compatible (instance, variant) pair in the stream.
 
-    The plan of the variants (``bounds.plan_for``) evaluates each distinct
-    term once per instance; ``_Tally`` judges and reduces the checks of an
-    instance as arrays, with the same results as ``check_variant`` folded
-    through ``VariantTotals.record``.  ``jobs`` > 1 splits the stream
-    into that many contiguous index ranges, tallied in forked processes and
-    merged in index order, so the output does not depend on the parallelism
-    level; ``jobs`` < 1 raises ValueError.
+    Each instance is generated and given its left-hand sides in index order;
+    the plan of the variants (``bounds.plan_for``) then evaluates each
+    distinct term once per block of consecutive instances, and ``_Tally``
+    judges and reduces the block's checks as arrays, with the same results,
+    bit for bit, as ``check_variant`` on each instance folded through
+    ``VariantTotals.record``.  ``jobs`` > 1 splits the stream into that many
+    contiguous index ranges, tallied in forked processes and merged in index
+    order, so the output does not depend on the parallelism level or on
+    where the blocks are cut; ``jobs`` < 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

@@ -6,6 +6,7 @@ production code uses, so the two routes stay independent.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,9 @@ from bbbounds import (
     special_bound,
     weighted_sum_bound,
 )
-from bbbounds.bounds import ORTHONORMAL_GATE_TOL, CoeffStats, GramStats
+from bbbounds.bounds import ORTHONORMAL_GATE_TOL, CoeffStats, EvalBlock, EvalContext, GramStats, Plan
+from bbbounds.space import load_instance
+from bbbounds.variants import _TERMS
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -732,6 +735,71 @@ class TestStatsBitIdentity:
             ([], True), ([1.0, 1.0 - tol / 2], True), ([1.0, 1.0 + 2 * tol], False), ([1.0, math.nan], False),
         ):
             assert GramStats(np.diag(diag)).orthonormal_within() is orthonormal
+
+
+def _mixed_block():
+    """Contexts of every kind of instance a block may mix: n = 1..8, real and
+    complex, all-zero coefficients, a family whose off-diagonal entries all
+    vanish, an orthonormal family, an n = 64 family, and the overflowing
+    instances of scale 1e150."""
+    stream = [generate_instance(GenConfig(master_seed=42, count=40), k) for k in range(40)]
+    stream += [generate_instance(GenConfig(master_seed=9, count=4, field_mode=f), k) for f in ("real", "complex") for k in range(2)]
+    stream.append((stream[0][0], np.zeros(stream[0][0].n)))
+    stream.append((ProblemInstance.from_vectors([1.0, 2.0], [E1, [0.0, 0.0]], field_mode="real"), np.array(C12)))
+    stream.append(load_instance(Path(__file__).parent / "golden" / "orthonormal_n4.json"))
+    stream.append(generate_instance(GenConfig(n_range=(64, 64), d_range=(16, 128), master_seed=901), 0))
+    stream += [generate_instance(GenConfig(master_seed=42, count=6, scale=1e150), k) for k in range(6)]
+    return [EvalContext(inst, coeffs) for inst, coeffs in stream]
+
+
+def _bits(value) -> str:
+    """repr of a float: equal exactly when the bits are (0.0 and -0.0, and NaN, included)."""
+    return repr(float(value))
+
+
+class TestBlockBitIdentity:
+    # each instance of a block gives, statistic by statistic and term by term,
+    # the bits of its own one-instance evaluation
+
+    EXPONENTS = (1.0, 1.015625, 1.25, 2.0, 3.0, 64.0, 128.0)
+
+    @staticmethod
+    def _summaries(ctx):
+        gs, cs, fs = ctx.gram_stats, ctx.coeff_stats, ctx.fourier_stats
+        values = {
+            "orthonormal": gs.orthonormal_within(),
+            **{f"gram.{a}": getattr(gs, a) for a in ("n", "sum_diag", "max_diag", "sum_off", "max_off")},
+            **{f"{k}.{a}": getattr(c, a) for k, c in (("coeff", cs), ("fourier", fs))
+               for a in ("n", "sum_a2", "max_a", "max_a2", "top2_prod", "sum_bracket")},
+            **{a: getattr(ctx, a) for a in ("x_norm_sq", "lhs_combination", "lhs_weighted", "lhs_fourier")},
+        }
+        for p in TestBlockBitIdentity.EXPONENTS:
+            values.update({
+                f"norm_diag({p})": gs.norm_diag(p), f"norm_off({p})": gs.norm_off(p),
+                **{f"{k}.norm_a2({p})": c.norm_a2(p) for k, c in (("coeff", cs), ("fourier", fs))},
+                **{f"{k}.holder_bracket_root({p})": c.holder_bracket_root(p) for k, c in (("coeff", cs), ("fourier", fs))},
+            })
+        return values
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning:bbbounds.space", "ignore::RuntimeWarning:bbbounds.bounds")
+    def test_statistics_and_terms_of_a_mixed_block(self):
+        contexts = _mixed_block()
+        block = EvalBlock(contexts)
+        # every (term, selector) a catalog row reads, and the profiled cor32:3
+        terms = Plan(full_catalog()).terms + tuple(("cor32:3", holder(p)) for p in (1.25, 3.0))
+        expected = [self._summaries(ctx) for ctx in contexts]
+        # silently, as Plan.evaluate computes the terms
+        with np.errstate(all="ignore"):
+            got = self._summaries(block)
+            got_terms = [_TERMS[key](block, sel) for key, sel in terms]
+        for k, ctx in enumerate(contexts):
+            for name, value in expected[k].items():
+                assert _bits(got[name][k]) == _bits(value), (k, name)
+            for (key, sel), values in zip(terms, got_terms):
+                assert _bits(values[k]) == _bits(_TERMS[key](ctx, sel)), (k, key, sel)
+        assert {bool(v) for v in got["orthonormal"]} == {True, False}
+        assert not got["gram.max_off"].all() and not got["coeff.max_a"].all()
+        assert np.isinf(got["lhs_fourier"]).any() and got["gram.n"].max() == 64
 
 
 class TestRawGramInput:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,12 @@ from bbbounds import (
     generate_instance,
     orthonormalize,
     parse_variant,
+    parse_variant_list,
     rank_variants,
     run_suite,
     search_incomparability,
 )
-from bbbounds.bounds import SKIP_REASONS, BoundEvaluation, EvalContext, Plan
+from bbbounds.bounds import SKIP_REASONS, BoundEvaluation, EvalBlock, EvalContext, Plan
 from bbbounds.space import instance_to_jsonable, load_instance
 from bbbounds.tuning import RankEntry, TightnessRanking, _relative_slack, _tuned_value
 from bbbounds.variants import _TERMS
@@ -63,6 +65,7 @@ class TestGenConfig:
             {"count": 0},
             {"master_seed": -1},
             {"master_seed": 2**64},
+            {"scale": math.inf},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -225,7 +228,7 @@ CHECKED = [[True] * 6] * 3 + [[True] * 5 + [False]]
 
 class _GivenSides:
     """Stands in for a ``bounds.Plan``: each ``evaluate`` returns the next
-    instance's skips from CHECKED (the gate where unchecked) and sides from
+    block's skips from CHECKED (the gate where unchecked) and sides from
     SAMPLES."""
 
     names = tuple(f"v{k}" for k in range(len(SAMPLES[0])))
@@ -234,25 +237,27 @@ class _GivenSides:
     def __init__(self, start, stop):
         self._rows = iter(zip(CHECKED[start:stop], SAMPLES[start:stop]))
 
-    def evaluate(self, ctx):
-        checked, sample = next(self._rows)
-        lhs, rhs = np.array(sample).T
+    def evaluate(self, block):
+        checked, sample = zip(*(next(self._rows) for _ in range(len(block))))
+        lhs, rhs = np.moveaxis(np.array(sample), -1, 0)
         return np.where(checked, 0, 1), lhs, rhs
 
 
 class TestArrayReduce:
-    # The suite's array judge and reduce, and the merge of process ranges,
-    # against VariantTotals.record on the same samples.
+    # The suite's array judge and reduce, over blocks of instances, and the
+    # merge of process ranges, against VariantTotals.record on the same samples.
 
     @pytest.fixture(autouse=True)
     def _no_payloads(self, monkeypatch):
         monkeypatch.setattr("bbbounds.verify.instance_to_jsonable", lambda inst, coeffs: {})
 
     @staticmethod
-    def _tally(start, stop):
+    def _tally(start, stop, cuts=()):
+        """One tally of the instances start to stop, added in blocks split at ``cuts``."""
         tally = _Tally(_GivenSides(start, stop))
-        for index in range(start, stop):
-            tally.add(index, None, None, TolerancePolicy())
+        edges = [start, *cuts, stop]
+        for a, b in zip(edges, edges[1:]):
+            tally.add(a, EvalBlock([EvalContext(None)] * (b - a)), TolerancePolicy())
         return tally
 
     @staticmethod
@@ -268,7 +273,16 @@ class TestArrayReduce:
         return repr(totals)
 
     def test_one_range_matches_record(self):
-        assert repr(self._tally(0, len(SAMPLES)).totals()) == self._expected()
+        # all four instances in one block
+        tally = self._tally(0, len(SAMPLES))
+        assert repr(tally.totals()) == self._expected()
+        assert [v["instance_id"] for v in tally.violations] == [0, 1, 2]
+
+    @pytest.mark.parametrize("cuts", [c for r in (1, 2, 3) for c in combinations(range(1, len(SAMPLES)), r)])
+    def test_blocks_cut_anywhere_match_record(self, cuts):
+        tally = self._tally(0, len(SAMPLES), cuts)
+        assert repr(tally.totals()) == self._expected()
+        assert [v["instance_id"] for v in tally.violations] == [0, 1, 2]
 
     @pytest.mark.parametrize("cut", range(1, len(SAMPLES)))
     def test_merged_ranges_match_record(self, cut):
@@ -320,6 +334,39 @@ class TestRunSuite:
             parallel = run_suite(config, full_catalog(), jobs=jobs)
             assert parallel.to_csv() == serial.to_csv()
             assert parallel.to_json() == serial.to_json()
+
+    @pytest.mark.parametrize("names, count", [("all", 200), ("bb:1.2,cor23:sharp", 900)], ids=["catalog", "two-variants"])
+    def test_process_cuts_inside_blocks(self, names, count, monkeypatch):
+        # several blocks per process range, cut at other instances than the
+        # blocks of one process are
+        variants = parse_variant_list(names)
+        config = GenConfig(master_seed=42, count=count)
+        blocks = []
+        add = _Tally.add
+        monkeypatch.setattr(_Tally, "add", lambda self, start, block, policy: blocks.append(len(block)) or add(self, start, block, policy))
+        serial = run_suite(config, variants, jobs=1)
+        assert len(blocks) >= 4 and sum(blocks) == count
+        for jobs in (2, 3):
+            parallel = run_suite(config, variants, jobs=jobs)
+            assert parallel.to_csv() == serial.to_csv()
+            assert parallel.to_json() == serial.to_json()
+
+    def test_the_tracers_pass_through_wrappers_change_nothing(self, monkeypatch):
+        # bench/tracer.py replaces these names with plain functions, which have
+        # no attributes of a class and are no class for isinstance
+        import bbbounds.bounds as bounds
+        import bbbounds.space as space
+        import bbbounds.verify as verify
+
+        config = GenConfig(master_seed=42, count=120)
+        expected = run_suite(config, full_catalog()).to_csv()
+        for owner, attr in (
+            (bounds, "GramStats"), (bounds, "CoeffStats"), (bounds, "combination_norm_sq"), (bounds, "gram_of_family"),
+            (space, "gram_of_family"), (verify, "generate_instance"), (verify.VariantTotals, "record"),
+        ):
+            original = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *args, _fn=original, **kwargs: _fn(*args, **kwargs))
+        assert run_suite(config, full_catalog()).to_csv() == expected
 
     def test_more_jobs_than_instances(self):
         config = GenConfig(master_seed=8, count=3)
@@ -534,8 +581,7 @@ class TestPlanMatchesScalarOracle:
 
         def tally(start, stop):
             t = _Tally(plan)
-            for index in range(start, stop):
-                t.add(index, *stream[index], policy)
+            t.add(start, EvalBlock([EvalContext(*stream[index]) for index in range(start, stop)]), policy)
             return t
 
         result = tally(0, cut or len(stream))
