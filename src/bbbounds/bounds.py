@@ -23,14 +23,18 @@ is kept in the tests as the plan's oracle.
 A plan evaluates one instance (``EvalContext``), whose statistics are
 Python floats, or a block of consecutive instances (``EvalBlock``), whose
 statistics are float64 arrays with a leading instance axis; the suite
-evaluates blocks.  The same term functions run on both, and each instance
-of a block gets the bits of its own evaluation: the block forms of the
-statistics (``_GramBlock``, ``_CoeffBlock``, ``_PowerBlock``) sort each
-instance's magnitudes and divide by their maximum as one instance does, pad
-short rows with zeros, which add exactly 0.0, sum left to right along the
-row, and take every power with Python's float power on the real entries
-only (float64 ``np.power`` differs from it in the last bit); the contexts
-carry the rest of the arithmetic that differs between floats and arrays.
+evaluates blocks.  A block is given zero-padded stacks of its instances'
+bordered Gram matrices and coefficients, and their combination and weighted
+left-hand sides (``verify`` generates all of them a block at a time); it
+reads its statistics, ``|x|^2`` and the Fourier vectors from the stacks.
+The same term functions run on both, and each instance of a block gets the
+bits of its own evaluation: the block forms of the statistics
+(``_GramBlock``, ``_CoeffBlock``, ``_PowerBlock``) sort each instance's
+magnitudes and divide by their maximum as one instance does, let the zero
+padding add exactly 0.0 to sums taken left to right along the row, and take
+every power with Python's float power on the real entries only (float64
+``np.power`` differs from it in the last bit); the contexts carry the rest
+of the arithmetic that differs between floats and arrays.
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
@@ -141,19 +145,18 @@ def _sequential_sum(a: np.ndarray):
     return total if a.ndim > 1 else float(total)
 
 
-class _Block(tuple):
-    """The inputs of consecutive instances, one each: given to ``GramStats``
-    or ``CoeffStats``, it builds their block form."""
+class _Block(NamedTuple):
+    """The Gram matrices or the vectors of consecutive instances, zero-padded
+    into one stack with a leading instance axis, and each instance's n:
+    given to ``GramStats`` or ``CoeffStats``, it builds their block form."""
+
+    values: np.ndarray
+    n: np.ndarray
 
 
-def _padded(rows: list, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of different lengths as one zero-padded (instances, width) array,
-    with the mask of the real entries, which come first in each row."""
-    lengths = np.array([row.shape[0] for row in rows])
-    real = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    out = np.zeros(real.shape, dtype=dtype)
-    out[real] = np.concatenate(rows)
-    return out, real
+def _first(count: np.ndarray, width: int) -> np.ndarray:
+    """The mask of the first ``count`` entries of each (instances, width) row."""
+    return np.arange(width) < count[:, None]
 
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -236,15 +239,16 @@ class _PowerBlock:
 
     __slots__ = ("maximum", "second", "_scaled", "_live", "_entries", "_memo", "_bracket_memo")
 
-    def __init__(self, values: np.ndarray, real: np.ndarray):
-        # the zero padding sorts after a row's nonnegative entries, so the
-        # real mask still marks them, and a short row's second is 0.0
+    def __init__(self, values: np.ndarray, count: np.ndarray):
+        # a row holds ``count`` nonnegative values and zero padding, in any
+        # order: sorted, the padding comes after them (it equals any zero
+        # among them), and a short row's second is 0.0
         desc = np.sort(values, axis=1)[:, ::-1]
         zeros = np.zeros(len(desc))
         self.maximum = desc[:, 0] if desc.shape[1] else zeros
         self.second = desc[:, 1] if desc.shape[1] >= 2 else zeros
         m = self.maximum
-        self._live = real & (m > 0.0)[:, None]
+        self._live = _first(count, desc.shape[1]) & (m > 0.0)[:, None]
         self._scaled = np.divide(desc, m[:, None], out=np.zeros(desc.shape), where=self._live)
         self._entries = self._scaled[self._live]
         self._memo: dict[float, np.ndarray] = {}
@@ -342,10 +346,9 @@ class _CoeffBlock(CoeffStats):
 
     def __init__(self, coeffs: _Block):
         self._memo: dict = {}
-        c, real = _padded([np.asarray(v, dtype=np.complex128) for v in coeffs], np.complex128)
+        c, self.n = coeffs
         a = np.hypot(c.real, c.imag)
-        self.n = real.sum(axis=1)
-        self._pow = _PowerBlock(a, real)
+        self._pow = _PowerBlock(a, self.n)
         self.sum_a2 = _sequential_sum(a * a)
         self.max_a = self._pow.maximum
         self.max_a2 = self.max_a * self.max_a
@@ -422,21 +425,25 @@ class GramStats:
 
 
 class _GramBlock(GramStats):
-    """``GramStats`` of a block of Gram matrices, bit for bit: each summary
-    an array with a leading instance axis, each instance's diagonal and
-    magnitudes padded with zeros after its own.  A zero maximum needs no
-    guard: its power sum is 0.0 too."""
+    """``GramStats`` of a zero-padded stack of Gram matrices, bit for bit:
+    each summary an array with a leading instance axis.  A zero maximum
+    needs no guard: its power sum is 0.0 too."""
 
     __slots__ = ("_real", "_memo")
 
     def __init__(self, grams: _Block):
         self._memo: dict = {}
-        entries = [_gram_entries(g) for g in grams]
-        self.diag, self._real = _padded([e.diagonal().real for e in entries])
-        u, off_real = _padded([e[_upper_pairs(e.shape[0])] for e in entries], np.complex128)
+        stack, n = grams
+        width = stack.shape[1]
+        self.n = n
+        self.diag = stack.diagonal(axis1=1, axis2=2).real.copy()
+        self._real = _first(n, width)
+        # row-major over the padded width: the padding pairs fall between an
+        # instance's own, and add exactly 0.0 to its sums
+        rows, cols = _upper_pairs(width)
+        u = stack[:, rows, cols]
         off = np.hypot(u.real, u.imag)
-        self.n = self._real.sum(axis=1)
-        self._diag, self._off = _PowerBlock(self.diag, self._real), _PowerBlock(off, off_real)
+        self._diag, self._off = _PowerBlock(self.diag, n), _PowerBlock(off, n * (n - 1) // 2)
         self.sum_diag = _sequential_sum(self.diag)
         self.max_diag = self._diag.maximum
         self.sum_off = 2.0 * _sequential_sum(off)
@@ -551,18 +558,17 @@ class EvalContext:
         return self.fourier_stats.sum_a2
 
 
-def _stacked(attr: str) -> cached_property:
-    """One instance attribute of every context of a block, as an array."""
-    return cached_property(lambda block: np.array([getattr(ctx, attr) for ctx in block.contexts]))
-
-
 class EvalBlock:
-    """The contexts (``EvalContext``) of consecutive instances, all with
-    coefficients, evaluated together: the same statistics and left-hand
-    sides, each an array with a leading instance axis.  The statistics are
-    the block forms of ``GramStats`` and ``CoeffStats``, built on first use;
-    like Python floats, they compute without numpy warnings.  The
-    combination and weighted left-hand sides are each context's own.
+    """Consecutive instances, all with coefficients, evaluated together: the
+    statistics and left-hand sides of ``EvalContext``, each an array with a
+    leading instance axis.  A block is given zero-padded stacks: each
+    instance's bordered Gram matrix (Hermitian, as ``gram_of_family`` makes
+    it) and coefficients, with its n; its combination and weighted
+    left-hand sides, where a plan reads them; and ``instance``, which gives
+    the (instance, coefficients) of the b-th one for a violation's payload.
+    The statistics are the block forms of ``GramStats`` and ``CoeffStats``,
+    built on first use from the stacks; like Python floats, they compute
+    without numpy warnings.
     """
 
     # the arithmetic of the terms (``variants``) on arrays, bit for bit as on floats
@@ -571,18 +577,18 @@ class EvalBlock:
     min = staticmethod(_min)
     zero_where = staticmethod(lambda zero, value: np.where(zero, 0.0, value))
 
-    def __init__(self, contexts: list[EvalContext]):
-        self.contexts = contexts
-        self.coeffs = _Block(ctx.coeffs for ctx in contexts)
+    def __init__(self, bordered, n, coeffs, instance, lhs_combination=None, lhs_weighted=None):
+        self.bordered, self.n, self.instance = bordered, n, instance
+        self.coeffs = _Block(coeffs, n)
+        self.lhs_combination, self.lhs_weighted = lhs_combination, lhs_weighted
 
     def __len__(self) -> int:
-        return len(self.contexts)
+        return len(self.n)
 
     @cached_property
     def gram_stats(self) -> GramStats:
-        # each family Gram read in place, where ProblemInstance.family_gram copies it
         with np.errstate(all="ignore"):
-            return GramStats(_Block(ctx.inst.bordered.entries[1:, 1:] for ctx in self.contexts))
+            return GramStats(_Block(self.bordered[:, 1:, 1:], self.n))
 
     @cached_property
     def coeff_stats(self) -> CoeffStats:
@@ -592,11 +598,12 @@ class EvalBlock:
     @cached_property
     def fourier_stats(self) -> CoeffStats:
         with np.errstate(all="ignore"):
-            return CoeffStats(_Block(ctx.inst.fourier for ctx in self.contexts))
+            return CoeffStats(_Block(self.bordered[:, 0, 1:], self.n))
 
-    x_norm_sq = _stacked("x_norm_sq")
-    lhs_combination = _stacked("lhs_combination")
-    lhs_weighted = _stacked("lhs_weighted")
+    @property
+    def x_norm_sq(self) -> np.ndarray:
+        return self.bordered[:, 0, 0].real
+
     lhs_fourier = EvalContext.lhs_fourier
 
 

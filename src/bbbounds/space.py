@@ -185,17 +185,37 @@ class GramMatrix:
         return self
 
 
-def gram_of_family(family: VectorFamily) -> GramMatrix:
-    """Tabulate all pairwise inner products of a family.
+def _hermitian_part(g: np.ndarray) -> np.ndarray:
+    """``(G + G*) / 2`` of a square matrix, or of each matrix of a stack: exactly
+    Hermitian with an exactly real diagonal (IEEE addition commutes), and
+    different from ``G`` only at rounding level.  Entry by entry, so a
+    zero-padded stack gives each matrix its own bits."""
+    h = np.conjugate(g.swapaxes(-1, -2), order="C")
+    h += g           # IEEE addition commutes: G* + G is G + G*
+    h *= 0.5
+    return h
 
-    The product is symmetrized as ``(G + G*) / 2``, which makes the result
-    exactly Hermitian with an exactly real diagonal (IEEE addition commutes),
-    while perturbing entries only at rounding level.
+
+def gram_of_family(family: VectorFamily) -> GramMatrix:
+    """Tabulate all pairwise inner products of a family, symmetrized as
+    ``(G + G*) / 2``.  The products compute silently: an overflow surfaces
+    as the ValidationError of a non-finite Gram matrix.
     """
     v = family.vectors
-    g = v @ v.conj().T
-    g = 0.5 * (g + g.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _hermitian_part(v @ v.conj().T)
     return GramMatrix(g)
+
+
+def _double_sum_faults(value, mass, direct=None):
+    """The checks of a Gram double sum ``value`` = ``sum_ij c_i conj(c_j) g_ij``
+    against its absolute mass and the direct squared norm, on Python numbers
+    or entry by entry on arrays: whether its imaginary part, the negative of
+    its real part, and its distance from ``direct`` (when given) exceed
+    :data:`ORACLE_REL_TOL` times the mass.  A NaN fails none of them."""
+    tol = ORACLE_REL_TOL * mass
+    far = False if direct is None else abs(direct - value.real) > tol
+    return abs(value.imag) > tol, value.real < -tol, far
 
 
 def combination_norm_sq(coeffs, family_or_gram) -> float:
@@ -231,18 +251,19 @@ def combination_norm_sq(coeffs, family_or_gram) -> float:
             )
     value = complex(c @ g @ np.conj(c))
     mass = float(np.abs(c) @ np.abs(g) @ np.abs(c))
-    if abs(value.imag) > ORACLE_REL_TOL * mass:
+    imaginary, negative, far = _double_sum_faults(value, mass, direct)
+    if imaginary:
         raise ValidationError(
             f"Gram double sum has imaginary part {value.imag} (mass {mass}); "
             "the Gram matrix is corrupted"
         )
     result = value.real
-    if result < -ORACLE_REL_TOL * mass:
+    if negative:
         raise ValidationError(
             f"Gram double sum {result} is negative beyond {ORACLE_REL_TOL} relative to "
             f"mass {mass}; the Gram matrix is not positive semidefinite"
         )
-    if direct is not None and abs(direct - result) > ORACLE_REL_TOL * mass:
+    if far:
         raise ValidationError(
             f"direct norm {direct} and Gram expansion {result} disagree "
             f"beyond {ORACLE_REL_TOL} relative to mass {mass}"

@@ -266,9 +266,12 @@ def rank_variants(
     IncompatibleInstanceError.  A variant listed twice is ranked twice.
     """
     plan = plan_for(tuple(variants))
-    skips, lhs, rhs = plan.evaluate(EvalContext(inst, coeffs), _tuned_value if optimize_exponents else None)
+    ctx = EvalContext(inst, coeffs)
+    # before any term is minimized on the rows it rejects
+    skips = plan.skips(ctx)
     if skips.any():
         raise IncompatibleInstanceError(SKIP_REASONS[skips[skips > 0][0]])
+    _, lhs, rhs = plan.evaluate(ctx, _tuned_value if optimize_exponents else None)
     lhs, rhs = lhs.tolist(), rhs.tolist()
     entries = [RankEntry(plan.names[k], rhs[k], _relative_slack(lhs[k], rhs[k])) for k in plan.order]
     entries.sort(key=lambda e: (e.rhs, e.variant))

@@ -14,6 +14,28 @@ arrays by ``_Tally``, which the tests hold to ``VariantTotals.record``.  A
 block holds the instances of at most ``_BLOCK_ENTRIES`` padded entries, so
 memory stays flat as the count grows; where the blocks are cut changes no
 output bit.
+
+The suite generates a block at a time (``_blocks``), with the bits that
+``generate_instance`` and ``EvalContext`` give one instance at a time.  Per
+instance run only its seeded draws (``_draw``, which ``generate_instance``
+uses too: the instance's own generator, its integers and one
+``standard_normal`` call) and the BLAS products whose bits depend on its
+shape.  With ``v`` the rows x, y_1, ..., y_n, ``Y`` the family, ``G`` its
+Gram matrix, ``c`` the coefficients and ``f`` the Fourier vector, those are
+the bordered Gram ``v @ v.conj().T``, the family Gram, ``c @ Y`` and its
+``vdot``, ``c @ G @ conj(c)``, ``|c| @ |G| @ |c|`` and ``dot(c, f)``; the
+Gram matrices go into zero-padded stacks.  Everything entry by entry runs
+once per block: the scaling of the draws, the Hermitian part
+(``space._hermitian_part``), the finiteness checks, the checks of the Gram
+double sum (``space._double_sum_faults``), ``|x|^2``, the Fourier vectors,
+``np.hypot`` and the weighted side's Python float power.  If an instance
+fails a check, the first that does is generated again through
+``generate_instance`` and ``EvalContext``, which raise the error they always
+have; a violation's payload is its instance, generated again likewise.
+Otherwise the suite calls neither ``generate_instance`` nor
+``gram_of_family`` nor ``combination_norm_sq``, so the spans that the
+benchmark's tracer records under those names no longer cover the suite's
+instances.
 """
 
 from __future__ import annotations
@@ -32,10 +54,13 @@ from .bounds import (
     EvalContext,
     Plan,
     TolerancePolicy,
+    _first,
+    _max,
+    _pow,
     plan_for,
     remark4_quantities,
 )
-from .space import ProblemInstance, VectorFamily, instance_to_jsonable
+from .space import ProblemInstance, VectorFamily, _double_sum_faults, _hermitian_part, instance_to_jsonable
 from .variants import Variant
 
 __all__ = [
@@ -89,22 +114,83 @@ def _rng_for(config: GenConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([config.master_seed, index]))
 
 
-def _draw(rng: np.random.Generator, shape, complex_field: bool, scale: float) -> np.ndarray:
-    re = rng.standard_normal(shape)
-    if complex_field:
-        return (re + 1j * rng.standard_normal(shape)) * scale
-    return (re * scale).astype(np.complex128)
-
-
 # The two positive scalar triples whose off-diagonal weights A and B order
 # differently: the structured stream opens with them, and demo-remark prints them.
 _CANONICAL_TRIPLES = ((1.0, 1.0, 1.0), (1.0, 0.5, 1.0))
 
 
-def _structured_triple(rng: np.random.Generator, index: int, scale: float) -> tuple[float, float, float]:
-    if index < len(_CANONICAL_TRIPLES):
-        return _CANONICAL_TRIPLES[index]
-    return tuple(float(abs(v)) * scale for v in rng.standard_normal(3))
+class _Draw(NamedTuple):
+    """The seeded draws of one instance: its n, d and field, and its standard
+    normal values in the order its entries read them (x, the family's rows,
+    the coefficients; in the complex field each of the three draws its real
+    parts, then its imaginary parts).  ``triple`` is a canonical family, whose
+    entries are not scaled: its values stand in the normals as placeholders."""
+
+    n: int
+    d: int
+    field_mode: str
+    normals: np.ndarray
+    triple: tuple | None = None
+
+
+def _draw(config: GenConfig, index: int) -> _Draw:
+    """The draws of instance ``index``: its own generator's integers, then one
+    call of ``standard_normal``, which gives the values that consecutive calls
+    for x, the family and the coefficients did."""
+    rng = _rng_for(config, index)
+    if config.structured_families and (index < 2 or index % 2 == 0):
+        # a positive scalar triple as one column, drawn before x and the coefficients
+        if index < len(_CANONICAL_TRIPLES):
+            triple = _CANONICAL_TRIPLES[index]
+            t = rng.standard_normal(4)
+            return _Draw(3, 1, "real", np.concatenate([t[:1], triple, t[1:]]), triple)
+        t = rng.standard_normal(7)
+        return _Draw(3, 1, "real", np.concatenate([t[3:4], np.abs(t[:3]), t[4:]]))
+    n_lo, n_hi = config.n_range
+    d_lo, d_hi = config.d_range
+    n = int(rng.integers(n_lo, n_hi + 1))
+    d = int(rng.integers(d_lo, d_hi + 1))
+    if config.field_mode == "both":
+        field_mode = "complex" if rng.integers(0, 2) else "real"
+    else:
+        field_mode = config.field_mode
+    size = (n + 1) * d + n
+    return _Draw(n, d, field_mode, rng.standard_normal(2 * size if field_mode == "complex" else size))
+
+
+def _entries(config: GenConfig, draws: list[_Draw]) -> tuple[np.ndarray, np.ndarray]:
+    """The complex entries of consecutive instances packed in one array, each
+    instance's x, family rows and coefficients in turn, scaled as the
+    generator always has (``(re + 1j * im) * scale`` in the complex field,
+    ``re * scale`` with a zero imaginary part in the real one, entry by
+    entry, so the packing changes no bit); and where each instance's x,
+    family and coefficients start, one row per instance.  Empties ``draws``,
+    so their normals are freed once packed."""
+    n = np.array([dr.n for dr in draws])
+    d = np.array([dr.d for dr in draws])
+    lengths = np.stack([d, n * d, n], axis=1).ravel()          # the three pieces of each instance
+    complex_piece = np.repeat([dr.field_mode == "complex" for dr in draws], 3)
+    triples = [(b, dr.triple) for b, dr in enumerate(draws) if dr.triple is not None]
+    normals = np.concatenate([dr.normals for dr in draws])
+    draws.clear()
+    # a complex piece draws its real parts, then its imaginary parts
+    real_part = np.repeat(np.tile([True, False], len(lengths)), np.stack([lengths, lengths * complex_piece], axis=1).ravel())
+    re = normals[real_part]
+    complex_entry = np.repeat(complex_piece, lengths)
+    im = np.zeros(len(re))
+    im[complex_entry] = normals[~real_part]
+    del normals
+    # in place, the complex field's (re + 1j * im) * scale, then the real field's re * scale
+    out = 1j * im
+    del im
+    np.add(re, out, out=out)
+    out *= config.scale
+    re *= config.scale
+    np.copyto(out, re, where=~complex_entry)
+    starts = (np.cumsum(lengths) - lengths).reshape(-1, 3)
+    for b, triple in triples:
+        out[starts[b, 1] : starts[b, 2]] = triple
+    return out, starts
 
 
 def generate_instance(config: GenConfig, index: int) -> tuple[ProblemInstance, np.ndarray]:
@@ -118,28 +204,13 @@ def generate_instance(config: GenConfig, index: int) -> tuple[ProblemInstance, n
     """
     if not 0 <= index < config.count:
         raise ValueError(f"index {index} outside [0, {config.count})")
-    rng = _rng_for(config, index)
-    if config.structured_families and (index < 2 or index % 2 == 0):
-        triple = _structured_triple(rng, index, config.scale)
-        x = (rng.standard_normal(1) * config.scale).astype(np.complex128)
-        fam = np.array([[v] for v in triple], dtype=np.complex128)
-        coeffs = (rng.standard_normal(3) * config.scale).astype(np.complex128)
-        inst = ProblemInstance.from_vectors(x, fam, field_mode="real")
-        return inst, coeffs
-    n_lo, n_hi = config.n_range
-    d_lo, d_hi = config.d_range
-    n = int(rng.integers(n_lo, n_hi + 1))
-    d = int(rng.integers(d_lo, d_hi + 1))
-    if config.field_mode == "both":
-        field_mode = "complex" if rng.integers(0, 2) else "real"
-    else:
-        field_mode = config.field_mode
-    complex_field = field_mode == "complex"
-    x = _draw(rng, d, complex_field, config.scale)
-    fam = _draw(rng, (n, d), complex_field, config.scale)
-    coeffs = _draw(rng, n, complex_field, config.scale)
-    inst = ProblemInstance.from_vectors(x, fam, field_mode=field_mode)
-    return inst, coeffs
+    draw = _draw(config, index)
+    with np.errstate(over="ignore"):        # a non-finite entry is reported by the checks below
+        z, _ = _entries(config, [draw])
+    rows = (draw.n + 1) * draw.d
+    vectors = z[:rows].reshape(draw.n + 1, draw.d)
+    inst = ProblemInstance.from_vectors(vectors[0], vectors[1:], field_mode=draw.field_mode)
+    return inst, z[rows:].copy()
 
 
 class VerificationResult(NamedTuple):
@@ -296,8 +367,7 @@ class _Tally:
         payloads: dict[int, dict] = {}
         for b, k in zip(*failed.nonzero()):
             if b not in payloads:
-                ctx = block.contexts[b]
-                payloads[b] = instance_to_jsonable(ctx.inst, ctx.coeffs)
+                payloads[b] = instance_to_jsonable(*block.instance(int(b)))
             violation = {
                 "instance_id": start + int(b),
                 "variant": plan.names[k],
@@ -344,28 +414,106 @@ class _Tally:
 _BLOCK_ENTRIES = 8192
 
 
-def _tally_range(config: GenConfig, plan: Plan, policy: TolerancePolicy, start: int, stop: int) -> _Tally:
-    """The tally of instances ``start`` to ``stop``, each generated and given
-    its left-hand sides in index order (so the first one to raise is the
-    same as one instance at a time), then evaluated in blocks."""
-    tally = _Tally(plan)
-    # the Fourier side is a statistic of the block; the other two may raise
-    sides = [attr for attr in plan.lhs_attrs if attr != "lhs_fourier"]
-    block: list[EvalContext] = []
-    width = 0
-    for index in range(start, stop):
+def _square_overflows(root: float) -> bool:
+    """Whether Python's ``root**2`` raises, as in ``EvalContext.lhs_weighted``."""
+    try:
+        root**2
+    except OverflowError:
+        return True
+    return False
+
+
+def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: list[str]) -> EvalBlock:
+    """The block of the instances ``first``, ``first + 1``, ... drawn as
+    ``draws``, with the left-hand sides ``sides`` and the checks that
+    ``generate_instance`` and ``EvalContext`` make, bit for bit.  Per
+    instance run only the products whose bits depend on its shape (BLAS),
+    each into its slot of a zero-padded stack; everything entry by entry
+    runs once on the stacks.  If an instance fails a check, the first that
+    does is generated alone, which raises its error.  Empties ``draws``, as
+    ``_entries`` does."""
+    combination, weighted = "lhs_combination" in sides, "lhs_weighted" in sides
+    count = len(draws)
+    n = np.array([dr.n for dr in draws])
+    width = int(n.max())
+    lhs = {}
+    with np.errstate(all="ignore"):
+        z, starts = _entries(config, draws)
+        coeffs = np.zeros((count, width), dtype=np.complex128)
+        coeffs[_first(n, width)] = z[np.arange(n.sum()) + np.repeat(starts[:, 2] - (np.cumsum(n) - n), n)]
+        bordered = np.zeros((count, width + 1, width + 1), dtype=np.complex128)
+        family = np.zeros((count, width, width), dtype=np.complex128) if combination else None
+        direct = np.empty(count)
+        for b, (nb, x0, c0) in enumerate(zip(n.tolist(), starts[:, 0].tolist(), starts[:, 2].tolist())):
+            v = z[x0:c0].reshape(nb + 1, -1)                 # x, then the family's rows
+            vh = v.conj().T
+            np.matmul(v, vh, out=bordered[b, : nb + 1, : nb + 1])
+            if combination:
+                np.matmul(v[1:], vh[:, 1:], out=family[b, :nb, :nb])
+                summed = coeffs[b, :nb] @ v[1:]
+                direct[b] = np.vdot(summed, summed).real
+        del z
+        bordered = _hermitian_part(bordered)
+        # a non-finite entry of x or of a family vector makes the Gram matrix non-finite too
+        bad = ~np.isfinite(bordered).all(axis=(1, 2))
+        if combination:
+            family = _hermitian_part(family)
+            conj, magnitudes, family_magnitudes = coeffs.conj(), np.abs(coeffs), np.abs(family)
+            value, mass = np.empty(count, dtype=np.complex128), np.empty(count)
+        dots = np.empty(count, dtype=np.complex128)
+        for b, nb in enumerate(n.tolist() if combination or weighted else ()):
+            c = coeffs[b, :nb]
+            if combination:
+                value[b] = c @ family[b, :nb, :nb] @ conj[b, :nb]
+                mass[b] = magnitudes[b, :nb] @ family_magnitudes[b, :nb, :nb] @ magnitudes[b, :nb]
+            if weighted:
+                dots[b] = np.dot(c, bordered[b, 0, 1 : nb + 1])      # with the Fourier vector
+        if combination:
+            bad |= ~np.isfinite(coeffs).all(axis=1) | ~np.isfinite(family).all(axis=(1, 2))
+            for fault in _double_sum_faults(value, mass, direct):
+                bad |= fault
+            lhs["lhs_combination"] = _max(value.real, 0.0)
+        if weighted:
+            roots = np.hypot(dots.real, dots.imag)
+            try:
+                lhs["lhs_weighted"] = _pow(roots, 2.0)
+            except OverflowError:
+                bad |= [_square_overflows(r) for r in roots.tolist()]
+    if bad.any():
+        index = first + int(bad.argmax())
         ctx = EvalContext(*generate_instance(config, index))
         for attr in sides:
             getattr(ctx, attr)
-        n = ctx.inst.n
-        entries = max(len(plan.names), n, n * (n - 1) // 2)
-        if block and (len(block) + 1) * max(width, entries) > _BLOCK_ENTRIES:
-            tally.add(index - len(block), EvalBlock(block), policy)
-            block, width = [], 0
-        block.append(ctx)
+        raise AssertionError(f"instance {index} failed a check of its block but none of its own")
+    return EvalBlock(bordered, n, coeffs, lambda b: generate_instance(config, first + b), **lhs)
+
+
+def _blocks(config: GenConfig, plan: Plan, start: int, stop: int):
+    """The instances ``start`` to ``stop`` as consecutive blocks, each with
+    its first index, drawn and checked in index order (so the first instance
+    to raise is the one that raises one instance at a time)."""
+    # the Fourier side is a statistic of the block; the other two may raise
+    sides = [attr for attr in plan.lhs_attrs if attr != "lhs_fourier"]
+    draws: list[_Draw] = []
+    width = 0
+    for index in range(start, stop):
+        draw = _draw(config, index)
+        entries = max(len(plan.names), draw.n, draw.n * (draw.n - 1) // 2)
+        if draws and (len(draws) + 1) * max(width, entries) > _BLOCK_ENTRIES:
+            first = index - len(draws)
+            yield first, _generated_block(config, first, draws, sides)
+            width = 0
+        draws.append(draw)
         width = max(width, entries)
-    if block:
-        tally.add(stop - len(block), EvalBlock(block), policy)
+    if draws:
+        yield stop - len(draws), _generated_block(config, stop - len(draws), draws, sides)
+
+
+def _tally_range(config: GenConfig, plan: Plan, policy: TolerancePolicy, start: int, stop: int) -> _Tally:
+    """The tally of instances ``start`` to ``stop``, added a block at a time."""
+    tally = _Tally(plan)
+    for first, block in _blocks(config, plan, start, stop):
+        tally.add(first, block, policy)
     return tally
 
 

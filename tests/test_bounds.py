@@ -752,6 +752,20 @@ def _mixed_block():
     return [EvalContext(inst, coeffs) for inst, coeffs in stream]
 
 
+def block_of(contexts):
+    """The ``EvalBlock`` of the contexts' instances, with coefficients, each
+    stack and side read from its context."""
+    n = np.array([ctx.inst.n for ctx in contexts])
+    width = n.max(initial=0)
+    bordered = np.zeros((len(n), width + 1, width + 1), dtype=np.complex128)
+    coeffs = np.zeros((len(n), width), dtype=np.complex128)
+    for b, ctx in enumerate(contexts):
+        bordered[b, : n[b] + 1, : n[b] + 1] = ctx.inst.bordered.entries
+        coeffs[b, : n[b]] = ctx.coeffs
+    sides = {a: np.array([getattr(ctx, a) for ctx in contexts]) for a in ("lhs_combination", "lhs_weighted")}
+    return EvalBlock(bordered, n, coeffs, lambda b: (contexts[b].inst, contexts[b].coeffs), **sides)
+
+
 def _bits(value) -> str:
     """repr of a float: equal exactly when the bits are (0.0 and -0.0, and NaN, included)."""
     return repr(float(value))
@@ -784,7 +798,7 @@ class TestBlockBitIdentity:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning:bbbounds.space", "ignore::RuntimeWarning:bbbounds.bounds")
     def test_statistics_and_terms_of_a_mixed_block(self):
         contexts = _mixed_block()
-        block = EvalBlock(contexts)
+        block = block_of(contexts)
         # every (term, selector) a catalog row reads, and the profiled cor32:3
         terms = Plan(full_catalog()).terms + tuple(("cor32:3", holder(p)) for p in (1.25, 3.0))
         expected = [self._summaries(ctx) for ctx in contexts]

@@ -113,6 +113,15 @@ class TestVerifyCommand:
         assert proc.stderr.startswith("error: weighted left-hand side |sum c_i (x, y_i)|^2 overflows")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_gram_overflow_exits_2_with_one_line(self, jobs):
+        # the Gram products overflow silently; the finiteness check alone reports it
+        proc = run_cli("verify", "--seed", "42", "--count", "40", "--scale", "1e160",
+                       "--variants", "all", "--jobs", jobs)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: Gram matrix contains non-finite entries\n"
+
 
 class TestMalformedNumericFlags:
     # a NaN tolerance would report every check violated, an infinite one

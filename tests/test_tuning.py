@@ -22,6 +22,7 @@ from bbbounds import (
     holder,
     optimize_exponent,
     orthonormalize,
+    parse_variant_list,
     profile_exponent,
     rank_variants,
 )
@@ -289,6 +290,25 @@ class TestTunedTerms:
         assert len(ranking.entries) == len(full_catalog())
         # the six slot terms; special:2.12 and cor32:3 share ``coarse``
         assert len(calls) == 6
+
+    @pytest.mark.parametrize(
+        "names, with_coeffs, reason",
+        [
+            ("ortho:4.4:p=2.0,lemma21:holder:2.0:max,bb:4.3:p=1.5", True, "orthonormality gate"),
+            ("lemma21:holder:2.0:max,bb:4.3:p=1.5", False, "requires coefficients"),
+        ],
+        ids=["gated", "no-coeffs"],
+    )
+    def test_rejected_rank_minimizes_nothing(self, names, with_coeffs, reason, monkeypatch):
+        # the rows a rank rejects are found before any holder term is minimized
+        calls = []
+        minimize = tuning._minimize
+        monkeypatch.setattr(tuning, "_minimize", lambda fn, interval: calls.append(interval) or minimize(fn, interval))
+        inst, coeffs = generate_instance(GenConfig(master_seed=42, count=4), 3)
+        with pytest.raises(IncompatibleInstanceError) as info:
+            rank_variants(inst, coeffs if with_coeffs else None, parse_variant_list(names))
+        assert info.value.reason == reason
+        assert calls == []
 
     @pytest.mark.parametrize("optimize_exponents", [True, False], ids=["tuned", "pinned"])
     def test_weighted_bound_is_x_norm_sq_times_its_combination_twin(self, optimize_exponents):

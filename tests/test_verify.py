@@ -1,5 +1,6 @@
 """Generator determinism, suite reporting, skips, and the witness search."""
 
+import hashlib
 import math
 import pickle
 from itertools import combinations
@@ -26,11 +27,13 @@ from bbbounds import (
     run_suite,
     search_incomparability,
 )
-from bbbounds.bounds import SKIP_REASONS, BoundEvaluation, EvalBlock, EvalContext, Plan
-from bbbounds.space import instance_to_jsonable, load_instance
+import bbbounds.verify as verify
+from bbbounds.bounds import SKIP_REASONS, BoundEvaluation, EvalContext, Plan, plan_for
+from bbbounds.space import ValidationError, instance_to_jsonable, load_instance
 from bbbounds.tuning import RankEntry, TightnessRanking, _relative_slack, _tuned_value
 from bbbounds.variants import _TERMS
-from bbbounds.verify import SuiteReport, VariantTotals, _Tally
+from bbbounds.verify import SuiteReport, VariantTotals, _Tally, _blocks
+from test_bounds import block_of
 
 E1 = [1.0, 0.0]
 
@@ -119,10 +122,12 @@ class TestGenerateInstance:
 
     def test_structured_stream(self):
         config = GenConfig(master_seed=11, count=10, structured_families=True)
-        inst0, _ = generate_instance(config, 0)
-        np.testing.assert_array_equal(inst0.family.vectors, np.array([[1.0], [1.0], [1.0]]))
-        inst1, _ = generate_instance(config, 1)
-        np.testing.assert_array_equal(inst1.family.vectors, np.array([[1.0], [0.5], [1.0]]))
+        # the canonical triples are not scaled
+        for given in (config, GenConfig(master_seed=11, count=10, structured_families=True, scale=3.0)):
+            inst0, _ = generate_instance(given, 0)
+            np.testing.assert_array_equal(inst0.family.vectors, np.array([[1.0], [1.0], [1.0]]))
+            inst1, _ = generate_instance(given, 1)
+            np.testing.assert_array_equal(inst1.family.vectors, np.array([[1.0], [0.5], [1.0]]))
         inst4, _ = generate_instance(config, 4)
         assert inst4.family.dim == 1 and inst4.n == 3
         assert np.all(inst4.family.vectors.real > 0) and inst4.field_mode == "real"
@@ -243,6 +248,20 @@ class _GivenSides:
         return np.where(checked, 0, 1), lhs, rhs
 
 
+class _Placeholders:
+    """Stands in for a ``bounds.EvalBlock`` of ``count`` instances where only
+    its length and its payload instances are read."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def instance(self, b):
+        return None, None
+
+
 class TestArrayReduce:
     # The suite's array judge and reduce, over blocks of instances, and the
     # merge of process ranges, against VariantTotals.record on the same samples.
@@ -257,7 +276,7 @@ class TestArrayReduce:
         tally = _Tally(_GivenSides(start, stop))
         edges = [start, *cuts, stop]
         for a, b in zip(edges, edges[1:]):
-            tally.add(a, EvalBlock([EvalContext(None)] * (b - a)), TolerancePolicy())
+            tally.add(a, _Placeholders(b - a), TolerancePolicy())
         return tally
 
     @staticmethod
@@ -581,7 +600,7 @@ class TestPlanMatchesScalarOracle:
 
         def tally(start, stop):
             t = _Tally(plan)
-            t.add(start, EvalBlock([EvalContext(*stream[index]) for index in range(start, stop)]), policy)
+            t.add(start, block_of([EvalContext(*stream[index]) for index in range(start, stop)]), policy)
             return t
 
         result = tally(0, cut or len(stream))
@@ -604,6 +623,124 @@ class TestPlanMatchesScalarOracle:
         gated = [v.name for v in self.CATALOG if v.orthonormal_only]
         assert {totals[name].checked for name in gated} == {2}
         assert {1, 4} <= {index for index, *_ in violations}
+
+
+def _first_error(config, names):
+    """The index and message of the first instance of the stream whose
+    generation, or a left-hand side the variants read, raises, one instance
+    at a time; None if none does."""
+    sides = [a for a in plan_for(tuple(parse_variant_list(names))).lhs_attrs if a != "lhs_fourier"]
+    for index in range(config.count):
+        try:
+            ctx = EvalContext(*generate_instance(config, index))
+            for attr in sides:
+                getattr(ctx, attr)
+        except ValidationError as exc:
+            return index, str(exc)
+    return None
+
+
+def _texts(values) -> str:
+    """repr of an array's entries as Python numbers: equal exactly when the bits are."""
+    return repr(np.asarray(values).tolist())
+
+
+class TestBlockGeneration:
+    # a generated block holds, instance by instance, the bits that
+    # generate_instance and EvalContext give one instance at a time
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (GenConfig(master_seed=42, count=200), "06b5d3f6e325b9e4"),
+            (GenConfig(master_seed=7, count=120, structured_families=True), "fa62aceb02e325f9"),
+            (WIDE_CONFIG, "590ad7c841238e29"),
+            (GenConfig(master_seed=9, count=100, field_mode="real"), "4ce4e0676c969bed"),
+            (GenConfig(master_seed=9, count=100, field_mode="complex"), "8736186ae3ca523a"),
+            pytest.param(GenConfig(master_seed=42, count=100, scale=1e150), "04e993ca8517d1d2", marks=SCALAR_OVERFLOW),
+            (GenConfig(master_seed=42, count=100, scale=1e-170), "e5dd1e720db664cc"),
+        ],
+        ids=["seed42", "structured", "wide", "real", "complex", "scale1e150", "scale1e-170"],
+    )
+    def test_blocks_match_one_instance_at_a_time(self, config, digest):
+        # the digests were recorded before the generator drew each instance
+        # with one standard_normal call
+        h = hashlib.sha256()
+        for index in range(config.count):
+            inst, coeffs = generate_instance(config, index)
+            for a in (inst.x, inst.family.vectors, coeffs, inst.bordered.entries):
+                h.update(a.tobytes())
+            h.update(inst.field_mode.encode())
+        assert h.hexdigest()[:16] == digest
+        index = 0
+        for first, block in _blocks(config, plan_for(tuple(full_catalog())), 0, config.count):
+            assert first == index
+            for b in range(len(block)):
+                inst, coeffs = generate_instance(config, index)
+                ctx = EvalContext(inst, coeffs)
+                n = inst.n
+                assert block.n[b] == n
+                assert _texts(block.bordered[b, : n + 1, : n + 1]) == _texts(inst.bordered.entries)
+                assert not block.bordered[b, n + 1 :].any() and not block.bordered[b, :, n + 1 :].any()
+                assert _texts(block.coeffs.values[b, :n]) == _texts(coeffs) and not block.coeffs.values[b, n:].any()
+                assert _texts(block.bordered[b, 0, 1 : n + 1]) == _texts(inst.fourier)
+                for attr in ("x_norm_sq", "lhs_combination", "lhs_weighted"):
+                    assert repr(float(getattr(block, attr)[b])) == repr(getattr(ctx, attr)), (index, attr)
+                index += 1
+        assert index == config.count and first > 0
+
+    @pytest.mark.parametrize(
+        "scale, names",
+        [(1e76, "all"), (1e76, "thm31:max:max"), (1e76, "bb:1.2"), (1e76, "lemma21:max:max"), (1e160, "all")],
+    )
+    def test_errors_are_those_of_one_instance_at_a_time(self, scale, names):
+        # the weighted side overflows at 1e76, and every Gram matrix at 1e160
+        config = GenConfig(master_seed=42, count=40, scale=scale)
+        expected = _first_error(config, names)
+        if expected is None:
+            assert names in ("bb:1.2", "lemma21:max:max")
+            assert run_suite(config, parse_variant_list(names)).to_csv() == _scalar_report(config, parse_variant_list(names)).to_csv()
+            return
+        with pytest.raises(ValidationError) as info:
+            run_suite(config, parse_variant_list(names))
+        assert str(info.value) == expected[1]
+
+    @pytest.mark.parametrize(
+        "scale, names, message",
+        [
+            (1e51, "all", "weighted left-hand side"),
+            (1e51, "thm31:max:max", "weighted left-hand side"),
+            # the instances before the first to fail warn one at a time
+            pytest.param(2e153, "all", "Gram matrix contains non-finite entries", marks=SCALAR_OVERFLOW),
+        ],
+    )
+    def test_errors_raised_mid_block(self, scale, names, message, monkeypatch):
+        # the first instance to fail is neither the first of its block nor the
+        # first of the stream; its block is generated up to the end first
+        config = GenConfig(master_seed=42, count=100, scale=scale)
+        index, expected = _first_error(config, names)
+        assert expected.startswith(message)
+        blocks = []
+        generated = verify._generated_block
+        monkeypatch.setattr(
+            verify, "_generated_block",
+            lambda config, first, draws, sides: blocks.append((first, len(draws))) or generated(config, first, draws, sides),
+        )
+        for jobs in (1, 2):
+            with pytest.raises(ValidationError) as info:
+                run_suite(config, parse_variant_list(names), jobs=jobs)
+            assert str(info.value) == expected
+        first, size = blocks[-1]
+        assert first < index < first + size
+
+    def test_violation_payloads_are_the_regenerated_instances(self):
+        policy = TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)
+        for config in (GenConfig(master_seed=3, count=60), GenConfig(master_seed=7, count=30, structured_families=True)):
+            report = run_suite(config, full_catalog(), policy)
+            assert report.violations
+            for violation in report.violations:
+                expected = instance_to_jsonable(*generate_instance(config, violation["instance_id"]))
+                assert violation["instance"] == expected
 
 
 class TestWideFamilyGolden:
