@@ -27,14 +27,17 @@ evaluates blocks.  A block is given zero-padded stacks of its instances'
 bordered Gram matrices and coefficients, and their combination and weighted
 left-hand sides (``verify`` generates all of them a block at a time); it
 reads its statistics, ``|x|^2`` and the Fourier vectors from the stacks.
-The same term functions run on both, and each instance of a block gets the
-bits of its own evaluation: the block forms of the statistics
-(``_GramBlock``, ``_CoeffBlock``, ``_PowerBlock``) sort each instance's
-magnitudes and divide by their maximum as one instance does, let the zero
-padding add exactly 0.0 to sums taken left to right along the row, and take
-every power with Python's float power on the real entries only (float64
-``np.power`` differs from it in the last bit); the contexts carry the rest
-of the arithmetic that differs between floats and arrays.
+The same term functions and the same statistics run on both, and each
+instance of a block gets the bits of its own evaluation.  Each statistic is
+one class, ``GramStats`` or ``CoeffStats``, written once over ``...`` axes;
+the arithmetic that differs between floats and arrays is the pair
+``_Floats``/``_Arrays``, which the contexts and the power sums inherit.  The
+power sums are the one fork, by input: ``_PowerStats`` loops over one
+instance's values in Python, and ``_PowerBlock`` sorts each instance's
+magnitudes and divides by their maximum as one instance does, lets the zero
+padding add exactly 0.0 to sums taken left to right along the row, and
+takes every power with Python's float power on the real entries only
+(float64 ``np.power`` differs from it in the last bit).
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
@@ -148,42 +151,61 @@ def _sequential_sum(a: np.ndarray):
 class _Block(NamedTuple):
     """The Gram matrices or the vectors of consecutive instances, zero-padded
     into one stack with a leading instance axis, and each instance's n:
-    given to ``GramStats`` or ``CoeffStats``, it builds their block form."""
+    given to ``GramStats`` or ``CoeffStats``, it gives their statistics of
+    each instance as arrays."""
 
     values: np.ndarray
     n: np.ndarray
 
 
-def _first(count: np.ndarray, width: int) -> np.ndarray:
-    """The mask of the first ``count`` entries of each (instances, width) row."""
-    return np.arange(width) < count[:, None]
+def _first(count, width: int) -> np.ndarray:
+    """The mask of the first ``count`` entries of each row of ``width``."""
+    return np.arange(width) < np.asarray(count)[..., None]
 
 
-def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
-    """``base ** exponent`` entry by entry with Python's float power
-    (object-dtype ``np.power``): float64 ``np.power`` differs from it in the
-    last bit on some entries."""
-    return np.power(base.astype(object), exponent).astype(np.float64)
+class _Floats:
+    """The arithmetic that one instance's statistics and terms compute with,
+    on Python floats (``bool`` makes a verdict a Python bool).  ``_Arrays``
+    is the same entry by entry on arrays with a leading instance axis."""
+
+    __slots__ = ()
+    sqrt = staticmethod(math.sqrt)
+    pow = staticmethod(pow)
+    min = staticmethod(min)
+    max = staticmethod(max)
+    zero_where = staticmethod(lambda zero, value: 0.0 if zero else value)
+    bool = staticmethod(bool)
 
 
-def _min(a: np.ndarray, b) -> np.ndarray:
-    """Python's ``min(a, b)`` entry by entry: ``a`` unless ``b`` is smaller, so a NaN ``a`` stays."""
-    return np.where(b < a, b, a)
+class _Arrays:
+    """``_Floats`` entry by entry on float64 arrays, bit for bit: IEEE
+    arithmetic and ``np.sqrt`` agree with Python's floats; ``pow`` takes
+    Python's float power of each entry (object-dtype ``np.power``: float64
+    ``np.power`` differs from it in the last bit on some entries); ``min``
+    and ``max`` keep Python's rules (``a`` unless ``b`` is smaller, or
+    larger, so a NaN ``a`` stays)."""
+
+    __slots__ = ()
+    sqrt = staticmethod(np.sqrt)
+    pow = staticmethod(lambda base, exponent: np.power(base.astype(object), exponent).astype(np.float64))
+    min = staticmethod(lambda a, b: np.where(b < a, b, a))
+    max = staticmethod(lambda a, b: np.where(b > a, b, a))
+    zero_where = staticmethod(lambda zero, value: np.where(zero, 0.0, value))
+    bool = staticmethod(np.asarray)
 
 
-def _max(a: np.ndarray, b) -> np.ndarray:
-    """Python's ``max(a, b)`` entry by entry: ``a`` unless ``b`` is larger."""
-    return np.where(b > a, b, a)
-
-
-class _PowerStats:
-    """Memoized scaled power sums of a fixed float64 array of nonnegative values.
+class _PowerStats(_Floats):
+    """Memoized scaled power sums of one instance's nonnegative values.
 
     ``maximum`` and ``second`` are Python floats, and the power sums are
-    Python loops of ``r**p``, which keeps one instance's evaluation on floats
-    (the tuner calls it at a fresh exponent each time).  The array work is
-    exact: sorting, and one IEEE division per element.  ``_PowerBlock`` is
-    the same for a block of instances.
+    Python loops of ``r**p``.  The array work is exact: sorting, and one
+    IEEE division per element.  ``_PowerBlock`` gives the same of a block of
+    instances; the statistics are written once over both.  They stay two
+    classes because one instance evaluated as a block of one is several
+    times slower, and the tuner evaluates one instance at a fresh exponent
+    each time (on 100 seed-11 instances on a 2-core machine, 1.6-2.2 ms
+    instead of 0.26-0.33 ms per ``optimize_exponent``, and 8.1 ms instead
+    of 1.7-2.0 ms per tuned ``rank_variants``).
     """
 
     __slots__ = ("maximum", "second", "_scaled", "_memo", "_bracket_memo")
@@ -198,21 +220,22 @@ class _PowerStats:
         self._memo: dict[float, float] = {}
         self._bracket_memo: dict[float, float] = {}
 
-    def scaled_pow_sum(self, p: float) -> float:
-        """sum (v / max)^p; every term is in [0, 1]."""
+    def root(self, p: float, e: float, factor: float = 1.0) -> float:
+        """(factor * sum (v / max)^p)^e; every term of the sum is in [0, 1],
+        and the sum is memoized."""
         s = self._memo.get(p)
         if s is None:
             s = 0.0
             for r in self._scaled:
                 s += r**p
             self._memo[p] = s
-        return s
+        return (factor * s) ** e
 
-    def pair_bracket_scaled(self, p: float) -> float:
-        """(sum (v/max)^p)^2 - sum (v/max)^(2p), i.e. the ordered-pair double
-        sum of (v_i v_j / max^2)^p, with the leading 1s of both power sums
-        cancelled symbolically: writing s1 = 1 + r gives 2r + r^2 - r2, which
-        cannot lose the pair information to rounding at large p.
+    def bracket_root(self, p: float, e: float) -> float:
+        """[(sum (v/max)^p)^2 - sum (v/max)^(2p)]^e, the ordered-pair double
+        sum of (v_i v_j / max^2)^p, memoized, with the leading 1s of both power
+        sums cancelled symbolically: writing s1 = 1 + r gives 2r + r^2 - r2,
+        which cannot lose the pair information to rounding at large p.
         """
         s = self._bracket_memo.get(p)
         if s is None:
@@ -224,20 +247,21 @@ class _PowerStats:
                 r2 += up * up
             s = max(2.0 * r + r * r - r2, 0.0)
             self._bracket_memo[p] = s
-        return s
+        return s ** e
 
 
-class _PowerBlock:
+class _PowerBlock(_Arrays):
     """``_PowerStats`` of a block of instances, one padded row each, as arrays
     with a leading instance axis, bit for bit the values ``_PowerStats``
     gives each row: the real entries of a row are sorted in descending order
     and divided by their maximum, the padding is zero, powers are taken on
-    the real entries only, with Python's float power one entry at a time
-    (float64 ``np.power`` differs from it), and sums add left to right along
-    the row.
+    the real entries only, with Python's float power one entry at a time,
+    and sums add left to right along the row.  The terms read each root at
+    the same few exponents, and a root costs one Python float power per
+    instance, so the roots are memoized.
     """
 
-    __slots__ = ("maximum", "second", "_scaled", "_live", "_entries", "_memo", "_bracket_memo")
+    __slots__ = ("maximum", "second", "_scaled", "_live", "_entries", "_memo")
 
     def __init__(self, values: np.ndarray, count: np.ndarray):
         # a row holds ``count`` nonnegative values and zero padding, in any
@@ -251,50 +275,59 @@ class _PowerBlock:
         self._live = _first(count, desc.shape[1]) & (m > 0.0)[:, None]
         self._scaled = np.divide(desc, m[:, None], out=np.zeros(desc.shape), where=self._live)
         self._entries = self._scaled[self._live]
-        self._memo: dict[float, np.ndarray] = {}
-        self._bracket_memo: dict[float, np.ndarray] = {}
+        self._memo: dict[tuple, np.ndarray] = {}
 
     def _powers(self, p: float) -> np.ndarray:
         out = np.zeros(self._scaled.shape)
         out[self._live] = np.fromiter(map(pow, self._entries.tolist(), repeat(p)), np.float64, self._entries.size)
         return out
 
-    def scaled_pow_sum(self, p: float) -> np.ndarray:
-        s = self._memo.get(p)
-        if s is None:
-            s = self._memo[p] = _sequential_sum(self._powers(p))
-        return s
+    def _memoized(self, key: tuple, compute) -> np.ndarray:
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+        return value
 
-    def pair_bracket_scaled(self, p: float) -> np.ndarray:
-        s = self._bracket_memo.get(p)
-        if s is None:
+    def root(self, p: float, e: float, factor: float = 1.0) -> np.ndarray:
+        return self._memoized((p, e, factor), lambda: self.pow(factor * _sequential_sum(self._powers(p)), e))
+
+    def bracket_root(self, p: float, e: float) -> np.ndarray:
+        def bracket():
             tail = self._powers(p)[:, 1:]
             r, r2 = _sequential_sum(tail), _sequential_sum(tail * tail)
-            s = self._bracket_memo[p] = _max(2.0 * r + r * r - r2, 0.0)
-        return s
+            return self.pow(self.max(2.0 * r + r * r - r2, 0.0), e)
+
+        return self._memoized((p, e, "bracket"), bracket)
+
+
+def _power_sums(values: np.ndarray, count) -> _PowerStats | _PowerBlock:
+    """The power sums of one instance's values, or of a block's padded rows."""
+    return _PowerBlock(values, count) if values.ndim > 1 else _PowerStats(values)
+
+
+def _rows(values, convert) -> tuple[np.ndarray, np.ndarray | int]:
+    """A ``_Block`` as given, or one instance's ``convert``ed array and its length."""
+    if isinstance(values, _Block):
+        return values
+    values = convert(values)
+    return values, values.shape[0]
 
 
 class CoeffStats:
-    """Magnitude summaries of one coefficient vector, shared across bounds.
-
-    Given a ``_Block`` of coefficient vectors, it builds ``_CoeffBlock``, the
-    same summaries of each as arrays with a leading instance axis.
-    """
+    """Magnitude summaries of one coefficient vector, shared across bounds:
+    Python floats; or, given a ``_Block`` of coefficient vectors, arrays with
+    a leading instance axis, each instance's entry bit for bit its own."""
 
     __slots__ = ("n", "_pow", "sum_a2", "max_a", "max_a2", "top2_prod")
 
-    def __new__(cls, coeffs):
-        return object.__new__(_CoeffBlock if isinstance(coeffs, _Block) else cls)
-
     def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=np.complex128)
+        c, self.n = _rows(coeffs, lambda v: np.asarray(v, dtype=np.complex128))
         a = np.hypot(c.real, c.imag)
-        self.n = a.shape[0]
-        self._pow = _PowerStats(a)
+        self._pow = _power_sums(a, self.n)
         self.sum_a2 = _sequential_sum(a * a)
         self.max_a = self._pow.maximum
         self.max_a2 = self.max_a * self.max_a
-        self.top2_prod = self.max_a * self._pow.second if self.n >= 2 else 0.0
+        self.top2_prod = self._pow.zero_where(self.n < 2, self.max_a * self._pow.second)
 
     @property
     def sum_bracket(self):
@@ -303,65 +336,24 @@ class CoeffStats:
         return self.holder_bracket_root(1.0)
 
     def norm_a2(self, p: float) -> float:
-        """(sum a^(2p))^(1/p), the p-norm of the squared magnitudes."""
-        if self.max_a == 0.0:
-            return 0.0
-        return self.max_a2 * self._pow.scaled_pow_sum(2.0 * p) ** (1.0 / p)
+        """(sum a^(2p))^(1/p), the p-norm of the squared magnitudes; a zero
+        maximum has power sum 0.0 and gives 0.0."""
+        return self.max_a2 * self._pow.root(2.0 * p, 1.0 / p)
 
     def holder_bracket_root(self, g: float) -> float:
         """[(sum a^g)^2 - sum a^(2g)]^(1/g), the ordered pair sum in closed form.
 
         Floored at 2^(1/g) times the largest pair product (the two ordered
         copies of the dominant pair), which is also the exact g -> infinity
-        limit, so extreme exponents cannot underflow the term to zero.
+        limit, so extreme exponents cannot underflow the term to zero.  It
+        is 0.0 when n < 2, where an infinite maximum would give inf * 0.0.
         """
-        if self.n < 2 or self.max_a == 0.0:
+        zero = self.n < 2
+        if zero is True:
             return 0.0
-        root = self.max_a2 * self._pow.pair_bracket_scaled(g) ** (1.0 / g)
-        return max(root, self.top2_prod * 2.0 ** (1.0 / g))
-
-
-def _per_exponent(method):
-    """A block statistic's method, computed once per exponent: the terms read
-    each norm at the same few exponents, and a root power costs one Python
-    float power per instance."""
-
-    def memoized(self, p: float) -> np.ndarray:
-        key = (method.__name__, p)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = method(self, p)
-        return value
-
-    return memoized
-
-
-class _CoeffBlock(CoeffStats):
-    """``CoeffStats`` of a block of coefficient vectors, bit for bit: each
-    summary an array with a leading instance axis.  A guard of the scalar
-    form that only saves work is dropped (its value comes out the same), and
-    the one that keeps an inf times zero from giving NaN is a mask."""
-
-    __slots__ = ("_memo",)
-
-    def __init__(self, coeffs: _Block):
-        self._memo: dict = {}
-        c, self.n = coeffs
-        a = np.hypot(c.real, c.imag)
-        self._pow = _PowerBlock(a, self.n)
-        self.sum_a2 = _sequential_sum(a * a)
-        self.max_a = self._pow.maximum
-        self.max_a2 = self.max_a * self.max_a
-        self.top2_prod = np.where(self.n >= 2, self.max_a * self._pow.second, 0.0)
-
-    @_per_exponent
-    def norm_a2(self, p: float) -> np.ndarray:
-        return self.max_a2 * _pow(self._pow.scaled_pow_sum(2.0 * p), 1.0 / p)
-
-    @_per_exponent
-    def holder_bracket_root(self, g: float) -> np.ndarray:
-        root = self.max_a2 * _pow(self._pow.pair_bracket_scaled(g), 1.0 / g)
-        return np.where(self.n < 2, 0.0, _max(root, self.top2_prod * 2.0 ** (1.0 / g)))
+        ps = self._pow
+        root = self.max_a2 * ps.bracket_root(g, 1.0 / g)
+        return ps.zero_where(zero, ps.max(root, self.top2_prod * 2.0 ** (1.0 / g)))
 
 
 @lru_cache(maxsize=128)
@@ -378,88 +370,48 @@ def _gram_entries(gram) -> np.ndarray:
 
 
 class GramStats:
-    """Diagonal and ordered off-diagonal summaries of one Gram matrix.
+    """Diagonal and ordered off-diagonal summaries of one Gram matrix:
+    Python floats; or, given a ``_Block`` of zero-padded Gram matrices,
+    arrays with a leading instance axis, each instance's entry bit for bit
+    its own.
 
     The entries are read as whole arrays: the real diagonal, and the
     magnitudes of the strict upper triangle in row-major order, taken with
     ``np.hypot``, which matches Python's ``abs(complex)`` bit for bit
-    (``np.abs`` on complex arrays does not everywhere).  Given a ``_Block``
-    of Gram matrices, it builds ``_GramBlock``, the same summaries of each
-    as arrays with a leading instance axis.
+    (``np.abs`` on complex arrays does not everywhere).  Over the padded
+    width of a block, an instance's padding pairs fall between its own, and
+    add exactly 0.0 to its sums.
     """
 
     __slots__ = ("n", "diag", "_diag", "_off", "sum_diag", "max_diag", "sum_off", "max_off")
 
-    def __new__(cls, gram):
-        return object.__new__(_GramBlock if isinstance(gram, _Block) else cls)
-
     def __init__(self, gram):
-        e = _gram_entries(gram)
-        n = e.shape[0]
-        self.n = n
-        u = e[_upper_pairs(n)]
-        self.diag, off = e.diagonal().real, np.hypot(u.real, u.imag)
-        self._diag = _PowerStats(self.diag)
-        self._off = _PowerStats(off)
+        e, self.n = _rows(gram, _gram_entries)
+        u = e[(..., *_upper_pairs(e.shape[-1]))]
+        self.diag, off = e.diagonal(0, -2, -1).real, np.hypot(u.real, u.imag)
+        self._diag, self._off = _power_sums(self.diag, self.n), _power_sums(off, self.n * (self.n - 1) // 2)
         self.sum_diag = _sequential_sum(self.diag)
         self.max_diag = self._diag.maximum
         self.sum_off = 2.0 * _sequential_sum(off)     # ordered pairs
         self.max_off = self._off.maximum
 
     def norm_diag(self, q: float) -> float:
-        """(sum of diagonal^q)^(1/q)."""
-        if self.max_diag == 0.0:
-            return 0.0
-        return self.max_diag * self._diag.scaled_pow_sum(q) ** (1.0 / q)
+        """(sum of diagonal^q)^(1/q); a zero maximum has power sum 0.0, and
+        ``+ 0.0`` gives 0.0 for the -0.0 one of a raw Gram."""
+        return self.max_diag * self._diag.root(q, 1.0 / q) + 0.0
 
     def norm_off(self, q: float) -> float:
         """(sum over ordered pairs of |entry|^q)^(1/q)."""
-        if self.max_off == 0.0:
-            return 0.0
-        return self.max_off * (2.0 * self._off.scaled_pow_sum(q)) ** (1.0 / q)
+        return self.max_off * self._off.root(q, 1.0 / q, 2.0)
 
     def orthonormal_within(self) -> bool:
-        if self.max_off > ORTHONORMAL_GATE_TOL:
+        """Every real diagonal entry and off-diagonal magnitude within
+        ``ORTHONORMAL_GATE_TOL`` of the identity's."""
+        far = self.max_off > ORTHONORMAL_GATE_TOL
+        if far is True:
             return False
-        return bool(np.all(np.abs(self.diag - 1.0) <= ORTHONORMAL_GATE_TOL))
-
-
-class _GramBlock(GramStats):
-    """``GramStats`` of a zero-padded stack of Gram matrices, bit for bit:
-    each summary an array with a leading instance axis.  A zero maximum
-    needs no guard: its power sum is 0.0 too."""
-
-    __slots__ = ("_real", "_memo")
-
-    def __init__(self, grams: _Block):
-        self._memo: dict = {}
-        stack, n = grams
-        width = stack.shape[1]
-        self.n = n
-        self.diag = stack.diagonal(axis1=1, axis2=2).real.copy()
-        self._real = _first(n, width)
-        # row-major over the padded width: the padding pairs fall between an
-        # instance's own, and add exactly 0.0 to its sums
-        rows, cols = _upper_pairs(width)
-        u = stack[:, rows, cols]
-        off = np.hypot(u.real, u.imag)
-        self._diag, self._off = _PowerBlock(self.diag, n), _PowerBlock(off, n * (n - 1) // 2)
-        self.sum_diag = _sequential_sum(self.diag)
-        self.max_diag = self._diag.maximum
-        self.sum_off = 2.0 * _sequential_sum(off)
-        self.max_off = self._off.maximum
-
-    @_per_exponent
-    def norm_diag(self, q: float) -> np.ndarray:
-        return self.max_diag * _pow(self._diag.scaled_pow_sum(q), 1.0 / q)
-
-    @_per_exponent
-    def norm_off(self, q: float) -> np.ndarray:
-        return self.max_off * _pow(2.0 * self._off.scaled_pow_sum(q), 1.0 / q)
-
-    def orthonormal_within(self) -> np.ndarray:
-        near = (np.abs(self.diag - 1.0) <= ORTHONORMAL_GATE_TOL) | ~self._real
-        return ~(self.max_off > ORTHONORMAL_GATE_TOL) & near.all(axis=1)
+        near = (np.abs(self.diag - 1.0) <= ORTHONORMAL_GATE_TOL) | ~_first(self.n, self.diag.shape[-1])
+        return self._diag.bool(near.all(axis=-1) & np.logical_not(far))
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +429,14 @@ def _gram_matrix(family_or_gram) -> GramMatrix:
     return GramMatrix(np.asarray(family_or_gram)).validate()
 
 
-class EvalContext:
-    """Per-instance statistics shared by all variant evaluations.
+class EvalContext(_Floats):
+    """Per-instance statistics shared by all variant evaluations, with the
+    arithmetic of the terms (``variants``) on Python floats.
 
     Each summary is built on first use and kept, so a sweep over the whole
     catalog pays for each power sum once.  ``tuned`` keeps the minimum of
     each exponent term that tuning has minimized on this instance.
     """
-
-    # the arithmetic of the terms (``variants``) on Python floats
-    sqrt = staticmethod(math.sqrt)
-    pow = staticmethod(pow)
-    min = staticmethod(min)
-    zero_where = staticmethod(lambda zero, value: 0.0 if zero else value)
 
     def __init__(self, inst: ProblemInstance | None, coeffs=None):
         self.inst = inst
@@ -558,7 +505,7 @@ class EvalContext:
         return self.fourier_stats.sum_a2
 
 
-class EvalBlock:
+class EvalBlock(_Arrays):
     """Consecutive instances, all with coefficients, evaluated together: the
     statistics and left-hand sides of ``EvalContext``, each an array with a
     leading instance axis.  A block is given zero-padded stacks: each
@@ -566,16 +513,10 @@ class EvalBlock:
     it) and coefficients, with its n; its combination and weighted
     left-hand sides, where a plan reads them; and ``instance``, which gives
     the (instance, coefficients) of the b-th one for a violation's payload.
-    The statistics are the block forms of ``GramStats`` and ``CoeffStats``,
-    built on first use from the stacks; like Python floats, they compute
-    without numpy warnings.
+    The statistics are ``GramStats`` and ``CoeffStats`` of the stacks,
+    built on first use; like Python floats, they compute without numpy
+    warnings.  The terms compute on them with the arithmetic of arrays.
     """
-
-    # the arithmetic of the terms (``variants``) on arrays, bit for bit as on floats
-    sqrt = staticmethod(np.sqrt)
-    pow = staticmethod(_pow)
-    min = staticmethod(_min)
-    zero_where = staticmethod(lambda zero, value: np.where(zero, 0.0, value))
 
     def __init__(self, bordered, n, coeffs, instance, lhs_combination=None, lhs_weighted=None):
         self.bordered, self.n, self.instance = bordered, n, instance
@@ -660,10 +601,10 @@ class Plan:
         unmet[..., 2] = ctx.coeffs is None
         return self.need * unmet[..., self.need]
 
-    def evaluate(self, ctx: EvalContext | EvalBlock, tuned=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(skips, lhs, rhs)`` for every row, the two sides meaning nothing
-        where it is skipped; for a block, arrays of (instances, rows), each
-        instance's row bit for bit its own evaluation.  ``tuned``, a function
+    def evaluate(self, ctx: EvalContext | EvalBlock, tuned=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(lhs, rhs)`` for every row, meaning nothing where ``skips`` skips
+        it; for a block, arrays of (instances, rows), each instance's row bit
+        for bit its own evaluation.  ``tuned``, a function
         of (context, ``_TERMS`` key), gives each holder slot's term in place
         of its value at the slot's exponent."""
         bare = ctx.coeffs is None
@@ -681,12 +622,13 @@ class Plan:
             np.add(rhs, second, out=rhs, where=self.two_terms)
             if self.weighted.any():
                 np.multiply(rhs, np.asarray(ctx.x_norm_sq)[..., None], out=rhs, where=self.weighted)
-        return self.skips(ctx), np.array(sides, dtype=np.float64).T[..., self.lhs_index], rhs
+        return np.array(sides, dtype=np.float64).T[..., self.lhs_index], rhs
 
     def check(self, ctx: EvalContext, policy: TolerancePolicy) -> list[BoundEvaluation | str]:
         """Each variant of the caller's tuple, in its order: its evaluation, in
         Python floats and bools, or the reason it is skipped."""
-        skips, lhs, rhs = self.evaluate(ctx)
+        lhs, rhs = self.evaluate(ctx)
+        skips = self.skips(ctx)
         with np.errstate(over="ignore", invalid="ignore"):
             slack, holds = rhs - lhs, policy.holds(lhs, rhs)
         rows = [

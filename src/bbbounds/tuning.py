@@ -271,7 +271,7 @@ def rank_variants(
     skips = plan.skips(ctx)
     if skips.any():
         raise IncompatibleInstanceError(SKIP_REASONS[skips[skips > 0][0]])
-    _, lhs, rhs = plan.evaluate(ctx, _tuned_value if optimize_exponents else None)
+    lhs, rhs = plan.evaluate(ctx, _tuned_value if optimize_exponents else None)
     lhs, rhs = lhs.tolist(), rhs.tolist()
     entries = [RankEntry(plan.names[k], rhs[k], _relative_slack(lhs[k], rhs[k])) for k in plan.order]
     entries.sort(key=lambda e: (e.rhs, e.variant))

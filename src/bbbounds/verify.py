@@ -54,9 +54,8 @@ from .bounds import (
     EvalContext,
     Plan,
     TolerancePolicy,
+    _Arrays,
     _first,
-    _max,
-    _pow,
     plan_for,
     remark4_quantities,
 )
@@ -350,7 +349,8 @@ class _Tally:
     def add(self, start: int, block: EvalBlock, policy: TolerancePolicy) -> None:
         """Judge and fold the instances ``start``, ``start + 1``, ... of ``block``."""
         plan = self.plan
-        skips, lhs, rhs = plan.evaluate(block)
+        lhs, rhs = plan.evaluate(block)
+        skips = plan.skips(block)
         checked = skips == 0
         with np.errstate(invalid="ignore", over="ignore"):
             holds = policy.holds(lhs, rhs)
@@ -472,11 +472,11 @@ def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: l
             bad |= ~np.isfinite(coeffs).all(axis=1) | ~np.isfinite(family).all(axis=(1, 2))
             for fault in _double_sum_faults(value, mass, direct):
                 bad |= fault
-            lhs["lhs_combination"] = _max(value.real, 0.0)
+            lhs["lhs_combination"] = _Arrays.max(value.real, 0.0)
         if weighted:
             roots = np.hypot(dots.real, dots.imag)
             try:
-                lhs["lhs_weighted"] = _pow(roots, 2.0)
+                lhs["lhs_weighted"] = _Arrays.pow(roots, 2.0)
             except OverflowError:
                 bad |= [_square_overflows(r) for r in roots.tolist()]
     if bad.any():

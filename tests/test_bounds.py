@@ -648,13 +648,72 @@ def reference_pair_bracket(scaled, p):
     return max(2.0 * r + r * r - r2, 0.0)
 
 
+def _bits(value) -> str:
+    """repr of a float: equal exactly when the bits are (0.0 and -0.0, and NaN, included)."""
+    return repr(float(value))
+
+
+def _descending(values):
+    """The maximum, the values in descending order, and those divided by the maximum (none if it is zero)."""
+    desc = sorted((float(v) for v in values), reverse=True)
+    m = desc[0] if desc else 0.0
+    return m, desc, [v / m for v in desc] if m > 0.0 else []
+
+
+def reference_norm(values, q, factor=1.0):
+    """(factor * sum v^q)^(1/q) with the maximum factored out; 0.0 for a zero maximum."""
+    m, _, scaled = _descending(values)
+    if m == 0.0:
+        return 0.0
+    return m * (factor * reference_scaled_pow_sum(scaled, q)) ** (1.0 / q)
+
+
+def reference_norm_a2(a, p):
+    """(sum a^(2p))^(1/p) with the maximum factored out; 0.0 for a zero maximum."""
+    m, _, scaled = _descending(a)
+    if m == 0.0:
+        return 0.0
+    return m * m * reference_scaled_pow_sum(scaled, 2.0 * p) ** (1.0 / p)
+
+
+def reference_bracket_root(a, g):
+    """The pair bracket root floored at 2^(1/g) times the top pair product;
+    0.0 for n < 2 or a zero maximum."""
+    m, desc, scaled = _descending(a)
+    if len(desc) < 2 or m == 0.0:
+        return 0.0
+    return max(m * m * reference_pair_bracket(scaled, g) ** (1.0 / g), m * desc[1] * 2.0 ** (1.0 / g))
+
+
+def reference_gram_norms(entries, q):
+    """``norm_diag(q)`` and ``norm_off(q)`` of a Gram matrix, entry by entry."""
+    e = np.asarray(entries)
+    n = e.shape[0]
+    diag = [float(e[i, i].real) for i in range(n)]
+    off = [abs(complex(e[i, j])) for i in range(n) for j in range(i + 1, n)]
+    return {f"norm_diag({q})": reference_norm(diag, q), f"norm_off({q})": reference_norm(off, q, 2.0)}
+
+
+def reference_coeff_norms(coeffs, p, prefix=""):
+    """``norm_a2(p)`` and ``holder_bracket_root(p)`` of a coefficient vector, entry by entry."""
+    a = [abs(complex(c)) for c in coeffs]
+    return {
+        f"{prefix}norm_a2({p})": reference_norm_a2(a, p),
+        f"{prefix}holder_bracket_root({p})": reference_bracket_root(a, p),
+    }
+
+
+REFERENCE_EXPONENTS = (1.0, 1.25, 2.0, 3.0, 64.0)
+
+
 def assert_power_stats_identical(ps, values):
     m, scaled = reference_power_stats(values)
     assert list(ps._scaled) == scaled
     assert ps.maximum == m
     for p in (1.0, 2.0, 1.25):
-        s = ps.scaled_pow_sum(p)
-        b = ps.pair_bracket_scaled(p)
+        # a root at exponent 1.0 is the power sum itself (x ** 1.0 is x)
+        s = ps.root(p, 1.0)
+        b = ps.bracket_root(p, 1.0)
         assert s == reference_scaled_pow_sum(scaled, p)
         assert b == reference_pair_bracket(scaled, p)
         assert type(s) is float and type(b) is float
@@ -676,6 +735,10 @@ def assert_gram_stats_identical(gram):
         assert type(v) is float
     tol = ORTHONORMAL_GATE_TOL
     assert gs.orthonormal_within() is (not gs.max_off > tol and all(abs(d - 1.0) <= tol for d in diag))
+    for q in REFERENCE_EXPONENTS:
+        for name, value in reference_gram_norms(e, q).items():
+            got = getattr(gs, name.split("(")[0])(q)
+            assert type(got) is float and _bits(got) == _bits(value), name
 
 
 def assert_coeff_stats_identical(coeffs):
@@ -689,6 +752,10 @@ def assert_coeff_stats_identical(coeffs):
     assert cs.top2_prod == (top[0] * top[1] if len(a) >= 2 else 0.0)
     for v in (cs.sum_a2, cs.max_a, cs.max_a2, cs.top2_prod, cs.sum_bracket):
         assert type(v) is float
+    for p in REFERENCE_EXPONENTS:
+        for name, value in reference_coeff_norms(coeffs, p).items():
+            got = getattr(cs, name.split("(")[0])(p)
+            assert type(got) is float and _bits(got) == _bits(value), name
 
 
 class TestStatsBitIdentity:
@@ -711,6 +778,7 @@ class TestStatsBitIdentity:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8])
     def test_all_zero_gram(self, n):
         assert_gram_stats_identical(np.zeros((n, n), dtype=np.complex128))
+        assert_gram_stats_identical(-np.zeros((n, n)))  # a -0.0 diagonal maximum
         assert_coeff_stats_identical(np.zeros(n))
 
     def test_plain_real_and_integer_arrays(self):
@@ -766,11 +834,6 @@ def block_of(contexts):
     return EvalBlock(bordered, n, coeffs, lambda b: (contexts[b].inst, contexts[b].coeffs), **sides)
 
 
-def _bits(value) -> str:
-    """repr of a float: equal exactly when the bits are (0.0 and -0.0, and NaN, included)."""
-    return repr(float(value))
-
-
 class TestBlockBitIdentity:
     # each instance of a block gives, statistic by statistic and term by term,
     # the bits of its own one-instance evaluation
@@ -809,6 +872,15 @@ class TestBlockBitIdentity:
         for k, ctx in enumerate(contexts):
             for name, value in expected[k].items():
                 assert _bits(got[name][k]) == _bits(value), (k, name)
+            # the norms against their per-entry references, not only the one-instance form
+            for p in self.EXPONENTS:
+                references = {
+                    **reference_gram_norms(ctx.inst.family_gram.entries, p),
+                    **reference_coeff_norms(ctx.coeffs, p, "coeff."),
+                    **reference_coeff_norms(ctx.inst.fourier, p, "fourier."),
+                }
+                for name, value in references.items():
+                    assert _bits(got[name][k]) == _bits(value), (k, name)
             for (key, sel), values in zip(terms, got_terms):
                 assert _bits(values[k]) == _bits(_TERMS[key](ctx, sel)), (k, key, sel)
         assert {bool(v) for v in got["orthonormal"]} == {True, False}
