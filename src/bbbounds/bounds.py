@@ -23,7 +23,12 @@ is kept in the tests as the plan's oracle.
 A plan evaluates one instance (``EvalContext``), whose statistics are
 Python floats, or a block of consecutive instances (``EvalBlock``), whose
 statistics are float64 arrays with a leading instance axis; the suite
-evaluates blocks.  A block is given zero-padded stacks of its instances'
+evaluates blocks.  One instance's own statistics, of its family Gram and
+its Fourier vector, are built once per instance and kept on the
+``ProblemInstance``: every context on it (a rank, each optimize, each
+``evaluate_variant``) shares them and their power-sum memos.  Coefficient
+statistics are built per context, since the caller's coefficient array may
+change between calls.  A block is given zero-padded stacks of its instances'
 bordered Gram matrices and coefficients, and their combination and weighted
 left-hand sides (``verify`` generates all of them a block at a time); it
 reads its statistics, ``|x|^2`` and the Fourier vectors from the stacks.
@@ -203,9 +208,11 @@ class _PowerStats(_Floats):
     instances; the statistics are written once over both.  They stay two
     classes because one instance evaluated as a block of one is several
     times slower, and the tuner evaluates one instance at a fresh exponent
-    each time (on 100 seed-11 instances on a 2-core machine, 1.6-2.2 ms
-    instead of 0.26-0.33 ms per ``optimize_exponent``, and 8.1 ms instead
-    of 1.7-2.0 ms per tuned ``rank_variants``).
+    each time (on 100 fresh seed-11 instances on a 2-core machine, 1.6-2.2
+    ms instead of 0.26-0.33 ms per ``optimize_exponent``, and 8.1 ms instead
+    of 1.7-2.0 ms per tuned ``rank_variants``).  An instance keeps its
+    ``GramStats`` and Fourier ``CoeffStats``, so these memos serve every
+    call on it.
     """
 
     __slots__ = ("maximum", "second", "_scaled", "_memo", "_bracket_memo")
@@ -430,12 +437,18 @@ def _gram_matrix(family_or_gram) -> GramMatrix:
 
 
 class EvalContext(_Floats):
-    """Per-instance statistics shared by all variant evaluations, with the
-    arithmetic of the terms (``variants``) on Python floats.
+    """One instance with one coefficient vector, as the terms (``variants``)
+    read it, with their arithmetic on Python floats.
 
-    Each summary is built on first use and kept, so a sweep over the whole
-    catalog pays for each power sum once.  ``tuned`` keeps the minimum of
-    each exponent term that tuning has minimized on this instance.
+    The statistics of the instance itself, of its family Gram and its
+    Fourier vector, live on the instance (``ProblemInstance.gram_stats`` and
+    ``fourier_stats``): built once per instance and shared, with their
+    power-sum memos, by every context on it, so a rank and the optimizes
+    that follow it pay for each power sum once.  What depends on the
+    coefficients is built per context, on first use, since the caller's
+    array may change between calls: ``coeff_stats``, the combination and
+    weighted left-hand sides, and ``tuned``, the minimum of each exponent
+    term that tuning has minimized.
     """
 
     def __init__(self, inst: ProblemInstance | None, coeffs=None):
@@ -468,7 +481,7 @@ class EvalContext(_Floats):
 
     @cached_property
     def gram_stats(self) -> GramStats:
-        return GramStats(self.inst.family_gram)
+        return self.inst.gram_stats
 
     @cached_property
     def coeff_stats(self) -> CoeffStats:
@@ -478,7 +491,7 @@ class EvalContext(_Floats):
 
     @cached_property
     def fourier_stats(self) -> CoeffStats:
-        return CoeffStats(self.inst.fourier)
+        return self.inst.fourier_stats
 
     @cached_property
     def x_norm_sq(self) -> float:
@@ -533,8 +546,7 @@ class EvalBlock(_Arrays):
 
     @cached_property
     def coeff_stats(self) -> CoeffStats:
-        with np.errstate(all="ignore"):
-            return CoeffStats(self.coeffs)
+        return CoeffStats(self.coeffs)
 
     @cached_property
     def fourier_stats(self) -> CoeffStats:

@@ -213,7 +213,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:     # ValidationError and VariantError included
+    # ValidationError and VariantError are ValueErrors; profile_exponent
+    # raises ArithmeticError on a non-finite profile value
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

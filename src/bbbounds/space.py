@@ -382,6 +382,28 @@ class ProblemInstance:
     def family_gram(self) -> GramMatrix:
         return GramMatrix(self.bordered.entries[1:, 1:])
 
+    # The statistics every bound on this instance reads, built on first use
+    # and kept with it, so every evaluation context on the instance shares
+    # them and their power-sum memos.  ``bounds`` imports this module, so the
+    # classes are looked up there when first read.  Like Python floats, and
+    # like a block's statistics, they overflow to inf without a warning.
+
+    @cached_property
+    def gram_stats(self):
+        """``bounds.GramStats`` of the family Gram matrix."""
+        from . import bounds
+
+        with np.errstate(all="ignore"):
+            return bounds.GramStats(self.family_gram)
+
+    @cached_property
+    def fourier_stats(self):
+        """``bounds.CoeffStats`` of the Fourier vector ``(x, y_i)``."""
+        from . import bounds
+
+        with np.errstate(all="ignore"):
+            return bounds.CoeffStats(self.fourier)
+
 
 def validate_instance(
     candidate: ProblemInstance, psd_tol: float = DEFAULT_PSD_TOL

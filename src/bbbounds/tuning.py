@@ -17,6 +17,14 @@ holder slot's term, computed once and shared by every variant that uses it
 (``special:2.12`` and ``cor32:3`` share ``coarse``); a pinned ranking
 evaluates every slot at its own exponent.  The profiled families are terms
 too.
+
+Every call here makes its own ``EvalContext``, but the statistics of the
+instance (its family Gram's and its Fourier vector's, with their power-sum
+memos) are built once per instance and kept on it, so a rank and the
+optimizes and profiles that follow it on the same instance compute each
+power sum once.  The coefficient statistics and the tuned minima (``tuned``)
+stay with each context, since the caller's coefficients may change between
+calls.
 """
 
 from __future__ import annotations

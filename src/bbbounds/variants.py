@@ -422,6 +422,11 @@ class Variant:
     def name(self) -> str:
         return self.spec.pattern.format(diag=self.diag, offdiag=self.offdiag, p=self.p)
 
+    def __hash__(self) -> int:
+        # equal variants have equal names; a string caches its own hash, so
+        # hashing a plan's variant tuple does not walk the fields again
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 

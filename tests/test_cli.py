@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bbbounds import GenConfig, ProblemInstance, TolerancePolicy, save_instance
+import bbbounds.bounds as bounds
+from bbbounds import PROFILE_FAMILIES, GenConfig, ProblemInstance, TolerancePolicy, save_instance
 from bbbounds.bounds import Plan
 from bbbounds.cli import main
 
@@ -251,6 +252,23 @@ class TestRankAndOptimize:
             "skipping ortho:4.4:p=4.0: orthonormality gate",
             "skipping bessel:1.1: orthonormality gate",
         ]
+
+    def test_rank_builds_the_instance_statistics_once(self, monkeypatch):
+        # the skip probe and the rank read the statistics of one instance
+        builds = []
+        gram_stats = bounds.GramStats
+        monkeypatch.setattr(bounds, "GramStats", lambda gram: builds.append(gram) or gram_stats(gram))
+        assert main(["rank", "--seed", "42", "--variants", "all"]) == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("family", PROFILE_FAMILIES)
+    def test_optimize_overflow_exits_2_with_one_error_line(self, family):
+        # at this scale the profile of four families overflows: a usage
+        # error with one line, never the violation code or a traceback
+        proc = run_cli("optimize", "--seed", "42", "--scale", "1e150", "--family", family)
+        assert proc.returncode in (0, 2)
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") == (proc.returncode == 2)
 
     def test_rank_deterministic(self):
         args = ("rank", "--seed", "13", "--n", "4..4", "--dim", "4..4")

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bbbounds.bounds as bounds
 import bbbounds.tuning as tuning
 from bbbounds import (
     DEFAULT_INTERVAL,
+    PROFILE_FAMILIES,
     IncompatibleInstanceError,
     MAX,
     ProblemInstance,
@@ -16,6 +18,7 @@ from bbbounds import (
     VariantError,
     VectorFamily,
     diag_term,
+    evaluate_variant,
     full_catalog,
     generate_instance,
     GenConfig,
@@ -26,7 +29,7 @@ from bbbounds import (
     profile_exponent,
     rank_variants,
 )
-from bbbounds.bounds import Plan, plan_for
+from bbbounds.bounds import EvalContext, Plan, plan_for
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -367,3 +370,62 @@ class TestTunedTerms:
         variants = [v for v in full_catalog() if not v.orthonormal_only]
         expected = (Path(__file__).parent / "golden" / "rank_pinned_seed5_n4.csv").read_text()
         assert rank_variants(inst, coeffs, variants, optimize_exponents=False).to_csv() == expected
+
+
+class TestSharedInstanceStatistics:
+    """Every call on one instance reads the statistics it built once."""
+
+    def test_tuned_rank_and_five_optimizes_build_the_gram_statistics_once(self, monkeypatch):
+        builds = []
+        gram_stats = bounds.GramStats
+        monkeypatch.setattr(bounds, "GramStats", lambda gram: builds.append(gram) or gram_stats(gram))
+        inst, coeffs = generate_instance(GenConfig(master_seed=42, count=1), 0)
+        rank_variants(inst, coeffs, [v for v in full_catalog() if not v.orthonormal_only])
+        for family in PROFILE_FAMILIES:
+            optimize_exponent(family, inst, coeffs)
+        assert len(builds) == 1
+        assert EvalContext(inst).fourier_stats is EvalContext(inst, coeffs).fourier_stats
+
+    @pytest.mark.parametrize("shape", [{}, {"n_range": (24, 64), "d_range": (16, 128)}], ids=["default", "wide"])
+    @pytest.mark.parametrize("seed", [5, 11, 42])
+    def test_reused_instance_gives_the_bits_of_fresh_copies(self, seed, shape):
+        # each call on an instance that has served the calls before it
+        # returns, by repr, what it returns on a freshly generated copy
+        count = 1 if shape else 4
+        config = GenConfig(master_seed=seed, count=count, **shape)
+        variants = full_catalog()
+        ranked = [v for v in variants if not v.orthonormal_only]
+
+        def rank(tuned, inst, coeffs):
+            return rank_variants(inst, coeffs, ranked, tuned)
+
+        def evaluate(variant, inst, coeffs):
+            try:
+                return evaluate_variant(variant, inst, coeffs)
+            except IncompatibleInstanceError as exc:
+                return exc.reason
+
+        optimizes = [(f, call) for call in (optimize_exponent, profile_exponent) for f in PROFILE_FAMILIES]
+        calls = optimizes + [(True, rank), (False, rank)] + optimizes + [(v, evaluate) for v in variants]
+        for index in range(count):
+            inst, coeffs = generate_instance(config, index)
+            for arg, call in calls:
+                fresh = call(arg, *generate_instance(config, index))
+                assert repr(call(arg, inst, coeffs)) == repr(fresh), (index, arg)
+            assert EvalContext(inst).gram_stats is inst.gram_stats
+
+    def test_coefficient_statistics_stay_per_call(self):
+        # the caller may change its coefficient array between two calls on one instance
+        config = GenConfig(master_seed=11, count=1)
+        ranked = [v for v in full_catalog() if not v.orthonormal_only]
+        inst, coeffs = generate_instance(config, 0)
+        for family in PROFILE_FAMILIES:
+            optimize_exponent(family, inst, coeffs)
+        rank_variants(inst, coeffs, ranked)
+        coeffs[0] *= 3.0
+        fresh, fresh_coeffs = generate_instance(config, 0)
+        fresh_coeffs[0] *= 3.0
+        assert repr(rank_variants(inst, coeffs, ranked)) == repr(rank_variants(fresh, fresh_coeffs, ranked))
+        for family in PROFILE_FAMILIES:
+            fresh = generate_instance(config, 0)[0]
+            assert repr(optimize_exponent(family, inst, coeffs)) == repr(optimize_exponent(family, fresh, fresh_coeffs))

@@ -1,5 +1,10 @@
 """Variant names, parsing, exponent domain, and catalog expansion."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +21,7 @@ from bbbounds import (
     parse_variant,
     parse_variant_list,
 )
+from bbbounds.bounds import plan_for
 
 
 class TestSelector:
@@ -150,8 +156,34 @@ class TestVariantLists:
 
 class TestVariantObjects:
     def test_pickle_round_trip(self):
-        import pickle
-
         for variant in full_catalog():
             copy = pickle.loads(pickle.dumps(variant))
             assert copy == variant and copy.name == variant.name
+
+    def test_hash_is_the_name_hash(self):
+        for variant in full_catalog():
+            assert hash(variant) == hash(variant.name)
+
+    def test_equal_variants_find_one_plan(self):
+        # separately built equal variants, and pickled copies, hit the plan
+        # the first tuple built
+        plan_for.cache_clear()
+        first, again = full_catalog(), parse_variant_list("all")
+        assert not any(a is b for a, b in zip(first, again))
+        plan = plan_for(first)
+        assert plan_for(again) is plan
+        assert plan_for(pickle.loads(pickle.dumps(first))) is plan
+        assert plan_for(pickle.loads(pickle.dumps(plan)).variants) is plan
+
+    def test_unpickled_variants_hash_in_another_process(self):
+        # a string hashes differently in each process, and an unpickled
+        # variant hashes by its name as the process hashes it
+        script = (
+            "import pickle, sys\n"
+            "from bbbounds import parse_variant_list\n"
+            "rows = {v: k for k, v in enumerate(pickle.loads(sys.stdin.buffer.read()))}\n"
+            "assert [rows[v] for v in parse_variant_list('all')] == list(range(len(rows)))\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345"}
+        proc = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(full_catalog()), capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
