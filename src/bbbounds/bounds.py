@@ -92,8 +92,11 @@ __all__ = [
     "evaluate_variant",
 ]
 
-# Entrywise distance from the identity below which a family counts as
-# orthonormal for the orthonormal-only bounds.
+# The Gershgorin radius of G - I, max_i sum_j |G_ij - delta_ij|, up to which
+# a family counts as orthonormal for the orthonormal-only bounds: every
+# eigenvalue of G then lies within it of 1, so a Bessel-type left-hand side
+# exceeds its orthonormal right-hand side by at most this fraction, which
+# the default ``tol_rel`` absorbs.
 ORTHONORMAL_GATE_TOL = 1e-9
 
 
@@ -390,16 +393,16 @@ class GramStats:
     add exactly 0.0 to its sums.
     """
 
-    __slots__ = ("n", "diag", "_diag", "_off", "sum_diag", "max_diag", "sum_off", "max_off")
+    __slots__ = ("n", "diag", "off", "_diag", "_off", "sum_diag", "max_diag", "sum_off", "max_off")
 
     def __init__(self, gram):
         e, self.n = _rows(gram, _gram_entries)
         u = e[(..., *_upper_pairs(e.shape[-1]))]
-        self.diag, off = e.diagonal(0, -2, -1).real, np.hypot(u.real, u.imag)
-        self._diag, self._off = _power_sums(self.diag, self.n), _power_sums(off, self.n * (self.n - 1) // 2)
+        self.diag, self.off = e.diagonal(0, -2, -1).real, np.hypot(u.real, u.imag)
+        self._diag, self._off = _power_sums(self.diag, self.n), _power_sums(self.off, self.n * (self.n - 1) // 2)
         self.sum_diag = _sequential_sum(self.diag)
         self.max_diag = self._diag.maximum
-        self.sum_off = 2.0 * _sequential_sum(off)     # ordered pairs
+        self.sum_off = 2.0 * _sequential_sum(self.off)     # ordered pairs
         self.max_off = self._off.maximum
 
     def norm_diag(self, q: float) -> float:
@@ -412,13 +415,21 @@ class GramStats:
         return self.max_off * self._off.root(q, 1.0 / q, 2.0)
 
     def orthonormal_within(self) -> bool:
-        """Every real diagonal entry and off-diagonal magnitude within
-        ``ORTHONORMAL_GATE_TOL`` of the identity's."""
+        """Whether the Gershgorin radius of G - I, the largest row sum of
+        ``|G_ij - delta_ij|``, is within ``ORTHONORMAL_GATE_TOL``.  Each row
+        adds its entries left to right and a block's padding adds 0.0, so a
+        block's instances get the radii they get alone."""
         far = self.max_off > ORTHONORMAL_GATE_TOL
         if far is True:
             return False
-        near = (np.abs(self.diag - 1.0) <= ORTHONORMAL_GATE_TOL) | ~_first(self.n, self.diag.shape[-1])
-        return self._diag.bool(near.all(axis=-1) & np.logical_not(far))
+        width = self.diag.shape[-1]
+        deviation = np.zeros(self.diag.shape + (width,))
+        rows, cols = _upper_pairs(width)
+        deviation[..., rows, cols] = deviation[..., cols, rows] = self.off
+        diagonal = np.arange(width)
+        deviation[..., diagonal, diagonal] = np.where(_first(self.n, width), np.abs(self.diag - 1.0), 0.0)
+        radius = _sequential_sum(deviation).max(axis=-1, initial=0.0)
+        return self._diag.bool((radius <= ORTHONORMAL_GATE_TOL) & np.logical_not(far))
 
 
 # ---------------------------------------------------------------------------

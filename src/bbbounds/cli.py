@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # ValidationError and VariantError are ValueErrors; profile_exponent
-    # raises ArithmeticError on a non-finite profile value
+    # and rank_variants raise ArithmeticError on a non-finite value
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

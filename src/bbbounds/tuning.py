@@ -176,7 +176,12 @@ def _refine_grid_minimum(
     fn: Callable[[float], float], grid: Sequence[float], values: list[float]
 ) -> tuple[float, float, bool]:
     """Best of the grid values and a golden-section refinement bracketed
-    around the grid argmin; ``at_boundary`` means it sits at a grid end."""
+    around the grid argmin; ``at_boundary`` means it sits at a grid end.
+    A non-finite grid value raises ArithmeticError: an overflowed profile
+    has no minimum to report."""
+    for t, v in zip(grid, values):
+        if not math.isfinite(v):
+            raise ArithmeticError(f"non-finite profile value {v!r} at exponent {t!r}")
     k = min(range(len(grid)), key=lambda i: (values[i], i))
     best_t, best_v = grid[k], values[k]
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
@@ -212,7 +217,8 @@ def optimize_exponent(
     Returns ``(exponent, value, at_boundary)``.  ``at_boundary`` means the
     minimizer sits at an interval endpoint, i.e. the max- or sum-selector
     limit form is at least as tight.  The returned value never exceeds any
-    coarse-grid value (the grid points are candidates themselves).
+    coarse-grid value (the grid points are candidates themselves).  A
+    non-finite grid value raises ArithmeticError.
     """
     ctx = EvalContext(inst, coeffs)
     return _minimize(_family_fn(family, ctx), interval)
@@ -232,8 +238,6 @@ def profile_exponent(
     fn = _family_fn(family, EvalContext(inst, coeffs))
     exps = sorted({_check_exponent(t) for t in grid}) or _DEFAULT_GRID
     values = [fn(t) for t in exps]
-    if any(not math.isfinite(v) for v in values):
-        raise ArithmeticError(f"non-finite profile value for family {family}")
     best_t, best_v, at_boundary = _refine_grid_minimum(fn, exps, values)
     return ExponentProfile(
         family=family,
@@ -271,7 +275,9 @@ def rank_variants(
     cannot break soundness.  All variants must be compatible with the
     instance: an orthonormal-only variant on a general family, or one that
     requires coefficients when ``coeffs`` is None, raises
-    IncompatibleInstanceError.  A variant listed twice is ranked twice.
+    IncompatibleInstanceError.  A variant listed twice is ranked twice.  A
+    non-finite left- or right-hand side, or tuned term, raises
+    ArithmeticError: an overflowed row has no rank.
     """
     plan = plan_for(tuple(variants))
     ctx = EvalContext(inst, coeffs)
@@ -279,7 +285,12 @@ def rank_variants(
     skips = plan.skips(ctx)
     if skips.any():
         raise IncompatibleInstanceError(SKIP_REASONS[skips[skips > 0][0]])
-    lhs, rhs = plan.evaluate(ctx, _tuned_value if optimize_exponents else None)
+    # silently: a non-finite value raises below, and its warning would say less
+    with np.errstate(all="ignore"):
+        lhs, rhs = plan.evaluate(ctx, _tuned_value if optimize_exponents else None)
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    if not finite.all():
+        raise ArithmeticError(f"non-finite left- or right-hand side of {plan.names[finite.argmin()]}")
     lhs, rhs = lhs.tolist(), rhs.tolist()
     entries = [RankEntry(plan.names[k], rhs[k], _relative_slack(lhs[k], rhs[k])) for k in plan.order]
     entries.sort(key=lambda e: (e.rhs, e.variant))

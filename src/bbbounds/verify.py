@@ -16,11 +16,16 @@ memory stays flat as the count grows; where the blocks are cut changes no
 output bit.
 
 The suite generates a block at a time (``_blocks``), with the bits that
-``generate_instance`` and ``EvalContext`` give one instance at a time.  Per
+``generate_instance`` and ``EvalContext`` give one instance at a time.  It
+seeds a chunk of indices at once (``_seeded``): a numpy uint32
+transcription of ``SeedSequence`` hashes ``[master_seed, index]`` for the
+whole chunk, each PCG64 state follows in closed form, and one reused
+generator is set to it, the state ``SeedSequence`` gives, bit for bit.
+``generate_instance`` keeps ``SeedSequence`` (``_rng_for``), which is
+faster for one index and is the oracle the tests hold the chunks to.  Per
 instance run only its seeded draws (``_draw``, which ``generate_instance``
-uses too: the instance's own generator, its integers and one
-``standard_normal`` call) and the BLAS products whose bits depend on its
-shape.  With ``v`` the rows x, y_1, ..., y_n, ``Y`` the family, ``G`` its
+uses too: its integers and one ``standard_normal`` call) and the BLAS
+products whose bits depend on its shape.  With ``v`` the rows x, y_1, ..., y_n, ``Y`` the family, ``G`` its
 Gram matrix, ``c`` the coefficients and ``f`` the Fourier vector, those are
 the bordered Gram ``v @ v.conj().T``, the family Gram, ``c @ Y`` and its
 ``vdot``, ``c @ G @ conj(c)``, ``|c| @ |G| @ |c|`` and ``dot(c, f)``; the
@@ -113,6 +118,101 @@ def _rng_for(config: GenConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([config.master_seed, index]))
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) under its own names:
+# the pool size and the hash constants; and PCG64's 128-bit LCG multiplier.
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+# The indices whose seeds are hashed together; memory stays flat.
+_SEED_CHUNK = 512
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words, least significant first, that SeedSequence splits
+    a nonnegative int into (0 is one word)."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _pcg64_states(entropy: list[np.ndarray]) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``PCG64(SeedSequence(words))`` starts
+    in, for each column of ``entropy``, a list of uint32 arrays: the k-th
+    array holds the k-th entropy word of every column.  The uint32 arrays
+    wrap as SeedSequence's uint32 arithmetic does; the hash constants do not
+    depend on the data, so they are Python ints."""
+    const = INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * MIX_MULT_L - y * MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zeros = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(POOL_SIZE)]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight words cycled from the pool, paired
+    # little-endian into four uint64s, the first two the state, the last two
+    # the stream
+    const = INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % POOL_SIZE] ^ const
+        const = const * MULT_B & _MASK32
+        value = value * const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*(((words[2 * k + 1] << 32) | words[2 * k]).tolist() for k in range(4))):
+        # pcg64_set_seed: inc = 2 initseq + 1, and two LCG steps from state 0
+        # with initstate added between them
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _seeded(config: GenConfig, start: int, stop: int):
+    """Each index of ``start`` to ``stop`` with one reused generator, in the
+    state that ``_rng_for`` gives that index, bit for bit.  The seeds of a
+    chunk of indices are hashed together; a chunk never straddles a multiple
+    of 2**32, so its indices share their high words and their word count."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    first = start
+    while first < stop:
+        last = min(stop, first + _SEED_CHUNK, ((first >> 32) + 1) << 32)
+        # [master_seed, index] as words: the seed's, the index's low word, its high ones
+        low = np.arange(last - first, dtype=np.uint32) + (first & _MASK32)
+        high = _words(first >> 32) if first >> 32 else []
+        entropy = [np.full(len(low), w, dtype=np.uint32) for w in _words(config.master_seed)] + [low]
+        entropy += [np.full(len(low), w, dtype=np.uint32) for w in high]
+        for index, (state, inc) in zip(range(first, last), _pcg64_states(entropy)):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield index, rng
+        first = last
+
+
 # The two positive scalar triples whose off-diagonal weights A and B order
 # differently: the structured stream opens with them, and demo-remark prints them.
 _CANONICAL_TRIPLES = ((1.0, 1.0, 1.0), (1.0, 0.5, 1.0))
@@ -132,11 +232,11 @@ class _Draw(NamedTuple):
     triple: tuple | None = None
 
 
-def _draw(config: GenConfig, index: int) -> _Draw:
-    """The draws of instance ``index``: its own generator's integers, then one
-    call of ``standard_normal``, which gives the values that consecutive calls
-    for x, the family and the coefficients did."""
-    rng = _rng_for(config, index)
+def _draw(config: GenConfig, index: int, rng: np.random.Generator) -> _Draw:
+    """The draws of instance ``index`` from ``rng``, in the state that
+    ``_rng_for`` gives it: its integers, then one call of
+    ``standard_normal``, which gives the values that consecutive calls for x,
+    the family and the coefficients did."""
     if config.structured_families and (index < 2 or index % 2 == 0):
         # a positive scalar triple as one column, drawn before x and the coefficients
         if index < len(_CANONICAL_TRIPLES):
@@ -203,7 +303,7 @@ def generate_instance(config: GenConfig, index: int) -> tuple[ProblemInstance, n
     """
     if not 0 <= index < config.count:
         raise ValueError(f"index {index} outside [0, {config.count})")
-    draw = _draw(config, index)
+    draw = _draw(config, index, _rng_for(config, index))
     with np.errstate(over="ignore"):        # a non-finite entry is reported by the checks below
         z, _ = _entries(config, [draw])
     rows = (draw.n + 1) * draw.d
@@ -496,8 +596,8 @@ def _blocks(config: GenConfig, plan: Plan, start: int, stop: int):
     sides = [attr for attr in plan.lhs_attrs if attr != "lhs_fourier"]
     draws: list[_Draw] = []
     width = 0
-    for index in range(start, stop):
-        draw = _draw(config, index)
+    for index, rng in _seeded(config, start, stop):
+        draw = _draw(config, index, rng)
         entries = max(len(plan.names), draw.n, draw.n * (draw.n - 1) // 2)
         if draws and (len(draws) + 1) * max(width, entries) > _BLOCK_ENTRIES:
             first = index - len(draws)

@@ -40,7 +40,7 @@ from bbbounds import (
     special_bound,
     weighted_sum_bound,
 )
-from bbbounds.bounds import ORTHONORMAL_GATE_TOL, CoeffStats, EvalBlock, EvalContext, GramStats, Plan
+from bbbounds.bounds import ORTHONORMAL_GATE_TOL, CoeffStats, EvalBlock, EvalContext, GramStats, Plan, _Block
 from bbbounds.space import load_instance
 from bbbounds.variants import _TERMS
 
@@ -733,8 +733,10 @@ def assert_gram_stats_identical(gram):
     assert gs.sum_diag == sequential_sum(diag) and gs.max_diag == max(diag, default=0.0)
     for v in (gs.sum_off, gs.max_off, gs.sum_diag, gs.max_diag):
         assert type(v) is float
-    tol = ORTHONORMAL_GATE_TOL
-    assert gs.orthonormal_within() is (not gs.max_off > tol and all(abs(d - 1.0) <= tol for d in diag))
+    # the Gershgorin radius of G - I, each row summed left to right
+    radius = max((sequential_sum([abs(diag[i] - 1.0) if i == j else abs(complex(e[min(i, j), max(i, j)])) for j in range(n)])
+                  for i in range(n)), default=0.0)
+    assert gs.orthonormal_within() is (not gs.max_off > ORTHONORMAL_GATE_TOL and radius <= ORTHONORMAL_GATE_TOL)
     for q in REFERENCE_EXPONENTS:
         for name, value in reference_gram_norms(e, q).items():
             got = getattr(gs, name.split("(")[0])(q)
@@ -803,6 +805,19 @@ class TestStatsBitIdentity:
             ([], True), ([1.0, 1.0 - tol / 2], True), ([1.0, 1.0 + 2 * tol], False), ([1.0, math.nan], False),
         ):
             assert GramStats(np.diag(diag)).orthonormal_within() is orthonormal
+
+    def test_orthonormality_gate_bounds_the_gershgorin_radius(self):
+        # every entry of these G - I is within ORTHONORMAL_GATE_TOL, but a
+        # row sums to (n - 1) e, which bounds lambda_max(G) - 1; a block of
+        # both, padded, gives each its own verdict
+        tol = ORTHONORMAL_GATE_TOL
+        grams = [np.eye(n) + e * (np.ones((n, n)) - np.eye(n)) for n, e in ((3, 0.4 * tol), (3, 0.6 * tol), (2, 0.9 * tol))]
+        verdicts = [GramStats(gram).orthonormal_within() for gram in grams]
+        assert verdicts == [True, False, True]
+        stack = np.zeros((3, 3, 3), dtype=np.complex128)
+        for b, gram in enumerate(grams):
+            stack[b, : len(gram), : len(gram)] = gram
+        assert GramStats(_Block(stack, np.array([3, 3, 2]))).orthonormal_within().tolist() == verdicts
 
 
 def _mixed_block():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bbbounds.bounds as bounds
-from bbbounds import PROFILE_FAMILIES, GenConfig, ProblemInstance, TolerancePolicy, save_instance
+from bbbounds import PROFILE_FAMILIES, GenConfig, ProblemInstance, TolerancePolicy, full_catalog, save_instance
 from bbbounds.bounds import Plan
 from bbbounds.cli import main
 
@@ -178,6 +178,21 @@ class TestGenAndCheckFile:
         proc = run_cli("check-file", str(out / "instance_00000.json"))
         assert proc.returncode == 0
 
+    def test_near_orthonormal_family_gives_no_false_violation(self, tmp_path, capsys):
+        # every entry of this Gram I + 9e-10 (J - I) is within 1e-9 of the
+        # identity's, but lambda_max = 1 + 63 * 9e-10: bessel:1.1 and ortho:4.2
+        # would exceed their orthonormal right-hand sides by more than tol_rel
+        n = 64
+        gram = np.eye(n) + 9e-10 * (np.ones((n, n)) - np.eye(n))
+        inst = ProblemInstance.from_vectors(np.ones(n) / 8, np.linalg.cholesky(gram), field_mode="real")
+        path = tmp_path / "near_orthonormal.json"
+        save_instance(path, inst, np.ones(n) / 8)
+        assert main(["check-file", str(path), "--variants", "all"]) == 0
+        status = dict(line.split(",")[::4] for line in capsys.readouterr().out.splitlines()[1:])
+        gated = [v.name for v in full_catalog() if v.orthonormal_only]
+        assert len(gated) == 7
+        assert {status[name] for name in gated} <= {"skipped:orthonormality gate", "held"}
+
     def test_check_file_without_coeffs_skips_combination_variants(self, tmp_path):
         inst = ProblemInstance.from_vectors([1.0, 0.0], [[0.0, 1.0]], field_mode="real")
         path = tmp_path / "nocoeffs.json"
@@ -269,6 +284,13 @@ class TestRankAndOptimize:
         assert proc.returncode in (0, 2)
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") == (proc.returncode == 2)
+
+    def test_rank_overflow_exits_2_with_one_error_line(self):
+        # every row overflows at this scale: no inf rows, and no numpy warning
+        proc = run_cli("rank", "--seed", "42", "--scale", "1e150", "--variants", "all")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: non-finite")
 
     def test_rank_deterministic(self):
         args = ("rank", "--seed", "13", "--n", "4..4", "--dim", "4..4")

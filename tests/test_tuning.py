@@ -134,6 +134,15 @@ class TestOptimize:
             "coarse", inst, coeffs
         )
 
+    @pytest.mark.parametrize("family", ["lemma21:diag", "coarse", "cor32:3", "bb:4.3"])
+    def test_overflowed_profile_raises_in_optimize_and_profile(self, family):
+        # at this scale these four profiles overflow: neither function
+        # reports a minimum of inf
+        inst, coeffs = generate_instance(GenConfig(master_seed=42, count=1, scale=1e150), 0)
+        for fn in (optimize_exponent, profile_exponent):
+            with pytest.raises(ArithmeticError, match="non-finite profile value"):
+                fn(family, inst, coeffs)
+
 
 class TestRanking:
     def test_frozen_ordering_example(self):
@@ -226,6 +235,13 @@ class TestRanking:
         inst, coeffs = generate_instance(GenConfig(master_seed=5, count=1), 0)
         for optimize_exponents in (True, False):
             assert rank_variants(inst, coeffs, (), optimize_exponents).to_csv() == "rank,variant,rhs,rel_slack\n"
+
+    @pytest.mark.parametrize("optimize_exponents", [True, False], ids=["tuned", "pinned"])
+    def test_overflowed_rows_raise_without_warning(self, optimize_exponents):
+        inst, coeffs = generate_instance(GenConfig(master_seed=42, count=1, scale=1e150), 0)
+        variants = [v for v in full_catalog() if not v.orthonormal_only]
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            rank_variants(inst, coeffs, variants, optimize_exponents)
 
     def test_incompatible_variants_raise_their_reason(self):
         inst, coeffs = generate_instance(GenConfig(master_seed=5, count=1, n_range=(2, 2)), 0)

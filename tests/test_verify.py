@@ -650,6 +650,53 @@ def _texts(values) -> str:
     return repr(np.asarray(values).tolist())
 
 
+def _blocks_match(config, start, stop) -> list[int]:
+    """Check that the blocks of instances ``start`` to ``stop`` hold, instance
+    by instance, the bits that generate_instance and EvalContext give one
+    instance at a time; the blocks' first indices."""
+    firsts = []
+    index = start
+    for first, block in _blocks(config, plan_for(tuple(full_catalog())), start, stop):
+        assert first == index
+        firsts.append(first)
+        for b in range(len(block)):
+            inst, coeffs = generate_instance(config, index)
+            ctx = EvalContext(inst, coeffs)
+            n = inst.n
+            assert block.n[b] == n
+            assert _texts(block.bordered[b, : n + 1, : n + 1]) == _texts(inst.bordered.entries)
+            assert not block.bordered[b, n + 1 :].any() and not block.bordered[b, :, n + 1 :].any()
+            assert _texts(block.coeffs.values[b, :n]) == _texts(coeffs) and not block.coeffs.values[b, n:].any()
+            assert _texts(block.bordered[b, 0, 1 : n + 1]) == _texts(inst.fourier)
+            for attr in ("x_norm_sq", "lhs_combination", "lhs_weighted"):
+                assert repr(float(getattr(block, attr)[b])) == repr(getattr(ctx, attr)), (index, attr)
+            index += 1
+    assert index == stop
+    return firsts
+
+
+class TestSeeding:
+    # the suite's generator, seeded a chunk of indices at a time, starts each
+    # index in the state that SeedSequence([master_seed, index]) gives it
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_states_and_first_draws_match_seed_sequence(self, seed):
+        # 25,000 indices a seed, 10**5 in all: from 0, and across 2**32,
+        # where a chunk is cut and the index gains a word
+        config = GenConfig(master_seed=seed, count=1)
+        checked = 0
+        for start, stop in ((0, 12_500), (2**32 - 6_250, 2**32 + 6_250)):
+            for index, rng in verify._seeded(config, start, stop):
+                oracle = verify._rng_for(config, index)
+                assert rng.bit_generator.state == oracle.bit_generator.state, index
+                if index % 16 == 0:
+                    # the reused generator's buffered uint32 is reset by the next index
+                    assert rng.integers(1, 9, size=3).tolist() == oracle.integers(1, 9, size=3).tolist()
+                    assert rng.standard_normal().hex() == oracle.standard_normal().hex()
+                checked += 1
+        assert checked == 25_000
+
+
 class TestBlockGeneration:
     # a generated block holds, instance by instance, the bits that
     # generate_instance and EvalContext give one instance at a time
@@ -677,22 +724,32 @@ class TestBlockGeneration:
                 h.update(a.tobytes())
             h.update(inst.field_mode.encode())
         assert h.hexdigest()[:16] == digest
-        index = 0
-        for first, block in _blocks(config, plan_for(tuple(full_catalog())), 0, config.count):
-            assert first == index
-            for b in range(len(block)):
-                inst, coeffs = generate_instance(config, index)
-                ctx = EvalContext(inst, coeffs)
-                n = inst.n
-                assert block.n[b] == n
-                assert _texts(block.bordered[b, : n + 1, : n + 1]) == _texts(inst.bordered.entries)
-                assert not block.bordered[b, n + 1 :].any() and not block.bordered[b, :, n + 1 :].any()
-                assert _texts(block.coeffs.values[b, :n]) == _texts(coeffs) and not block.coeffs.values[b, n:].any()
-                assert _texts(block.bordered[b, 0, 1 : n + 1]) == _texts(inst.fourier)
-                for attr in ("x_norm_sq", "lhs_combination", "lhs_weighted"):
-                    assert repr(float(getattr(block, attr)[b])) == repr(getattr(ctx, attr)), (index, attr)
-                index += 1
-        assert index == config.count and first > 0
+        assert len(_blocks_match(config, 0, config.count)) > 1
+
+    @pytest.mark.parametrize(
+        "config, start",
+        [
+            (GenConfig(master_seed=42, count=2000), 666),
+            (GenConfig(master_seed=9, count=2000, field_mode="real"), 1333),
+            (GenConfig(master_seed=9, count=2000, field_mode="complex"), 666),
+            (GenConfig(master_seed=7, count=2000, structured_families=True), 1),
+            (GenConfig(master_seed=5, count=2000, n_range=(3, 3)), 666),
+            (GenConfig(master_seed=0, count=2000), 1333),
+            (GenConfig(master_seed=2**32 - 1, count=2000), 666),
+            (GenConfig(master_seed=2**32, count=2000), 1333),
+            (GenConfig(master_seed=2**64 - 1, count=2000), 666),
+            (GenConfig(master_seed=42, count=2**32 + 300), 2**32 - 300),
+        ],
+        ids=["default", "real", "complex", "structured", "n3", "seed0", "seed2^32-1", "seed2^32", "seed2^64-1", "index2^32"],
+    )
+    def test_ranges_that_start_mid_stream(self, config, start):
+        # a range seeds its indices a chunk at a time from its own start, as
+        # the --jobs splits of 2,000 instances start at 666 and 1,333; each
+        # range here crosses a chunk, and the last crosses 2**32, where the
+        # index gains a word.  "real" and "complex" draw two uint32s from
+        # integers, "both" three, whose buffered half must not leak into the
+        # next instance; n in 3..3 draws none for n.
+        _blocks_match(config, start, start + verify._SEED_CHUNK + 40)
 
     @pytest.mark.parametrize(
         "scale, names",
