@@ -65,9 +65,11 @@ from .space import (
     GramMatrix,
     ProblemInstance,
     ValidationError,
-    VectorFamily,
+    _as_complex_vector,
+    _checked_double_sum,
+    _gram_matrix,
     combination_norm_sq,
-    gram_of_family,
+    gram_of_family,     # not called here: bench/tracer.py wraps it by name
 )
 from .variants import _TERMS, Selector, Variant, _diag_value, _offdiag_value
 
@@ -437,16 +439,6 @@ class GramStats:
 # ---------------------------------------------------------------------------
 
 
-def _gram_matrix(family_or_gram) -> GramMatrix:
-    """The Gram matrix of a family, or the given one; a raw array must pass
-    ``GramMatrix.validate`` (Hermitian, nonnegative diagonal, PSD)."""
-    if isinstance(family_or_gram, VectorFamily):
-        return gram_of_family(family_or_gram)
-    if isinstance(family_or_gram, GramMatrix):
-        return family_or_gram
-    return GramMatrix(np.asarray(family_or_gram)).validate()
-
-
 class EvalContext(_Floats):
     """One instance with one coefficient vector, as the terms (``variants``)
     read it, with their arithmetic on Python floats.
@@ -459,7 +451,8 @@ class EvalContext(_Floats):
     coefficients is built per context, on first use, since the caller's
     array may change between calls: ``coeff_stats``, the combination and
     weighted left-hand sides, and ``tuned``, the minimum of each exponent
-    term that tuning has minimized.
+    term that tuning has minimized.  Both sides of a combination bound read
+    one Gram matrix of the family, the instance's ``family_gram``.
     """
 
     def __init__(self, inst: ProblemInstance | None, coeffs=None):
@@ -485,8 +478,7 @@ class EvalContext(_Floats):
             raise ValidationError(f"{c.shape[0]} coefficients for {gram.n} vectors")
         ctx = cls(None)
         ctx.coeffs = c
-        target = family_or_gram if isinstance(family_or_gram, VectorFamily) else gram
-        ctx.lhs_combination = combination_norm_sq(c, target)
+        ctx.lhs_combination = _checked_double_sum(_as_complex_vector(c, "coeffs"), gram, family_or_gram)
         ctx.gram_stats = GramStats(gram)
         return ctx
 
@@ -510,8 +502,7 @@ class EvalContext(_Floats):
 
     @cached_property
     def lhs_combination(self) -> float:
-        target = self.inst.family if self.inst.family is not None else self.inst.family_gram
-        return combination_norm_sq(self.coeffs, target)
+        return combination_norm_sq(self.coeffs, self.inst)
 
     @cached_property
     def lhs_weighted(self) -> float:

@@ -207,6 +207,16 @@ def gram_of_family(family: VectorFamily) -> GramMatrix:
     return GramMatrix(g)
 
 
+def _gram_matrix(family_or_gram) -> GramMatrix:
+    """The Gram matrix of a family, or the given one; a raw array must pass
+    ``GramMatrix.validate`` (Hermitian, nonnegative diagonal, PSD)."""
+    if isinstance(family_or_gram, VectorFamily):
+        return gram_of_family(family_or_gram)
+    if isinstance(family_or_gram, GramMatrix):
+        return family_or_gram
+    return GramMatrix(np.asarray(family_or_gram)).validate()
+
+
 def _double_sum_faults(value, mass, direct=None):
     """The checks of a Gram double sum ``value`` = ``sum_ij c_i conj(c_j) g_ij``
     against its absolute mass and the direct squared norm, on Python numbers
@@ -229,26 +239,26 @@ def combination_norm_sq(coeffs, family_or_gram) -> float:
     real part below zero at that scale one that is not positive semidefinite.
     The double-sum value is returned, with a rounding-sized negative clamped
     to zero.  A raw array in place of a family must pass
-    :meth:`GramMatrix.validate` first; a :class:`GramMatrix` is taken as is.
+    :meth:`GramMatrix.validate` first; a :class:`GramMatrix` is taken as is;
+    a :class:`ProblemInstance` gives its ``family_gram`` and, in vectors mode, its family.
     """
     c = _as_complex_vector(coeffs, "coeffs")
+    if isinstance(family_or_gram, ProblemInstance):
+        return _checked_double_sum(c, family_or_gram.family_gram, family_or_gram.family)
+    return _checked_double_sum(c, _gram_matrix(family_or_gram), family_or_gram)
+
+
+def _checked_double_sum(c: np.ndarray, gram: GramMatrix, family_or_gram) -> float:
+    """``combination_norm_sq`` on ``gram``, cross-checked when ``family_or_gram`` is its family."""
     direct = None
     if isinstance(family_or_gram, VectorFamily):
         if family_or_gram.n != c.shape[0]:
-            raise ValidationError(
-                f"{c.shape[0]} coefficients for a family of {family_or_gram.n} vectors"
-            )
+            raise ValidationError(f"{c.shape[0]} coefficients for a family of {family_or_gram.n} vectors")
         summed = c @ family_or_gram.vectors
         direct = float(np.vdot(summed, summed).real)
-        g = gram_of_family(family_or_gram).entries
-    else:
-        if not isinstance(family_or_gram, GramMatrix):
-            family_or_gram = GramMatrix(np.asarray(family_or_gram)).validate()
-        g = family_or_gram.entries
-        if g.shape[0] != c.shape[0]:
-            raise ValidationError(
-                f"{c.shape[0]} coefficients for a Gram matrix of size {g.shape[0]}"
-            )
+    g = gram.entries
+    if g.shape[0] != c.shape[0]:
+        raise ValidationError(f"{c.shape[0]} coefficients for a Gram matrix of size {g.shape[0]}")
     value = complex(c @ g @ np.conj(c))
     mass = float(np.abs(c) @ np.abs(g) @ np.abs(c))
     imaginary, negative, far = _double_sum_faults(value, mass, direct)

@@ -25,20 +25,21 @@ generator is set to it, the state ``SeedSequence`` gives, bit for bit.
 faster for one index and is the oracle the tests hold the chunks to.  Per
 instance run only its seeded draws (``_draw``, which ``generate_instance``
 uses too: its integers and one ``standard_normal`` call) and the BLAS
-products whose bits depend on its shape.  With ``v`` the rows x, y_1, ..., y_n, ``Y`` the family, ``G`` its
-Gram matrix, ``c`` the coefficients and ``f`` the Fourier vector, those are
-the bordered Gram ``v @ v.conj().T``, the family Gram, ``c @ Y`` and its
-``vdot``, ``c @ G @ conj(c)``, ``|c| @ |G| @ |c|`` and ``dot(c, f)``; the
-Gram matrices go into zero-padded stacks.  Everything entry by entry runs
-once per block: the scaling of the draws, the Hermitian part
-(``space._hermitian_part``), the finiteness checks, the checks of the Gram
-double sum (``space._double_sum_faults``), ``|x|^2``, the Fourier vectors,
-``np.hypot`` and the weighted side's Python float power.  If an instance
-fails a check, the first that does is generated again through
-``generate_instance`` and ``EvalContext``, which raise the error they always
-have; a violation's payload is its instance, generated again likewise.
-Otherwise the suite calls neither ``generate_instance`` nor
-``gram_of_family`` nor ``combination_norm_sq``, so the spans that the
+products whose bits depend on its shape.  With ``v`` the rows x, y_1, ...,
+y_n, ``c`` the coefficients, ``Y`` the family, ``f`` the Fourier vector
+and ``G`` the family's block of the bordered Gram, which both sides of a
+combination check read, those are the bordered Gram ``v @ v.conj().T``
+(into a zero-padded stack), ``c @ Y`` and its ``vdot``,
+``c @ G @ conj(c)``, ``|c| @ |G| @ |c|`` and ``dot(c, f)``.  Everything
+entry by entry runs once per block: the scaling of the draws, the
+Hermitian part (``space._hermitian_part``), the finiteness checks, the
+checks of the Gram double sum (``space._double_sum_faults``), ``|x|^2``,
+the Fourier vectors, ``np.hypot`` and the weighted side's Python float
+power.  If an instance fails a check, the first that does is generated
+again through ``generate_instance`` and ``EvalContext``, which raise the
+error they always have; a violation's payload is its instance, generated
+again likewise.  Otherwise the suite calls neither ``generate_instance``
+nor ``gram_of_family`` nor ``combination_norm_sq``, so the spans that the
 benchmark's tracer records under those names no longer cover the suite's
 instances.
 """
@@ -542,14 +543,11 @@ def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: l
         coeffs = np.zeros((count, width), dtype=np.complex128)
         coeffs[_first(n, width)] = z[np.arange(n.sum()) + np.repeat(starts[:, 2] - (np.cumsum(n) - n), n)]
         bordered = np.zeros((count, width + 1, width + 1), dtype=np.complex128)
-        family = np.zeros((count, width, width), dtype=np.complex128) if combination else None
         direct = np.empty(count)
         for b, (nb, x0, c0) in enumerate(zip(n.tolist(), starts[:, 0].tolist(), starts[:, 2].tolist())):
             v = z[x0:c0].reshape(nb + 1, -1)                 # x, then the family's rows
-            vh = v.conj().T
-            np.matmul(v, vh, out=bordered[b, : nb + 1, : nb + 1])
+            np.matmul(v, v.conj().T, out=bordered[b, : nb + 1, : nb + 1])
             if combination:
-                np.matmul(v[1:], vh[:, 1:], out=family[b, :nb, :nb])
                 summed = coeffs[b, :nb] @ v[1:]
                 direct[b] = np.vdot(summed, summed).real
         del z
@@ -557,7 +555,7 @@ def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: l
         # a non-finite entry of x or of a family vector makes the Gram matrix non-finite too
         bad = ~np.isfinite(bordered).all(axis=(1, 2))
         if combination:
-            family = _hermitian_part(family)
+            family = bordered[:, 1:, 1:]                    # each instance's family_gram
             conj, magnitudes, family_magnitudes = coeffs.conj(), np.abs(coeffs), np.abs(family)
             value, mass = np.empty(count, dtype=np.complex128), np.empty(count)
         dots = np.empty(count, dtype=np.complex128)
@@ -569,7 +567,7 @@ def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: l
             if weighted:
                 dots[b] = np.dot(c, bordered[b, 0, 1 : nb + 1])      # with the Fourier vector
         if combination:
-            bad |= ~np.isfinite(coeffs).all(axis=1) | ~np.isfinite(family).all(axis=(1, 2))
+            bad |= ~np.isfinite(coeffs).all(axis=1)
             for fault in _double_sum_faults(value, mass, direct):
                 bad |= fault
             lhs["lhs_combination"] = _Arrays.max(value.real, 0.0)

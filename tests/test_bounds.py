@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bbbounds import (
@@ -40,7 +40,7 @@ from bbbounds import (
     special_bound,
     weighted_sum_bound,
 )
-from bbbounds.bounds import ORTHONORMAL_GATE_TOL, CoeffStats, EvalBlock, EvalContext, GramStats, Plan, _Block
+from bbbounds.bounds import DEFAULT_POLICY, ORTHONORMAL_GATE_TOL, CoeffStats, EvalBlock, EvalContext, GramStats, Plan, _Block, plan_for
 from bbbounds.space import load_instance
 from bbbounds.variants import _TERMS
 
@@ -818,6 +818,25 @@ class TestStatsBitIdentity:
         for b, gram in enumerate(grams):
             stack[b, : len(gram), : len(gram)] = gram
         assert GramStats(_Block(stack, np.array([3, 3, 2]))).orthonormal_within().tolist() == verdicts
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.floats(0.5, 1.0), st.floats(-3.0, 6.0))
+    def test_families_inside_the_gate_hold_the_orthonormal_bounds(self, n, seed, radius, exponent):
+        # a real family with Gram I + E, E symmetric with a nonzero diagonal
+        # and a Gershgorin radius of 0.5 to 1 times the gate, built by
+        # Cholesky; x along the top eigenvector, where sum |(x, y_i)|^2
+        # reaches lambda_max(G) |x|^2, the most the gate lets it exceed |x|^2
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal((n, n))
+        e += e.T
+        e *= radius * ORTHONORMAL_GATE_TOL / np.abs(e).sum(axis=1).max()
+        family = np.linalg.cholesky(np.eye(n) + e)
+        x = np.linalg.eigh(family.T @ family)[1][:, -1] * 10.0**exponent
+        inst = ProblemInstance.from_vectors(x, family, field_mode="real")
+        assume(inst.gram_stats.orthonormal_within())
+        variants = tuple(v for v in full_catalog() if v.orthonormal_only)
+        for ev in plan_for(variants).check(EvalContext(inst), DEFAULT_POLICY):
+            assert ev.holds, ev
 
 
 def _mixed_block():

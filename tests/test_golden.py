@@ -2,7 +2,13 @@
 
 The files under ``golden/`` were recorded before the variant table replaced
 the per-kind dispatch, and the skip-line ones before a plan decided every
-caller's skips; every output here must stay identical.
+caller's skips; every output here must stay identical.  Three were recorded
+again when the combination left-hand side came to read the instance's one
+family Gram matrix, the block of its bordered Gram, instead of a second
+Gram product of the family: ``verify_seed42.csv`` (``min_slack`` and
+``min_rel_slack`` of its 107 combination rows), ``verify_seed42.json`` (the
+same 214 values) and ``check_seed42.csv`` (``lhs`` and ``slack`` of the same
+107 rows).  No count, no other column and no other file moved.
 """
 
 from pathlib import Path

@@ -85,6 +85,26 @@ class TestProfile:
             assert all(math.isfinite(v) for _, v in profile.grid)
             assert profile.minimizer[1] <= min(v for _, v in profile.grid) + 1e-12
 
+    def test_profiles_are_log_convex_in_the_reciprocal_exponent(self):
+        # every profiled term is built from l^p norms at conjugate exponents,
+        # and log ||v||_(1/t) is convex in t (Lyapunov), as products, sums,
+        # square roots and the max with a log-linear floor keep it: a term
+        # that breaks this premise shows up as a negative second difference
+        ts = np.linspace(1.0 / 64.0, 1.0 / tuning.EXPONENT_MIN, 200)
+        stream = [generate_instance(GenConfig(master_seed=42, count=60), k) for k in range(60)]
+        wide = GenConfig(n_range=(24, 64), d_range=(16, 128), master_seed=5, count=8)
+        stream += [generate_instance(wide, k) for k in range(8)]
+        for index, (inst, coeffs) in enumerate(stream):
+            ctx = EvalContext(inst, coeffs)
+            for family in PROFILE_FAMILIES:
+                fn = tuning._family_fn(family, ctx)
+                values = np.array([fn(1.0 / t) for t in ts.tolist()])
+                if not (values > 0.0).all():
+                    continue
+                logs = np.log(values)
+                second = logs[:-2] - 2.0 * logs[1:-1] + logs[2:]
+                assert second.min() >= -1e-12 * (np.abs(logs).max() + 1.0), (index, family)
+
 
 class TestOptimize:
     def test_boundary_minimizer_at_lower_endpoint(self):

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from bbbounds import (
+    DEFAULT_POLICY,
+    MAX,
     GenConfig,
     IncompatibleInstanceError,
     ProblemInstance,
@@ -20,6 +22,7 @@ from bbbounds import (
     evaluate_variant,
     full_catalog,
     generate_instance,
+    lemma21_bound,
     orthonormalize,
     parse_variant,
     parse_variant_list,
@@ -803,6 +806,44 @@ class TestBlockGeneration:
             for violation in report.violations:
                 expected = instance_to_jsonable(*generate_instance(config, violation["instance_id"]))
                 assert violation["instance"] == expected
+
+
+class TestOneGramPerInstance:
+    # both sides of a combination check read the instance's one Gram matrix,
+    # the family's block of its bordered Gram (ProblemInstance.family_gram)
+
+    @pytest.mark.parametrize("config", [GenConfig(master_seed=42, count=500), WIDE_CONFIG], ids=["seed42", "wide"])
+    def test_vectors_and_gram_modes_check_alike(self, config):
+        plan = plan_for(tuple(full_catalog()))
+        for index in range(config.count):
+            inst, coeffs = generate_instance(config, index)
+            gram_only = ProblemInstance.from_bordered_gram(inst.bordered.entries, field_mode=inst.field_mode)
+            expected = repr(plan.check(EvalContext(inst, coeffs), DEFAULT_POLICY))
+            assert repr(plan.check(EvalContext(gram_only, coeffs), DEFAULT_POLICY)) == expected, index
+
+    def test_the_combination_side_is_the_double_sum_of_the_family_gram(self):
+        config = GenConfig(master_seed=42, count=2000)
+        for index in range(config.count):
+            inst, coeffs = generate_instance(config, index)
+            g = inst.family_gram.entries
+            expected = max(complex(coeffs @ g @ np.conj(coeffs)).real, 0.0)
+            assert repr(EvalContext(inst, coeffs).lhs_combination) == repr(expected), index
+
+    def test_each_gram_is_built_once(self, monkeypatch):
+        # a generated instance's left-hand side builds no Gram matrix, and a
+        # public bound on a family builds the family's once
+        import bbbounds.bounds as bounds
+        import bbbounds.space as space
+
+        inst, coeffs = generate_instance(GenConfig(master_seed=42, count=1), 0)
+        calls = []
+        for owner in (bounds, space):
+            original = owner.gram_of_family
+            monkeypatch.setattr(owner, "gram_of_family", lambda *args, _fn=original: calls.append(args) or _fn(*args))
+        EvalContext(inst, coeffs).lhs_combination
+        assert len(calls) == 0
+        lemma21_bound(MAX, MAX, coeffs, inst.family)
+        assert len(calls) == 1
 
 
 class TestWideFamilyGolden:
