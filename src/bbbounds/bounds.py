@@ -273,24 +273,24 @@ class _PowerBlock(_Arrays):
     instance, so the roots are memoized.
     """
 
-    __slots__ = ("maximum", "second", "_scaled", "_live", "_entries", "_memo")
+    __slots__ = ("maximum", "second", "_live", "_entries", "_memo")
 
     def __init__(self, values: np.ndarray, count: np.ndarray):
         # a row holds ``count`` nonnegative values and zero padding, in any
         # order: sorted, the padding comes after them (it equals any zero
-        # among them), and a short row's second is 0.0
+        # among them), and a short row's second is 0.0; only the scaled
+        # live entries are kept, so a block holds each value once
         desc = np.sort(values, axis=1)[:, ::-1]
         zeros = np.zeros(len(desc))
-        self.maximum = desc[:, 0] if desc.shape[1] else zeros
-        self.second = desc[:, 1] if desc.shape[1] >= 2 else zeros
+        self.maximum = desc[:, 0].copy() if desc.shape[1] else zeros
+        self.second = desc[:, 1].copy() if desc.shape[1] >= 2 else zeros
         m = self.maximum
         self._live = _first(count, desc.shape[1]) & (m > 0.0)[:, None]
-        self._scaled = np.divide(desc, m[:, None], out=np.zeros(desc.shape), where=self._live)
-        self._entries = self._scaled[self._live]
+        self._entries = desc[self._live] / np.repeat(m, self._live.sum(axis=1))
         self._memo: dict[tuple, np.ndarray] = {}
 
     def _powers(self, p: float) -> np.ndarray:
-        out = np.zeros(self._scaled.shape)
+        out = np.zeros(self._live.shape)
         out[self._live] = np.fromiter(map(pow, self._entries.tolist(), repeat(p)), np.float64, self._entries.size)
         return out
 
@@ -579,11 +579,11 @@ class Plan:
     ``two_terms`` and ``weighted`` (its index in ``SKIP_REASONS``, its
     left-hand side, whether it adds two terms, whether ``x_norm_sq`` scales
     it) and a column of ``term_index`` (its first and last term).  So
-    ``evaluate`` computes each term and left-hand side once per instance,
+    ``columns`` computes each term and left-hand side once per instance,
     those of gated rows on every family (closed forms, which neither raise
-    nor warn) and those read with coefficients only when there are some,
-    then builds every right-hand side with one gather, one masked add and
-    one masked multiply.  A plan holds no callables, so it pickles as is.
+    nor warn) and those read with coefficients only when there are some;
+    ``gather`` then builds the rows from them, and ``evaluate`` is the two
+    in turn.  A plan holds no callables, so it pickles as is.
     """
 
     def __init__(self, variants):
@@ -615,12 +615,12 @@ class Plan:
         unmet[..., 2] = ctx.coeffs is None
         return self.need * unmet[..., self.need]
 
-    def evaluate(self, ctx: EvalContext | EvalBlock, tuned=None) -> tuple[np.ndarray, np.ndarray]:
-        """``(lhs, rhs)`` for every row, meaning nothing where ``skips`` skips
-        it; for a block, arrays of (instances, rows), each instance's row bit
-        for bit its own evaluation.  ``tuned``, a function
-        of (context, ``_TERMS`` key), gives each holder slot's term in place
-        of its value at the slot's exponent."""
+    def columns(self, ctx: EvalContext | EvalBlock, tuned=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(terms, sides)``: each distinct term's value and each left-hand
+        side, NaN where only coefficients give one and there are none; for a
+        block, (instances, terms) and (instances, lhs) arrays.  ``tuned``, a
+        function of (context, ``_TERMS`` key), gives each holder slot's term
+        in place of its value at the slot's exponent."""
         bare = ctx.coeffs is None
         sides = [math.nan if bare and c else getattr(ctx, a) for a, c in zip(self.lhs_attrs, self.lhs_coeffs)]
         # the terms compute as Python floats do, which never warn
@@ -631,12 +631,25 @@ class Plan:
                 else _TERMS[key](ctx, sel)
                 for (key, sel), c in zip(self.terms, self.term_coeffs)
             ]
-            values = np.array(values, dtype=np.float64).T
-            rhs, second = values[..., self.term_index[0]], values[..., self.term_index[1]]
+        return np.array(values, dtype=np.float64).T, np.array(sides, dtype=np.float64).T
+
+    def gather(self, terms: np.ndarray, sides: np.ndarray, x_norm_sq=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(lhs, rhs)`` for every row from the ``columns`` of one instance,
+        or of any slice of a block's instances, with their ``x_norm_sq``
+        where weighted rows read it: one gather, one masked add and one
+        masked multiply."""
+        with np.errstate(all="ignore"):
+            rhs, second = terms[..., self.term_index[0]], terms[..., self.term_index[1]]
             np.add(rhs, second, out=rhs, where=self.two_terms)
             if self.weighted.any():
-                np.multiply(rhs, np.asarray(ctx.x_norm_sq)[..., None], out=rhs, where=self.weighted)
-        return np.array(sides, dtype=np.float64).T[..., self.lhs_index], rhs
+                np.multiply(rhs, np.asarray(x_norm_sq)[..., None], out=rhs, where=self.weighted)
+        return sides[..., self.lhs_index], rhs
+
+    def evaluate(self, ctx: EvalContext | EvalBlock, tuned=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(lhs, rhs)`` for every row, meaning nothing where ``skips`` skips
+        it; for a block, arrays of (instances, rows), each instance's row bit
+        for bit its own evaluation.  ``tuned`` is as in ``columns``."""
+        return self.gather(*self.columns(ctx, tuned), ctx.x_norm_sq if self.weighted.any() else None)
 
     def check(self, ctx: EvalContext, policy: TolerancePolicy) -> list[BoundEvaluation | str]:
         """Each variant of the caller's tuple, in its order: its evaluation, in

@@ -157,10 +157,6 @@ class GramMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def diagonal(self) -> np.ndarray:
-        """Real diagonal (the squared norms)."""
-        return self.entries.diagonal().real.copy()
-
     def validate(self, psd_tol: float = DEFAULT_PSD_TOL) -> "GramMatrix":
         """Check Hermitian symmetry, a real nonnegative diagonal, and PSD.
 

@@ -9,11 +9,15 @@ bound in the catalog is a theorem.
 
 Checks read the plan of their variants (``bounds.plan_for``): one row for
 ``check_variant``, and a whole suite's rows for blocks of consecutive
-instances (``bounds.EvalBlock``), judged and reduced as (instances, rows)
-arrays by ``_Tally``, which the tests hold to ``VariantTotals.record``.  A
-block holds the instances of at most ``_BLOCK_ENTRIES`` padded entries, so
-memory stays flat as the count grows; where the blocks are cut changes no
-output bit.
+instances (``bounds.EvalBlock``).  ``_Tally`` evaluates a block's terms and
+left-hand sides once (``Plan.columns``), then gathers, judges and reduces
+its (instances, rows) arrays a slice of at most ``_BLOCK_ENTRIES`` entries
+at a time, which the tests hold to ``VariantTotals.record``.  A block holds
+the instances whose own arrays take at most ``_BLOCK_BYTES``: on the full
+catalog, over a thousand one-vector families, a few hundred of the default
+stream's, four of 64 vectors in 128 dimensions.  So the fixed cost of a block is paid rarely,
+memory stays flat as the count grows, and where the blocks and slices are
+cut changes no output bit.
 
 The suite generates a block at a time (``_blocks``), with the bits that
 ``generate_instance`` and ``EvalContext`` give one instance at a time.  It
@@ -448,36 +452,40 @@ class _Tally:
         self.violations: list[dict] = []
 
     def add(self, start: int, block: EvalBlock, policy: TolerancePolicy) -> None:
-        """Judge and fold the instances ``start``, ``start + 1``, ... of ``block``."""
+        """Judge and fold the instances ``start``, ``start + 1``, ... of
+        ``block``: its terms at once, its rows a slice of instances at a time."""
         plan = self.plan
-        lhs, rhs = plan.evaluate(block)
-        skips = plan.skips(block)
-        checked = skips == 0
-        with np.errstate(invalid="ignore", over="ignore"):
-            holds = policy.holds(lhs, rhs)
-            slack = rhs - lhs
-            rel = np.where(rhs > lhs, rhs, lhs)                     # max(lhs, rhs, 1e-300)
-            np.copyto(rel, 1e-300, where=1e-300 > rel)
-            np.divide(slack, rel, out=rel)
-        mins, nans = zip(*(_first_minima(sample, checked) for sample in (slack, rel)))
-        self._fold(np.stack(mins), np.stack(nans), checked.any(axis=0))
+        terms, sides = plan.columns(block)
+        x_norm_sq, skips = block.x_norm_sq, plan.skips(block)
+        step = max(1, _BLOCK_ENTRIES // len(plan.names))
+        for lo in range(0, len(block), step):
+            hi = lo + step
+            lhs, rhs = plan.gather(terms[lo:hi], sides[lo:hi], x_norm_sq[lo:hi])
+            checked = skips[lo:hi] == 0
+            with np.errstate(invalid="ignore", over="ignore"):
+                holds = policy.holds(lhs, rhs)
+                slack = rhs - lhs
+                rel = np.where(rhs > lhs, rhs, lhs)                     # max(lhs, rhs, 1e-300)
+                np.copyto(rel, 1e-300, where=1e-300 > rel)
+                np.divide(slack, rel, out=rel)
+            mins, nans = zip(*(_first_minima(sample, checked) for sample in (slack, rel)))
+            self._fold(np.stack(mins), np.stack(nans), checked.any(axis=0))
+            self.checked += checked.sum(axis=0)
+            self.held += (checked & holds).sum(axis=0)
+            payloads: dict[int, dict] = {}
+            for b, k in zip(*(checked & ~holds).nonzero()):
+                if b not in payloads:
+                    payloads[b] = instance_to_jsonable(*block.instance(lo + int(b)))
+                violation = {
+                    "instance_id": start + lo + int(b),
+                    "variant": plan.names[k],
+                    "lhs": float(lhs[b, k]),
+                    "rhs": float(rhs[b, k]),
+                    "slack": float(slack[b, k]),
+                    "instance": payloads[b],
+                }
+                self.violations.extend([violation] * int(plan.weights[k]))
         self.instances += len(block)
-        self.checked += checked.sum(axis=0)
-        self.held += (checked & holds).sum(axis=0)
-        failed = checked & ~holds
-        payloads: dict[int, dict] = {}
-        for b, k in zip(*failed.nonzero()):
-            if b not in payloads:
-                payloads[b] = instance_to_jsonable(*block.instance(int(b)))
-            violation = {
-                "instance_id": start + int(b),
-                "variant": plan.names[k],
-                "lhs": float(lhs[b, k]),
-                "rhs": float(rhs[b, k]),
-                "slack": float(slack[b, k]),
-                "instance": payloads[b],
-            }
-            self.violations.extend([violation] * int(plan.weights[k]))
 
     def _fold(self, later_mins: np.ndarray, later_nan: np.ndarray, later_checked: np.ndarray) -> None:
         """Fold in the minima of the checks right after these: a later NaN, or
@@ -508,11 +516,19 @@ class _Tally:
         }
 
 
-# A block holds at most this many padded entries in its widest array, by
-# instance the larger of the plan's rows and its n (n - 1) / 2 off-diagonal
-# magnitudes (or n): the (instances, rows) sides and verdicts and the power
-# temporaries stay small whatever --count is.
+# The (instances, rows) sides, verdicts and slacks are judged a slice of at
+# most _BLOCK_ENTRIES entries at a time.  A block holds instances whose own
+# arrays take at most _BLOCK_BYTES, which _blocks counts per instance as the
+# sum of its packed entries with their normals (32 bytes an entry) and,
+# padded to the block's widest family of w vectors, its bordered Gram with
+# the real arrays read from it (32 bytes an entry of (w + 1)^2), its
+# coefficients (16 w), its pair statistics (56 bytes a pair: magnitudes,
+# sorted and scaled, and powers) and the plan's term columns (24 bytes a
+# term, with the power-sum roots they read) and skips (a byte a row).  Four
+# instances of 64 vectors in 128 dimensions fit, so that a block's fixed
+# cost stays small beside its instances' own work on wide families too.
 _BLOCK_ENTRIES = 8192
+_BLOCK_BYTES = 2 * 2**20
 
 
 def _square_overflows(root: float) -> bool:
@@ -592,17 +608,20 @@ def _blocks(config: GenConfig, plan: Plan, start: int, stop: int):
     to raise is the one that raises one instance at a time)."""
     # the Fourier side is a statistic of the block; the other two may raise
     sides = [attr for attr in plan.lhs_attrs if attr != "lhs_fourier"]
+    columns = 24 * len(plan.terms) + len(plan.names)
     draws: list[_Draw] = []
-    width = 0
+    width = packed = 0
     for index, rng in _seeded(config, start, stop):
         draw = _draw(config, index, rng)
-        entries = max(len(plan.names), draw.n, draw.n * (draw.n - 1) // 2)
-        if draws and (len(draws) + 1) * max(width, entries) > _BLOCK_ENTRIES:
+        own = 32 * ((draw.n + 1) * draw.d + draw.n)
+        w = max(width, draw.n)
+        padded = 32 * (w + 1) ** 2 + 16 * w + 56 * (w * (w - 1) // 2) + columns
+        if draws and (len(draws) + 1) * padded + packed + own > _BLOCK_BYTES:
             first = index - len(draws)
             yield first, _generated_block(config, first, draws, sides)
-            width = 0
+            width = packed = 0
         draws.append(draw)
-        width = max(width, entries)
+        width, packed = max(width, draw.n), packed + own
     if draws:
         yield stop - len(draws), _generated_block(config, stop - len(draws), draws, sides)
 
@@ -629,9 +648,10 @@ def run_suite(
     judges and reduces the block's checks as arrays, with the same results,
     bit for bit, as ``check_variant`` on each instance folded through
     ``VariantTotals.record``.  ``jobs`` > 1 splits the stream into that many
-    contiguous index ranges, tallied in forked processes and merged in index
-    order, so the output does not depend on the parallelism level or on
-    where the blocks are cut; ``jobs`` < 1 raises ValueError.
+    contiguous index ranges, tallied by at most one forked process per
+    available CPU and merged in index order, so the output does not depend
+    on the parallelism level or on where the blocks are cut; ``jobs`` < 1
+    raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -641,12 +661,15 @@ def run_suite(
     spans = list(zip(edges, edges[1:]))
     if ranges > 1:
         import multiprocessing
+        import os
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork, not spawn: a spawned worker re-imports the caller's main
-        # module, which fails in a script without a __main__ guard; the
-        # pool forks all its workers before it starts its manager thread.
-        with ProcessPoolExecutor(ranges, mp_context=multiprocessing.get_context("fork")) as pool:
+        # no more workers than the CPUs this process may run on; fork, not
+        # spawn: a spawned worker re-imports the caller's main module, which
+        # fails in a script without a __main__ guard; the pool forks all its
+        # workers before it starts its manager thread.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with ProcessPoolExecutor(min(ranges, cpus), mp_context=multiprocessing.get_context("fork")) as pool:
             futures = [pool.submit(_tally_range, config, plan, policy, a, b) for a, b in spans]
             tallies = [f.result() for f in futures]
     else:

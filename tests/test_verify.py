@@ -1,8 +1,12 @@
 """Generator determinism, suite reporting, skips, and the witness search."""
 
+import concurrent.futures
 import hashlib
 import math
+import os
 import pickle
+import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -235,9 +239,10 @@ CHECKED = [[True] * 6] * 3 + [[True] * 5 + [False]]
 
 
 class _GivenSides:
-    """Stands in for a ``bounds.Plan``: each ``evaluate`` returns the next
-    block's sides from SAMPLES, and ``skips`` that block's skips from
-    CHECKED (the gate where unchecked)."""
+    """Stands in for a ``bounds.Plan``: each ``columns`` returns the next
+    block's (lhs, rhs) pairs from SAMPLES as both its columns, which
+    ``gather`` splits on any slice of the block's instances, and ``skips``
+    that block's skips from CHECKED (the gate where unchecked)."""
 
     names = tuple(f"v{k}" for k in range(len(SAMPLES[0])))
     weights = np.ones(len(names), dtype=np.int64)
@@ -245,11 +250,15 @@ class _GivenSides:
     def __init__(self, start, stop):
         self._rows = iter(zip(CHECKED[start:stop], SAMPLES[start:stop]))
 
-    def evaluate(self, block):
+    def columns(self, block):
         checked, sample = zip(*(next(self._rows) for _ in range(len(block))))
         self._skips = np.where(checked, 0, 1)
-        lhs, rhs = np.moveaxis(np.array(sample), -1, 0)
-        return lhs, rhs
+        pairs = np.array(sample)
+        return pairs, pairs
+
+    def gather(self, terms, sides, x_norm_sq):
+        assert len(terms) == len(sides) == len(x_norm_sq)
+        return sides[..., 0], terms[..., 1]
 
     def skips(self, block):
         return self._skips
@@ -257,10 +266,11 @@ class _GivenSides:
 
 class _Placeholders:
     """Stands in for a ``bounds.EvalBlock`` of ``count`` instances where only
-    its length and its payload instances are read."""
+    its length, its ``x_norm_sq`` and its payload instances are read."""
 
     def __init__(self, count):
         self.count = count
+        self.x_norm_sq = np.ones(count)
 
     def __len__(self):
         return self.count
@@ -307,6 +317,14 @@ class TestArrayReduce:
     @pytest.mark.parametrize("cuts", [c for r in (1, 2, 3) for c in combinations(range(1, len(SAMPLES)), r)])
     def test_blocks_cut_anywhere_match_record(self, cuts):
         tally = self._tally(0, len(SAMPLES), cuts)
+        assert repr(tally.totals()) == self._expected()
+        assert [v["instance_id"] for v in tally.violations] == [0, 1, 2]
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_slices_of_one_block_match_record(self, step, monkeypatch):
+        # one block of all four instances, judged and folded step instances at a time
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", step * len(_GivenSides.names))
+        tally = self._tally(0, len(SAMPLES))
         assert repr(tally.totals()) == self._expected()
         assert [v["instance_id"] for v in tally.violations] == [0, 1, 2]
 
@@ -361,10 +379,11 @@ class TestRunSuite:
             assert parallel.to_csv() == serial.to_csv()
             assert parallel.to_json() == serial.to_json()
 
-    @pytest.mark.parametrize("names, count", [("all", 200), ("bb:1.2,cor23:sharp", 900)], ids=["catalog", "two-variants"])
+    @pytest.mark.parametrize("names, count", [("all", 1400), ("bb:1.2,cor23:sharp", 2000)], ids=["catalog", "two-variants"])
     def test_process_cuts_inside_blocks(self, names, count, monkeypatch):
         # several blocks per process range, cut at other instances than the
-        # blocks of one process are
+        # blocks of one process are; a block holds a few hundred of these
+        # instances
         variants = parse_variant_list(names)
         config = GenConfig(master_seed=42, count=count)
         blocks = []
@@ -419,6 +438,109 @@ class TestRunSuite:
         assert set(payload) == {"instance_id", "variant", "lhs", "rhs", "slack", "instance"}
         assert payload["instance"]["mode"] == "vectors"
         assert "coeffs" in payload["instance"]
+
+
+class _InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: records its worker count and
+    the index range of each submitted tally, which it runs in this process."""
+
+    def __init__(self, max_workers, mp_context=None):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.ranges.append(args[-2:])
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestBlockSizing:
+    # a block holds a budget of bytes, whatever its instances' size; its
+    # rows are judged a slice of instances at a time
+
+    def test_one_block_in_slices_matches_check_variant(self, monkeypatch):
+        # a policy that turns near-equalities into violations, which fall in several slices
+        config = GenConfig(master_seed=42, count=120)
+        policy = TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)
+        blocks, slices = [], []
+        add, gather = _Tally.add, Plan.gather
+        monkeypatch.setattr(_Tally, "add", lambda self, start, block, policy: blocks.append(len(block)) or add(self, start, block, policy))
+        monkeypatch.setattr(Plan, "gather", lambda self, terms, *rest: slices.append(len(terms)) or gather(self, terms, *rest))
+        report = run_suite(config, full_catalog(), policy)
+        assert blocks == [config.count] and len(slices) >= 3 and sum(slices) == config.count
+        totals = {v.name: VariantTotals() for v in full_catalog()}
+        violations = []
+        for index in range(config.count):
+            inst, coeffs = generate_instance(config, index)
+            for variant in full_catalog():
+                result = check_variant(variant, inst, coeffs, policy, index)
+                ev = result.evaluation
+                if ev is None:
+                    totals[variant.name].skipped += 1
+                    continue
+                totals[variant.name].record(ev.lhs, ev.rhs, ev.slack, ev.holds)
+                if not ev.holds:
+                    violations.append({
+                        "instance_id": index, "variant": variant.name, "lhs": ev.lhs, "rhs": ev.rhs,
+                        "slack": ev.slack, "instance": instance_to_jsonable(inst, coeffs),
+                    })
+        assert repr(report.totals) == repr(totals)
+        assert report.violations == sorted(violations, key=lambda v: (v["instance_id"], v["variant"]))
+        edges = np.cumsum(slices[:-1])
+        assert len(set(np.searchsorted(edges, [v["instance_id"] for v in violations], side="right"))) > 1
+
+    @pytest.mark.parametrize("names", ["all", "bb:1.2"])
+    def test_four_of_the_widest_families_share_a_block(self, names):
+        config = GenConfig(master_seed=5, count=9, n_range=(64, 64), d_range=(128, 128))
+        plan = plan_for(tuple(parse_variant_list(names)))
+        assert [len(block) for _, block in _blocks(config, plan, 0, config.count)] == [4, 4, 1]
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _peak(config):
+        """The traced peak of a suite run on ``config``, after one warm-up run."""
+        run_suite(GenConfig(**{**vars(config), "count": 3}), full_catalog())
+        tracemalloc.start()
+        try:
+            run_suite(config, full_catalog())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n_range, count", [((1, 1), 1500), ((1, 8), 700)], ids=["n1", "default"])
+    def test_peak_flat_in_the_count(self, n_range, count):
+        # each count fills a block at least
+        once = self._peak(GenConfig(master_seed=42, count=count, n_range=n_range))
+        thrice = self._peak(GenConfig(master_seed=42, count=3 * count, n_range=n_range))
+        assert thrice <= 1.1 * once
+
+    def test_single_vectors_peak_no_higher_than_wide_families(self):
+        # one-vector instances hold little each, so a block holds over a thousand of them
+        narrow = self._peak(GenConfig(master_seed=42, count=4500, n_range=(1, 1)))
+        wide = self._peak(GenConfig(master_seed=42, count=60, n_range=(24, 64), d_range=(16, 128)))
+        assert narrow <= wide
+
+    def test_pool_no_larger_than_the_available_cpus(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "workers", [], raising=False)
+        monkeypatch.setattr(_InlinePool, "ranges", [], raising=False)
+        config = GenConfig(master_seed=4, count=60)
+        expected = run_suite(config, full_catalog()).to_json()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run_suite(config, full_catalog(), jobs=5).to_json() == expected
+        # without sched_getaffinity, the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert run_suite(config, full_catalog(), jobs=5).to_json() == expected
+        assert run_suite(config, full_catalog(), jobs=3).to_json() == expected
+        assert _InlinePool.workers == [2, 4, 3]
+        assert _InlinePool.ranges == [(12 * k, 12 * k + 12) for k in range(5)] * 2 + [(0, 20), (20, 40), (40, 60)]
 
 
 # The scalar evaluator, one variant on one instance at a time, read straight
@@ -717,7 +839,7 @@ class TestBlockGeneration:
         ],
         ids=["seed42", "structured", "wide", "real", "complex", "scale1e150", "scale1e-170"],
     )
-    def test_blocks_match_one_instance_at_a_time(self, config, digest):
+    def test_blocks_match_one_instance_at_a_time(self, config, digest, monkeypatch):
         # the digests were recorded before the generator drew each instance
         # with one standard_normal call
         h = hashlib.sha256()
@@ -727,6 +849,8 @@ class TestBlockGeneration:
                 h.update(a.tobytes())
             h.update(inst.field_mode.encode())
         assert h.hexdigest()[:16] == digest
+        # an eighth of the budget cuts each of these streams into several blocks
+        monkeypatch.setattr(verify, "_BLOCK_BYTES", verify._BLOCK_BYTES // 8)
         assert len(_blocks_match(config, 0, config.count)) > 1
 
     @pytest.mark.parametrize(
