@@ -463,6 +463,8 @@ class EvalContext(_Floats):
                 raise ValidationError(
                     f"coefficient vector of length {coeffs.shape} for n={inst.n}"
                 )
+            if not np.isfinite(coeffs).all():
+                raise ValidationError("coeffs contains non-finite entries")
         self.coeffs = coeffs
         self.tuned: dict[str, tuple[float, float, bool]] = {}
 
@@ -690,7 +692,9 @@ def evaluate_variant(
     Combination and weighted variants need ``coeffs``; Fourier variants
     derive their coefficients internally as ``conj((x, y_i))``.  Raises
     :class:`IncompatibleInstanceError` when coefficients are missing or an
-    orthonormal-only variant meets a non-orthonormal family.
+    orthonormal-only variant meets a non-orthonormal family, and
+    ``ValidationError`` when given coefficients are of the wrong length or
+    not all finite, whatever the variant.
     """
     return _bound(variant, EvalContext(inst, coeffs), policy)
 
@@ -728,7 +732,8 @@ def lemma21_bound(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> BoundEvaluation:
     """The base combination bound: diagonal term plus off-diagonal term."""
-    return _bound(Variant.lemma21(dsel, osel), EvalContext.of_combination(coeffs, family_or_gram), policy)
+    ctx = EvalContext.of_combination(coeffs, family_or_gram)
+    return _bound(Variant("lemma21:{diag}:{offdiag}", dsel, osel), ctx, policy)
 
 
 def cor23_bounds(
@@ -742,7 +747,7 @@ def cor23_bounds(
     all-zero coefficients.
     """
     ctx = EvalContext.of_combination(coeffs, family_or_gram)
-    sharp, weak = plan_for((Variant.cor23_sharp(), Variant.cor23_weak())).check(ctx, policy)
+    sharp, weak = plan_for((Variant("cor23:sharp"), Variant("cor23:weak"))).check(ctx, policy)
     return sharp, weak
 
 
@@ -757,7 +762,8 @@ def coarse_bound(
     (n-1)-weighted diagonal power sums.  Dominates the base bound with the
     same selectors on every instance.
     """
-    return _bound(Variant.coarse(dsel, osel), EvalContext.of_combination(coeffs, family_or_gram), policy)
+    ctx = EvalContext.of_combination(coeffs, family_or_gram)
+    return _bound(Variant("coarse:{diag}:{offdiag}", dsel, osel), ctx, policy)
 
 
 def special_bound(

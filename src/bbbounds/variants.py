@@ -1,15 +1,15 @@
-"""The bound catalog: one table row per variant kind, and the variant names.
+"""The bound catalog: one table row per bound, keyed by its name pattern.
 
 Each right-hand side is the sum of one or two shared terms of the
 per-instance statistics (``_TERMS``: the diagonal term, the off-diagonal
 term, a closed form, ...), times ``|x|^2`` for a weighted bound.  A row of
-``_SPECS`` gives the wire-name pattern, whose braces mark the exponent slots
-(a selector pair, ``p``, or none); the family, i.e. which left-hand side the
-bound caps; the ``_TERMS`` keys of the terms it sums, the first fed by the
-slots in order (what exponent tuning minimizes); and the cor32 branch and
-orthonormal-only flag.  Validation, names, parsing and the catalog below,
-evaluation in ``bounds`` and tuning in ``tuning`` all derive from the table,
-so a new bound is one row listing the terms its right-hand side sums.
+``_SPECS`` gives the wire-name pattern, the row's only key, whose braces
+mark the exponent slots (a selector pair, ``p``, or none); the family, i.e.
+which left-hand side the bound caps; the ``_TERMS`` keys of the terms it
+sums, the first fed by the slots in order (what exponent tuning minimizes);
+and the orthonormal-only flag.  Validation, names, parsing and the catalog
+below, evaluation in ``bounds`` and tuning in ``tuning`` all derive from the
+table, so a new bound is one row listing the terms its right-hand side sums.
 
 A selector picks how a diagonal (``|c_i|^2 |z_i|^2``) or ordered off-diagonal
 term is bounded: factor out the max, split by conjugate exponents (holder),
@@ -265,12 +265,10 @@ _SLOT_FORMS = {"diag": "holder:[^:]*|[^:]*", "offdiag": "holder:[^:]*|[^:]*", "p
 class _Spec:
     """One row of the catalog table; the module docstring lists the columns."""
 
-    def __init__(self, pattern, kind, family, terms, branch=None, orthonormal_only=False):
+    def __init__(self, pattern, family, terms, orthonormal_only=False):
         self.pattern = pattern
-        self.kind = kind
         self.family = family
         self.terms = terms
-        self.branch = branch
         self.orthonormal_only = orthonormal_only
         # the pattern as a regular expression with one named group per slot
         self.regex = re.compile(
@@ -283,127 +281,57 @@ C, W, F = "combination", "weighted", "fourier"    # the families
 
 # In catalog order: full_catalog expands the rows in turn.
 _SPECS = (
-    _Spec("lemma21:{diag}:{offdiag}", "lemma21", C, ("lemma21:diag", "lemma21:offdiag")),
-    _Spec("coarse:{diag}:{offdiag}", "coarse", C, ("lemma21:diag", "coarse:offdiag")),
-    _Spec("thm31:{diag}:{offdiag}", "thm31", W, ("lemma21:diag", "lemma21:offdiag")),
-    _Spec("cor23:sharp", "cor23_sharp", C, ("cor23:sharp",)),
-    _Spec("cor23:weak", "cor23_weak", C, ("cor23:weak",)),
-    _Spec("special:2.11", "special_211", C, ("special:2.11",)),
-    _Spec("special:2.13", "special_213", C, ("special:2.13",)),
-    _Spec("special:2.12:p={p}", "special_212", C, ("coarse",)),
-    _Spec("cor32:1", "cor32", W, ("cor23:weak",), branch=1),
-    _Spec("cor32:2", "cor32", W, ("special:2.11",), branch=2),
-    _Spec("cor32:4", "cor32", W, ("special:2.13",), branch=4),
-    _Spec("cor32:3:p={p}", "cor32", W, ("coarse",), branch=3),
-    _Spec("bb:1.2", "bb_12", F, ("bb:1.2",)),
-    _Spec("bb:4.1", "bb_41", F, ("bb:4.1",)),
-    _Spec("bb:4.5", "bb_45", F, ("bb:4.5",)),
-    _Spec("bb:4.3:p={p}", "bb_43", F, ("bb:4.3",)),
-    _Spec("ortho:4.2", "ortho_42", F, ("ortho:4.2",), orthonormal_only=True),
-    _Spec("ortho:4.4:p={p}", "ortho_44", F, ("ortho:4.4",), orthonormal_only=True),
-    _Spec("bessel:1.1", "bessel_11", F, ("bessel:1.1",), orthonormal_only=True),
+    _Spec("lemma21:{diag}:{offdiag}", C, ("lemma21:diag", "lemma21:offdiag")),
+    _Spec("coarse:{diag}:{offdiag}", C, ("lemma21:diag", "coarse:offdiag")),
+    _Spec("thm31:{diag}:{offdiag}", W, ("lemma21:diag", "lemma21:offdiag")),
+    _Spec("cor23:sharp", C, ("cor23:sharp",)),
+    _Spec("cor23:weak", C, ("cor23:weak",)),
+    _Spec("special:2.11", C, ("special:2.11",)),
+    _Spec("special:2.13", C, ("special:2.13",)),
+    _Spec("special:2.12:p={p}", C, ("coarse",)),
+    _Spec("cor32:1", W, ("cor23:weak",)),
+    _Spec("cor32:2", W, ("special:2.11",)),
+    _Spec("cor32:4", W, ("special:2.13",)),
+    _Spec("cor32:3:p={p}", W, ("coarse",)),
+    _Spec("bb:1.2", F, ("bb:1.2",)),
+    _Spec("bb:4.1", F, ("bb:4.1",)),
+    _Spec("bb:4.5", F, ("bb:4.5",)),
+    _Spec("bb:4.3:p={p}", F, ("bb:4.3",)),
+    _Spec("ortho:4.2", F, ("ortho:4.2",), orthonormal_only=True),
+    _Spec("ortho:4.4:p={p}", F, ("ortho:4.4",), orthonormal_only=True),
+    _Spec("bessel:1.1", F, ("bessel:1.1",), orthonormal_only=True),
 )
 
-_SPEC_OF = {(spec.kind, spec.branch): spec for spec in _SPECS}
+_SPEC_OF = {spec.pattern: spec for spec in _SPECS}
 
 
 @dataclass(frozen=True)
 class Variant:
-    """A tagged bound identifier; construct via the classmethods below.
+    """A bound identifier: its row's pattern and the values of the pattern's
+    slots, e.g. ``Variant("cor32:3:p={p}", p=1.5)``.
 
     ``spec`` is its row of the catalog table, and ``terms`` pairs each term's
     ``_TERMS`` key with its slot's selector (``p`` as ``holder(p)``) or None.
     """
 
-    kind: str
+    pattern: str
     diag: Selector | None = None
     offdiag: Selector | None = None
-    branch: int | None = None
     p: float | None = None
 
     def __post_init__(self) -> None:
-        spec = _SPEC_OF.get((self.kind, self.branch))
+        spec = _SPEC_OF.get(self.pattern)
         if spec is None:
-            if all(s.kind != self.kind for s in _SPECS):
-                raise VariantError(f"unknown variant kind {self.kind!r}")
-            raise VariantError(f"variant {self.kind!r} has no branch {self.branch!r}")
+            raise VariantError(f"unknown variant pattern {self.pattern!r}")
         for slot in ("diag", "offdiag", "p"):
             given = getattr(self, slot) is not None
             if given != (slot in spec.slots):
-                raise VariantError(f"variant {self.kind!r} {'does not take' if given else 'needs'} {slot}")
+                raise VariantError(f"variant {self.pattern!r} {'does not take' if given else 'needs'} {slot}")
         if self.p is not None:
             object.__setattr__(self, "p", _check_exponent(self.p))
         sels = [holder(self.p) if slot == "p" else getattr(self, slot) for slot in spec.slots]
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "terms", tuple(zip_longest(spec.terms, sels)))
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def lemma21(cls, diag: Selector, offdiag: Selector) -> "Variant":
-        return cls("lemma21", diag=diag, offdiag=offdiag)
-
-    @classmethod
-    def cor23_sharp(cls) -> "Variant":
-        return cls("cor23_sharp")
-
-    @classmethod
-    def cor23_weak(cls) -> "Variant":
-        return cls("cor23_weak")
-
-    @classmethod
-    def coarse(cls, diag: Selector, offdiag: Selector) -> "Variant":
-        return cls("coarse", diag=diag, offdiag=offdiag)
-
-    @classmethod
-    def special_211(cls) -> "Variant":
-        return cls("special_211")
-
-    @classmethod
-    def special_212(cls, p: float) -> "Variant":
-        return cls("special_212", p=p)
-
-    @classmethod
-    def special_213(cls) -> "Variant":
-        return cls("special_213")
-
-    @classmethod
-    def thm31(cls, diag: Selector, offdiag: Selector) -> "Variant":
-        return cls("thm31", diag=diag, offdiag=offdiag)
-
-    @classmethod
-    def cor32(cls, branch: int, p: float | None = None) -> "Variant":
-        return cls("cor32", branch=branch, p=p)
-
-    @classmethod
-    def boas_bellman(cls) -> "Variant":
-        return cls("bb_12")
-
-    @classmethod
-    def fourier_41(cls) -> "Variant":
-        return cls("bb_41")
-
-    @classmethod
-    def fourier_43(cls, p: float) -> "Variant":
-        return cls("bb_43", p=p)
-
-    @classmethod
-    def fourier_45(cls) -> "Variant":
-        return cls("bb_45")
-
-    @classmethod
-    def ortho_42(cls) -> "Variant":
-        return cls("ortho_42")
-
-    @classmethod
-    def ortho_44(cls, p: float) -> "Variant":
-        return cls("ortho_44", p=p)
-
-    @classmethod
-    def bessel(cls) -> "Variant":
-        return cls("bessel_11")
-
-    # -- metadata -----------------------------------------------------------
 
     @property
     def family(self) -> str:
@@ -453,7 +381,7 @@ def parse_variant(text: str) -> Variant:
                 slot: _parse_float(tok, text) if slot == "p" else _parse_selector(tok, text)
                 for slot, tok in m.groupdict().items()
             }
-            return Variant(spec.kind, branch=spec.branch, **args)
+            return Variant(spec.pattern, **args)
     raise VariantError(f"unknown variant name {text!r}")
 
 
@@ -467,7 +395,7 @@ def full_catalog(exponents: tuple[float, ...] = DEFAULT_EXPONENTS) -> tuple[Vari
     sels = (MAX,) + tuple(holder(p) for p in exps) + (SUM,)
     choices = {"diag": sels, "offdiag": sels, "p": exps}
     return tuple(
-        Variant(spec.kind, branch=spec.branch, **dict(zip(spec.slots, values)))
+        Variant(spec.pattern, **dict(zip(spec.slots, values)))
         for spec in _SPECS
         for values in product(*(choices[slot] for slot in spec.slots))
     )

@@ -457,7 +457,7 @@ class _Tally:
         plan = self.plan
         terms, sides = plan.columns(block)
         x_norm_sq, skips = block.x_norm_sq, plan.skips(block)
-        step = max(1, _BLOCK_ENTRIES // len(plan.names))
+        step = max(1, _BLOCK_ENTRIES // max(1, len(plan.names)))     # a plan may have no rows
         for lo in range(0, len(block), step):
             hi = lo + step
             lhs, rhs = plan.gather(terms[lo:hi], sides[lo:hi], x_norm_sq[lo:hi])

@@ -17,7 +17,6 @@ from bbbounds import (
     MAX,
     SUM,
     ProblemInstance,
-    Variant,
     VectorFamily,
     coarse_bound,
     cor23_bounds,
@@ -28,6 +27,7 @@ from bbbounds import (
     holder,
     lemma21_bound,
     orthonormalize,
+    parse_variant,
     run_suite,
     weighted_sum_bound,
 )
@@ -127,16 +127,16 @@ def test_criterion_4_mpf_boas_bellman_reduction():
         s = float(np.sum(np.abs(c) ** 2))
         if s == 0.0:
             continue
-        mpf = weighted_sum_bound(Variant.cor32(1), c, inst)
-        bb = fourier_bound(Variant.boas_bellman(), inst)
+        mpf = weighted_sum_bound(parse_variant("cor32:1"), c, inst)
+        bb = fourier_bound(parse_variant("bb:1.2"), inst)
         worst = max(worst, abs(mpf.rhs - s * bb.rhs) / max(mpf.rhs, s * bb.rhs, 1e-300))
         # square-root recovery of the three derived Fourier bounds
-        b2 = weighted_sum_bound(Variant.cor32(2), c, inst).rhs
-        b3 = weighted_sum_bound(Variant.cor32(3, 2.0), c, inst).rhs
-        b4 = weighted_sum_bound(Variant.cor32(4), c, inst).rhs
-        f41 = fourier_bound(Variant.fourier_41(), inst).rhs
-        f43 = fourier_bound(Variant.fourier_43(2.0), inst).rhs
-        f45 = fourier_bound(Variant.fourier_45(), inst).rhs
+        b2 = weighted_sum_bound(parse_variant("cor32:2"), c, inst).rhs
+        b3 = weighted_sum_bound(parse_variant("cor32:3:p=2.0"), c, inst).rhs
+        b4 = weighted_sum_bound(parse_variant("cor32:4"), c, inst).rhs
+        f41 = fourier_bound(parse_variant("bb:4.1"), inst).rhs
+        f43 = fourier_bound(parse_variant("bb:4.3:p=2.0"), inst).rhs
+        f45 = fourier_bound(parse_variant("bb:4.5"), inst).rhs
         for want, got in ((math.sqrt(b2), f41), (math.sqrt(b3), f43), (b4 / s, f45)):
             worst = max(worst, abs(want - got) / max(want, got, 1e-300))
     ok = worst <= 1e-10
@@ -162,7 +162,7 @@ def test_criterion_5_bessel_recovery():
         # generic x: Bessel inequality at the slack tolerance
         x = draw(d)
         inst = ProblemInstance.from_vectors(x, basis)
-        ev = fourier_bound(Variant.fourier_45(), inst)
+        ev = fourier_bound(parse_variant("bb:4.5"), inst)
         worst_rhs = max(worst_rhs, abs(ev.rhs - inst.x_norm_sq) / inst.x_norm_sq)
         bessel_holds &= ev.lhs <= inst.x_norm_sq * (1 + 1e-10)
         # x inside the span: equality

@@ -36,6 +36,7 @@ from bbbounds import (
     lemma21_bound,
     offdiag_term,
     orthonormalize,
+    parse_variant,
     remark4_quantities,
     special_bound,
     weighted_sum_bound,
@@ -244,15 +245,15 @@ class TestCor23:
 
 class TestCoarseAndSpecials:
     def test_special_213(self):
-        ev = special_bound(Variant.special_213(), C12, DUP_PAIR)
+        ev = special_bound(parse_variant("special:2.13"), C12, DUP_PAIR)
         assert (ev.lhs, ev.rhs) == (pytest.approx(9.0), pytest.approx(10.0))
 
     def test_special_211(self):
-        ev = special_bound(Variant.special_211(), C12, DUP_PAIR)
+        ev = special_bound(parse_variant("special:2.11"), C12, DUP_PAIR)
         assert ev.rhs == pytest.approx(16.0)
 
     def test_special_212_p2(self):
-        ev = special_bound(Variant.special_212(2.0), C12, DUP_PAIR)
+        ev = special_bound(parse_variant("special:2.12:p=2.0"), C12, DUP_PAIR)
         assert ev.rhs == pytest.approx(2.0 * SQRT34)
 
     def test_specials_are_aligned_coarse_bounds(self):
@@ -262,9 +263,9 @@ class TestCoarseAndSpecials:
             fam = rng.standard_normal((n, 4))
             coeffs = rng.standard_normal(n)
             famv = VectorFamily(fam.astype(complex))
-            s211 = special_bound(Variant.special_211(), coeffs, famv).rhs
-            s212 = special_bound(Variant.special_212(1.5), coeffs, famv).rhs
-            s213 = special_bound(Variant.special_213(), coeffs, famv).rhs
+            s211 = special_bound(parse_variant("special:2.11"), coeffs, famv).rhs
+            s212 = special_bound(parse_variant("special:2.12:p=1.5"), coeffs, famv).rhs
+            s213 = special_bound(parse_variant("special:2.13"), coeffs, famv).rhs
             assert s211 == coarse_bound(MAX, MAX, coeffs, famv).rhs
             assert s212 == coarse_bound(holder(1.5), holder(1.5), coeffs, famv).rhs
             assert s213 == coarse_bound(SUM, SUM, coeffs, famv).rhs
@@ -305,25 +306,25 @@ class TestWeightedSum:
         return ProblemInstance.from_vectors([1.0, 0.0], ORTHO_PAIR, field_mode="real")
 
     def test_thm31_sum_sum(self, basis_instance):
-        ev = weighted_sum_bound(Variant.thm31(SUM, SUM), [1.0, 1.0], basis_instance)
+        ev = weighted_sum_bound(parse_variant("thm31:sum:sum"), [1.0, 1.0], basis_instance)
         assert (ev.lhs, ev.rhs) == (pytest.approx(1.0), pytest.approx(2.0))
 
     def test_cor32_branch_2(self, basis_instance):
-        ev = weighted_sum_bound(Variant.cor32(2), [1.0, 1.0], basis_instance)
+        ev = weighted_sum_bound(parse_variant("cor32:2"), [1.0, 1.0], basis_instance)
         assert (ev.lhs, ev.rhs) == (pytest.approx(1.0), pytest.approx(2.0))
 
     def test_zero_coefficients_equality(self, basis_instance):
-        ev = weighted_sum_bound(Variant.thm31(MAX, MAX), [0.0, 0.0], basis_instance)
+        ev = weighted_sum_bound(parse_variant("thm31:max:max"), [0.0, 0.0], basis_instance)
         assert (ev.lhs, ev.rhs) == (0.0, 0.0)
         assert ev.holds
 
     def test_length_mismatch(self, basis_instance):
         with pytest.raises(ValidationError):
-            weighted_sum_bound(Variant.cor32(1), [1.0], basis_instance)
+            weighted_sum_bound(parse_variant("cor32:1"), [1.0], basis_instance)
 
     def test_wrong_family_rejected(self, basis_instance):
         with pytest.raises(ValidationError):
-            weighted_sum_bound(Variant.bessel(), [1.0, 1.0], basis_instance)
+            weighted_sum_bound(parse_variant("bessel:1.1"), [1.0, 1.0], basis_instance)
 
     def test_thm31_matches_term_oracles(self):
         rng = np.random.default_rng(43)
@@ -334,7 +335,7 @@ class TestWeightedSum:
             c = bounded_coeffs(rng, n)
             inst = ProblemInstance.from_vectors(x, fam)
             for dsel, osel in ((MAX, SUM), (holder(2), holder(1.5)), (SUM, MAX)):
-                ev = weighted_sum_bound(Variant.thm31(dsel, osel), c, inst)
+                ev = weighted_sum_bound(Variant("thm31:{diag}:{offdiag}", dsel, osel), c, inst)
                 g = inst.family_gram.entries
                 want = inst.x_norm_sq * (brute_diag(dsel, c, g) + brute_offdiag(osel, c, g))
                 assert ev.rhs == pytest.approx(want, rel=1e-12)
@@ -345,39 +346,39 @@ class TestWeightedSum:
 class TestFourier:
     def test_bessel_recovery_on_basis(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], ORTHO_PAIR, field_mode="real")
-        ev = fourier_bound(Variant.fourier_45(), inst)
+        ev = fourier_bound(parse_variant("bb:4.5"), inst)
         assert (ev.lhs, ev.rhs) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_ortho_42(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], ORTHO_PAIR, field_mode="real")
-        ev = fourier_bound(Variant.ortho_42(), inst)
+        ev = fourier_bound(parse_variant("ortho:4.2"), inst)
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(SQRT2)
 
     def test_boas_bellman_on_duplicate_family(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], DUP_PAIR, field_mode="real")
-        ev = fourier_bound(Variant.boas_bellman(), inst)
+        ev = fourier_bound(parse_variant("bb:1.2"), inst)
         assert ev.lhs == pytest.approx(2.0)
         assert ev.rhs == pytest.approx(1.0 + SQRT2)
 
     def test_orthonormal_gate(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], DUP_PAIR, field_mode="real")
-        for variant in (Variant.bessel(), Variant.ortho_42(), Variant.ortho_44(2.0)):
+        for variant in (parse_variant("bessel:1.1"), parse_variant("ortho:4.2"), parse_variant("ortho:4.4:p=2.0")):
             with pytest.raises(IncompatibleInstanceError, match="orthonormality gate"):
                 fourier_bound(variant, inst)
 
     def test_wrong_family_rejected(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], ORTHO_PAIR, field_mode="real")
         with pytest.raises(ValidationError):
-            fourier_bound(Variant.cor32(1), inst)
+            fourier_bound(parse_variant("cor32:1"), inst)
 
     def test_evaluate_variant_skip_reasons(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], DUP_PAIR, field_mode="real")
-        cases = ((Variant.ortho_44(2.0), C12, "orthonormality gate"), (Variant.ortho_42(), None, "orthonormality gate"),
-                 (Variant.thm31(MAX, SUM), None, "requires coefficients"), (Variant.cor23_weak(), None, "requires coefficients"))
-        for variant, coeffs, reason in cases:
+        cases = (("ortho:4.4:p=2.0", C12, "orthonormality gate"), ("ortho:4.2", None, "orthonormality gate"),
+                 ("thm31:max:sum", None, "requires coefficients"), ("cor23:weak", None, "requires coefficients"))
+        for name, coeffs, reason in cases:
             with pytest.raises(IncompatibleInstanceError) as info:
-                evaluate_variant(variant, inst, coeffs)
+                evaluate_variant(parse_variant(name), inst, coeffs)
             assert info.value.reason == str(info.value) == reason
 
     def test_mpf_specialization_relations(self):
@@ -396,18 +397,18 @@ class TestFourier:
             s = float(np.sum(np.abs(c) ** 2))
             if s == 0.0:
                 continue
-            b1 = weighted_sum_bound(Variant.cor32(1), c, inst)
-            bb12 = fourier_bound(Variant.boas_bellman(), inst)
+            b1 = weighted_sum_bound(parse_variant("cor32:1"), c, inst)
+            bb12 = fourier_bound(parse_variant("bb:1.2"), inst)
             assert b1.rhs == pytest.approx(s * bb12.rhs, rel=1e-10)
             assert b1.lhs == pytest.approx(s * bb12.lhs, rel=1e-10)
-            b2 = weighted_sum_bound(Variant.cor32(2), c, inst)
-            bb41 = fourier_bound(Variant.fourier_41(), inst)
+            b2 = weighted_sum_bound(parse_variant("cor32:2"), c, inst)
+            bb41 = fourier_bound(parse_variant("bb:4.1"), inst)
             assert bb41.rhs == pytest.approx(math.sqrt(b2.rhs), rel=1e-10)
-            b3 = weighted_sum_bound(Variant.cor32(3, 2.0), c, inst)
-            bb43 = fourier_bound(Variant.fourier_43(2.0), inst)
+            b3 = weighted_sum_bound(parse_variant("cor32:3:p=2.0"), c, inst)
+            bb43 = fourier_bound(parse_variant("bb:4.3:p=2.0"), inst)
             assert bb43.rhs == pytest.approx(math.sqrt(b3.rhs), rel=1e-10)
-            b4 = weighted_sum_bound(Variant.cor32(4), c, inst)
-            bb45 = fourier_bound(Variant.fourier_45(), inst)
+            b4 = weighted_sum_bound(parse_variant("cor32:4"), c, inst)
+            bb45 = fourier_bound(parse_variant("bb:4.5"), inst)
             assert b4.rhs == pytest.approx(s * bb45.rhs, rel=1e-10)
 
     def test_ortho_bounds_on_orthonormalized_families(self):
@@ -420,12 +421,24 @@ class TestFourier:
             x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             inst = ProblemInstance.from_vectors(x, fam)
             for variant in (
-                Variant.bessel(),
-                Variant.ortho_42(),
-                Variant.ortho_44(1.25),
-                Variant.ortho_44(4.0),
+                parse_variant("bessel:1.1"),
+                parse_variant("ortho:4.2"),
+                parse_variant("ortho:4.4:p=1.25"),
+                parse_variant("ortho:4.4:p=4.0"),
             ):
                 assert fourier_bound(variant, inst).holds
+
+
+class TestNonFiniteCoefficients:
+    def test_rejected_for_every_family(self):
+        # a NaN or infinite coefficient is bad input, not a violation: the
+        # combination and weighted bounds, and a Fourier bound, which reads
+        # none of them, all reject it
+        inst = ProblemInstance.from_vectors([1.0, 0.0], ORTHO_PAIR, field_mode="real")
+        for name in ("lemma21:max:max", "thm31:max:max", "bb:1.2"):
+            for bad in (math.nan, math.inf, complex(1.0, -math.inf)):
+                with pytest.raises(ValidationError, match="coeffs contains non-finite entries"):
+                    evaluate_variant(parse_variant(name), inst, [bad, 1.0])
 
 
 class TestRemark4:
@@ -519,11 +532,11 @@ class TestScaleCovariance:
     def test_coefficient_and_family_scaling(self):
         rng = np.random.default_rng(61)
         variants = [
-            Variant.lemma21(MAX, holder(2)),
-            Variant.lemma21(holder(1.5), SUM),
-            Variant.coarse(SUM, holder(3)),
-            Variant.cor23_sharp(),
-            Variant.special_212(2.0),
+            parse_variant("lemma21:max:holder:2.0"),
+            parse_variant("lemma21:holder:1.5:sum"),
+            parse_variant("coarse:sum:holder:3.0"),
+            parse_variant("cor23:sharp"),
+            parse_variant("special:2.12:p=2.0"),
         ]
         for _ in range(20):
             n = int(rng.integers(1, 7))
@@ -935,7 +948,7 @@ class TestRawGramInput:
             lambda: lemma21_bound(MAX, SUM, c, gram),
             lambda: coarse_bound(holder(2.0), MAX, c, gram),
             lambda: cor23_bounds(c, gram),
-            lambda: special_bound(Variant.special_213(), c, gram),
+            lambda: special_bound(parse_variant("special:2.13"), c, gram),
             lambda: remark4_quantities(gram),
         ]
 

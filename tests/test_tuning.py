@@ -12,9 +12,8 @@ from bbbounds import (
     DEFAULT_INTERVAL,
     PROFILE_FAMILIES,
     IncompatibleInstanceError,
-    MAX,
     ProblemInstance,
-    Variant,
+    ValidationError,
     VariantError,
     VectorFamily,
     diag_term,
@@ -25,6 +24,7 @@ from bbbounds import (
     holder,
     optimize_exponent,
     orthonormalize,
+    parse_variant,
     parse_variant_list,
     profile_exponent,
     rank_variants,
@@ -168,9 +168,9 @@ class TestRanking:
     def test_frozen_ordering_example(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], [E1, E1], field_mode="real")
         variants = [
-            Variant.lemma21(MAX, MAX),
-            Variant.special_213(),
-            Variant.cor23_sharp(),
+            parse_variant("lemma21:max:max"),
+            parse_variant("special:2.13"),
+            parse_variant("cor23:sharp"),
         ]
         ranking = rank_variants(inst, [1.0, 2.0], variants)
         assert [e.variant for e in ranking.entries] == [
@@ -188,8 +188,8 @@ class TestRanking:
     def test_ranking_is_permutation_with_lexicographic_ties(self):
         inst = basis_instance(3)
         variants = [
-            Variant.lemma21(holder(2.0), MAX),
-            Variant.lemma21(holder(1.25), MAX),
+            parse_variant("lemma21:holder:2.0:max"),
+            parse_variant("lemma21:holder:1.25:max"),
         ]
         ranking = rank_variants(inst, [1.0, 2.0, 0.5], variants)
         # both optimize the same slot, so they tie and sort by name
@@ -220,7 +220,7 @@ class TestRanking:
 
     def test_optimized_never_looser_than_pinned(self):
         config = GenConfig(master_seed=43, count=10, n_range=(2, 6), d_range=(2, 6))
-        variants = [Variant.lemma21(holder(2.0), holder(2.0)), Variant.special_212(3.0)]
+        variants = [parse_variant("lemma21:holder:2.0:holder:2.0"), parse_variant("special:2.12:p=3.0")]
         for index in range(config.count):
             inst, coeffs = generate_instance(config, index)
             tuned = rank_variants(inst, coeffs, variants)
@@ -231,7 +231,7 @@ class TestRanking:
 
     def test_singleton_ranking(self):
         inst = basis_instance(2)
-        ranking = rank_variants(inst, [1.0, 1.0], [Variant.cor23_weak()])
+        ranking = rank_variants(inst, [1.0, 1.0], [parse_variant("cor23:weak")])
         assert len(ranking.entries) == 1
 
     def test_reproducible(self):
@@ -244,7 +244,7 @@ class TestRanking:
     @pytest.mark.parametrize("optimize_exponents", [True, False], ids=["tuned", "pinned"])
     def test_variant_listed_twice_ranks_twice(self, optimize_exponents):
         inst, coeffs = generate_instance(GenConfig(master_seed=5, count=1), 0)
-        twice, once = Variant.lemma21(holder(2.0), MAX), Variant.boas_bellman()
+        twice, once = parse_variant("lemma21:holder:2.0:max"), parse_variant("bb:1.2")
         ranking = rank_variants(inst, coeffs, (twice, once, twice), optimize_exponents)
         names = [e.variant for e in ranking.entries]
         assert sorted(names) == sorted([twice.name, once.name, twice.name])
@@ -263,10 +263,19 @@ class TestRanking:
         with pytest.raises(ArithmeticError, match="non-finite"):
             rank_variants(inst, coeffs, variants, optimize_exponents)
 
+    @pytest.mark.parametrize("optimize_exponents", [True, False], ids=["tuned", "pinned"])
+    def test_non_finite_coefficients_rejected(self, optimize_exponents):
+        # the weighted and Fourier rows alone, which compute no combination side
+        inst, coeffs = generate_instance(GenConfig(master_seed=5, count=1, n_range=(2, 2)), 0)
+        variants = [v for v in full_catalog() if v.family != "combination" and not v.orthonormal_only]
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="coeffs contains non-finite entries"):
+                rank_variants(inst, [bad, coeffs[1]], variants, optimize_exponents)
+
     def test_incompatible_variants_raise_their_reason(self):
         inst, coeffs = generate_instance(GenConfig(master_seed=5, count=1, n_range=(2, 2)), 0)
-        cases = (([Variant.boas_bellman(), Variant.bessel()], coeffs, "orthonormality gate"),
-                 ([Variant.boas_bellman(), Variant.cor23_weak()], None, "requires coefficients"))
+        cases = (([parse_variant("bb:1.2"), parse_variant("bessel:1.1")], coeffs, "orthonormality gate"),
+                 ([parse_variant("bb:1.2"), parse_variant("cor23:weak")], None, "requires coefficients"))
         for variants, given, reason in cases:
             with pytest.raises(IncompatibleInstanceError) as info:
                 rank_variants(inst, given, variants)
@@ -274,7 +283,7 @@ class TestRanking:
 
     def test_csv_format(self):
         inst = basis_instance(2)
-        ranking = rank_variants(inst, [1.0, 1.0], [Variant.cor23_weak(), Variant.bessel()])
+        ranking = rank_variants(inst, [1.0, 1.0], [parse_variant("cor23:weak"), parse_variant("bessel:1.1")])
         lines = ranking.to_csv().strip().split("\n")
         assert lines[0] == "rank,variant,rhs,rel_slack"
         assert lines[1].startswith("1,")
@@ -291,9 +300,9 @@ class TestTunedTerms:
     def test_shared_exponent_variants_match_optimize_exponent(self):
         config = GenConfig(master_seed=29, count=12, n_range=(1, 6), d_range=(1, 6))
         pairs = (
-            (Variant.special_212(2.0), "coarse"),
-            (Variant.cor32(3, 1.5), "cor32:3"),
-            (Variant.fourier_43(3.0), "bb:4.3"),
+            (parse_variant("special:2.12:p=2.0"), "coarse"),
+            (parse_variant("cor32:3:p=1.5"), "cor32:3"),
+            (parse_variant("bb:4.3:p=3.0"), "bb:4.3"),
         )
         for index in range(config.count):
             inst, coeffs = generate_instance(config, index)
@@ -306,7 +315,7 @@ class TestTunedTerms:
         # bb:4.3 and ortho:4.4 are different formulas of the same exponent,
         # so ranking them together must not let one reuse the other's minimum
         inst, coeffs = orthonormal_instance()
-        bb, ortho = Variant.fourier_43(2.0), Variant.ortho_44(2.0)
+        bb, ortho = parse_variant("bb:4.3:p=2.0"), parse_variant("ortho:4.4:p=2.0")
         alone = {
             v.name: rank_variants(inst, coeffs, [v]).entries[0].rhs for v in (bb, ortho)
         }

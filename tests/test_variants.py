@@ -2,8 +2,10 @@
 
 import os
 import pickle
+import re
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from bbbounds import (
     parse_variant_list,
 )
 from bbbounds.bounds import plan_for
+from bbbounds.variants import _SPEC_OF, _SPECS
 
 
 class TestSelector:
@@ -115,23 +118,40 @@ class TestVariantNames:
 
     def test_constructor_argument_checks(self):
         with pytest.raises(VariantError):
-            Variant("lemma21", diag=MAX)             # missing offdiag
+            Variant("lemma21:{diag}:{offdiag}", diag=MAX)       # missing offdiag
         with pytest.raises(VariantError):
-            Variant("cor23_sharp", diag=MAX, offdiag=MAX)
+            Variant("cor23:sharp", diag=MAX, offdiag=MAX)
         with pytest.raises(VariantError):
-            Variant.cor32(3)                         # branch 3 needs p
+            Variant("cor32:3:p={p}")                            # needs p
         with pytest.raises(VariantError):
-            Variant.cor32(1, p=2.0)
+            Variant("cor32:1", p=2.0)
         with pytest.raises(VariantError):
-            Variant("special_212")                   # needs p
+            Variant("special:2.12:p={p}")                       # needs p
+        with pytest.raises(VariantError):
+            Variant("bb:4.3:p={p}", p=1.0)                      # exponent domain
+
+    @pytest.mark.parametrize("pattern", [spec.pattern for spec in _SPECS])
+    def test_pattern_built_variants_equal_parsed_names(self, pattern):
+        choices = {"diag": (MAX, holder(1.5), SUM), "offdiag": (SUM, holder(64.0)), "p": (1.25, 64.0)}
+        slots = _SPEC_OF[pattern].slots
+        for values in product(*(choices[slot] for slot in slots)):
+            variant = Variant(pattern, **dict(zip(slots, values)))
+            parsed = parse_variant(variant.name)
+            assert parsed == variant and hash(parsed) == hash(variant)
+            assert parsed.spec is _SPEC_OF[pattern]
+
+    @pytest.mark.parametrize("pattern", ["lemma21", "cor32", "cor32:5", "cor23_sharp", "bb:4.3:p=2.0", ""])
+    def test_unknown_pattern_named(self, pattern):
+        with pytest.raises(VariantError, match=re.escape(f"unknown variant pattern {pattern!r}")):
+            Variant(pattern)
 
     def test_family_metadata(self):
-        assert Variant.lemma21(MAX, SUM).requires_coeffs
-        assert Variant.cor32(1).requires_coeffs
-        assert not Variant.boas_bellman().requires_coeffs
-        assert Variant.bessel().orthonormal_only
-        assert Variant.ortho_44(2.0).orthonormal_only
-        assert not Variant.fourier_45().orthonormal_only
+        assert parse_variant("lemma21:max:sum").requires_coeffs
+        assert parse_variant("cor32:1").requires_coeffs
+        assert not parse_variant("bb:1.2").requires_coeffs
+        assert parse_variant("bessel:1.1").orthonormal_only
+        assert parse_variant("ortho:4.4:p=2.0").orthonormal_only
+        assert not parse_variant("bb:4.5").orthonormal_only
 
 
 class TestVariantLists:
@@ -147,7 +167,7 @@ class TestVariantLists:
 
     def test_comma_list(self):
         got = parse_variant_list(" cor23:sharp , bessel:1.1 ")
-        assert got == (Variant.cor23_sharp(), Variant.bessel())
+        assert got == (Variant("cor23:sharp"), Variant("bessel:1.1"))
 
     def test_empty_rejected(self):
         with pytest.raises(VariantError):

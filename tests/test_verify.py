@@ -349,6 +349,13 @@ class TestRunSuite:
         bes = report.totals["bessel:1.1"]
         assert bes.checked + bes.skipped == 200
 
+    def test_no_variants_give_the_header_alone(self):
+        config = GenConfig(master_seed=42, count=50)
+        for jobs in (1, 2):
+            report = run_suite(config, [], jobs=jobs)
+            assert report.to_csv() == "variant,checked,held,violated,min_slack,min_rel_slack\n"
+            assert report.totals == {} and report.violations == []
+
     def test_single_variant_single_instance(self):
         report = run_suite(GenConfig(count=1), [parse_variant("cor23:weak")])
         assert report.checked == 1
