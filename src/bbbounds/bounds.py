@@ -38,11 +38,15 @@ one class, ``GramStats`` or ``CoeffStats``, written once over ``...`` axes;
 the arithmetic that differs between floats and arrays is the pair
 ``_Floats``/``_Arrays``, which the contexts and the power sums inherit.  The
 power sums are the one fork, by input: ``_PowerStats`` loops over one
-instance's values in Python, and ``_PowerBlock`` sorts each instance's
+instance's short rows in Python, and ``_PowerBlock`` sorts each instance's
 magnitudes and divides by their maximum as one instance does, lets the zero
 padding add exactly 0.0 to sums taken left to right along the row, and
-takes every power with Python's float power on the real entries only
-(float64 ``np.power`` differs from it in the last bit).
+takes every power on the real entries only.  Every power whose bits the
+outputs carry is Python's float power, ``x**p``: in Python on one instance's
+rows of up to ``_KERNEL_ROW`` entries, and otherwise ``np.float_power``,
+whose float64 loop calls the C library's ``pow`` on each entry, as
+Python's float power does (float64 ``np.power`` is a SIMD kernel that
+differs from it in the last bit on some entries).
 
 All formulas consume only coefficient magnitudes, the Gram diagonal, and the
 off-diagonal magnitudes.  Off-diagonal sums run over ordered pairs i != j,
@@ -56,7 +60,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -189,28 +192,39 @@ class _Floats:
 
 class _Arrays:
     """``_Floats`` entry by entry on float64 arrays, bit for bit: IEEE
-    arithmetic and ``np.sqrt`` agree with Python's floats; ``pow`` takes
-    Python's float power of each entry (object-dtype ``np.power``: float64
-    ``np.power`` differs from it in the last bit on some entries); ``min``
-    and ``max`` keep Python's rules (``a`` unless ``b`` is smaller, or
-    larger, so a NaN ``a`` stays)."""
+    arithmetic and ``np.sqrt`` agree with Python's floats; ``pow`` is
+    ``np.float_power``, the C library's ``pow`` of each entry, as Python's
+    float power takes it (float64 ``np.power`` differs from it in the last
+    bit on some entries), with inf where Python raises OverflowError, and on
+    int bases ``float(k)**e``; ``min`` and ``max`` keep Python's rules
+    (``a`` unless ``b`` is smaller, or larger, so a NaN ``a`` stays)."""
 
     __slots__ = ()
     sqrt = staticmethod(np.sqrt)
-    pow = staticmethod(lambda base, exponent: np.power(base.astype(object), exponent).astype(np.float64))
+    pow = staticmethod(np.float_power)
     min = staticmethod(lambda a, b: np.where(b < a, b, a))
     max = staticmethod(lambda a, b: np.where(b > a, b, a))
     zero_where = staticmethod(lambda zero, value: np.where(zero, 0.0, value))
     bool = staticmethod(np.asarray)
 
 
+# One instance's rows of more than _KERNEL_ROW values take their powers with
+# ``np.float_power`` and add them with ``_sequential_sum``; shorter rows loop
+# in Python, which is faster there.  A power sum costs the same either way at
+# about 60 values (a pair bracket at about 80), and one of 2,016 values took
+# 167 us in the loop against 55 us (numpy 2.4, 2-core x86-64 machine).
+_KERNEL_ROW = 64
+
+
 class _PowerStats(_Floats):
     """Memoized scaled power sums of one instance's nonnegative values.
 
-    ``maximum`` and ``second`` are Python floats, and the power sums are
-    Python loops of ``r**p``.  The array work is exact: sorting, and one
-    IEEE division per element.  ``_PowerBlock`` gives the same of a block of
-    instances; the statistics are written once over both.  They stay two
+    ``maximum`` and ``second`` are Python floats.  A power sum adds ``r**p``
+    left to right over the scaled values: a Python loop on rows of up to
+    ``_KERNEL_ROW`` values, ``np.float_power`` and ``_sequential_sum`` on
+    longer ones, with the same bits.  The array work is exact: sorting, and
+    one IEEE division per element.  ``_PowerBlock`` gives the same of a block
+    of instances; the statistics are written once over both.  They stay two
     classes because one instance evaluated as a block of one is several
     times slower, and the tuner evaluates one instance at a fresh exponent
     each time (on 100 fresh seed-11 instances on a 2-core machine, 1.6-2.2
@@ -227,8 +241,10 @@ class _PowerStats(_Floats):
         self.maximum = float(desc[0]) if desc.size else 0.0
         self.second = float(desc[1]) if desc.size >= 2 else 0.0
         m = self.maximum
-        # descending, so the leading term of every scaled power sum is 1
-        self._scaled = (desc / m).tolist() if m > 0.0 else []
+        # descending, so the leading term of every scaled power sum is 1; a
+        # list for the loop, an array for the kernel
+        scaled = desc / m if m > 0.0 else desc[:0]
+        self._scaled = scaled if scaled.size > _KERNEL_ROW else scaled.tolist()
         self._memo: dict[float, float] = {}
         self._bracket_memo: dict[float, float] = {}
 
@@ -237,9 +253,12 @@ class _PowerStats(_Floats):
         and the sum is memoized."""
         s = self._memo.get(p)
         if s is None:
-            s = 0.0
-            for r in self._scaled:
-                s += r**p
+            if isinstance(self._scaled, list):
+                s = 0.0
+                for r in self._scaled:
+                    s += r**p
+            else:
+                s = _sequential_sum(np.float_power(self._scaled, p))
             self._memo[p] = s
         return (factor * s) ** e
 
@@ -251,12 +270,17 @@ class _PowerStats(_Floats):
         """
         s = self._bracket_memo.get(p)
         if s is None:
-            r = 0.0
-            r2 = 0.0
-            for u in self._scaled[1:]:
-                up = u**p
-                r += up
-                r2 += up * up
+            tail = self._scaled[1:]
+            if isinstance(tail, list):
+                r = 0.0
+                r2 = 0.0
+                for u in tail:
+                    up = u**p
+                    r += up
+                    r2 += up * up
+            else:
+                up = np.float_power(tail, p)
+                r, r2 = _sequential_sum(up), _sequential_sum(up * up)
             s = max(2.0 * r + r * r - r2, 0.0)
             self._bracket_memo[p] = s
         return s ** e
@@ -267,10 +291,10 @@ class _PowerBlock(_Arrays):
     with a leading instance axis, bit for bit the values ``_PowerStats``
     gives each row: the real entries of a row are sorted in descending order
     and divided by their maximum, the padding is zero, powers are taken on
-    the real entries only, with Python's float power one entry at a time,
-    and sums add left to right along the row.  The terms read each root at
-    the same few exponents, and a root costs one Python float power per
-    instance, so the roots are memoized.
+    the real entries only, with ``np.float_power`` (Python's float power, by
+    the C library's ``pow``), and sums add left to right along the row.  The
+    terms read each root at the same few exponents, so the roots are
+    memoized.
     """
 
     __slots__ = ("maximum", "second", "_live", "_entries", "_memo")
@@ -291,7 +315,7 @@ class _PowerBlock(_Arrays):
 
     def _powers(self, p: float) -> np.ndarray:
         out = np.zeros(self._live.shape)
-        out[self._live] = np.fromiter(map(pow, self._entries.tolist(), repeat(p)), np.float64, self._entries.size)
+        out[self._live] = np.float_power(self._entries, p)
         return out
 
     def _memoized(self, key: tuple, compute) -> np.ndarray:

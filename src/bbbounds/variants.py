@@ -118,8 +118,10 @@ def holder(p: float) -> Selector:
 # on a block's, float64 arrays with a leading instance axis, and gives each
 # instance the same bits on both.  IEEE arithmetic (+, -, *, /) agrees
 # between the two; the rest goes through the statistics' own ``sqrt``,
-# ``pow`` (Python's float power, entry by entry on a block), ``min``
-# (Python's tie and NaN rules) and ``zero_where``.  A zero guard returns 0.0
+# ``pow`` (Python's float power; on a block ``np.float_power``, which takes
+# it entry by entry with the C library's ``pow``, where float64 ``np.power``
+# differs in the last bit), ``min`` (Python's tie and NaN rules) and
+# ``zero_where``.  A zero guard returns 0.0
 # early on one instance, as an ``if``, and is a mask on a block
 # (``zero_where``), which computes the value on every instance first: an inf
 # times the guarded zero would be NaN.

@@ -457,7 +457,7 @@ class _Tally:
         plan = self.plan
         terms, sides = plan.columns(block)
         x_norm_sq, skips = block.x_norm_sq, plan.skips(block)
-        step = max(1, _BLOCK_ENTRIES // max(1, len(plan.names)))     # a plan may have no rows
+        step = max(1, _BLOCK_ENTRIES // len(plan.names))              # run_suite gives a plan with rows
         for lo in range(0, len(block), step):
             hi = lo + step
             lhs, rhs = plan.gather(terms[lo:hi], sides[lo:hi], x_norm_sq[lo:hi])
@@ -531,15 +531,6 @@ _BLOCK_ENTRIES = 8192
 _BLOCK_BYTES = 2 * 2**20
 
 
-def _square_overflows(root: float) -> bool:
-    """Whether Python's ``root**2`` raises, as in ``EvalContext.lhs_weighted``."""
-    try:
-        root**2
-    except OverflowError:
-        return True
-    return False
-
-
 def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: list[str]) -> EvalBlock:
     """The block of the instances ``first``, ``first + 1``, ... drawn as
     ``draws``, with the left-hand sides ``sides`` and the checks that
@@ -589,10 +580,9 @@ def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: l
             lhs["lhs_combination"] = _Arrays.max(value.real, 0.0)
         if weighted:
             roots = np.hypot(dots.real, dots.imag)
-            try:
-                lhs["lhs_weighted"] = _Arrays.pow(roots, 2.0)
-            except OverflowError:
-                bad |= [_square_overflows(r) for r in roots.tolist()]
+            lhs["lhs_weighted"] = square = _Arrays.pow(roots, 2.0)
+            # where Python's root**2 raises OverflowError, as in EvalContext.lhs_weighted
+            bad |= np.isinf(square) & np.isfinite(roots)
     if bad.any():
         index = first + int(bad.argmax())
         ctx = EvalContext(*generate_instance(config, index))
@@ -651,11 +641,14 @@ def run_suite(
     contiguous index ranges, tallied by at most one forked process per
     available CPU and merged in index order, so the output does not depend
     on the parallelism level or on where the blocks are cut; ``jobs`` < 1
-    raises ValueError.
+    raises ValueError.  With no variants, the report is the header alone,
+    and no instance is drawn.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     plan = plan_for(tuple(variants))
+    if not plan.names:
+        return SuiteReport(config, policy)          # the header alone; nothing to draw
     ranges = min(jobs, config.count)
     edges = [config.count * k // ranges for k in range(ranges + 1)]
     spans = list(zip(edges, edges[1:]))

@@ -41,9 +41,23 @@ from bbbounds import (
     special_bound,
     weighted_sum_bound,
 )
-from bbbounds.bounds import DEFAULT_POLICY, ORTHONORMAL_GATE_TOL, CoeffStats, EvalBlock, EvalContext, GramStats, Plan, _Block, plan_for
+from bbbounds.bounds import (
+    _KERNEL_ROW,
+    DEFAULT_POLICY,
+    ORTHONORMAL_GATE_TOL,
+    CoeffStats,
+    EvalBlock,
+    EvalContext,
+    GramStats,
+    Plan,
+    _Arrays,
+    _Block,
+    _PowerStats,
+    plan_for,
+)
 from bbbounds.space import load_instance
-from bbbounds.variants import _TERMS
+from bbbounds.tuning import _DEFAULT_GRID, EXPONENT_MIN
+from bbbounds.variants import _TERMS, DEFAULT_EXPONENTS, conjugate_exponent
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -719,19 +733,17 @@ def reference_coeff_norms(coeffs, p, prefix=""):
 REFERENCE_EXPONENTS = (1.0, 1.25, 2.0, 3.0, 64.0)
 
 
-def assert_power_stats_identical(ps, values):
+def assert_power_stats_identical(ps, values, exponents=(1.0, 2.0, 1.25)):
     m, scaled = reference_power_stats(values)
-    assert list(ps._scaled) == scaled
-    assert ps.maximum == m
-    for p in (1.0, 2.0, 1.25):
+    assert [_bits(v) for v in ps._scaled] == [_bits(v) for v in scaled]
+    assert ps.maximum == m and type(ps.maximum) is float
+    for p in exponents:
         # a root at exponent 1.0 is the power sum itself (x ** 1.0 is x)
         s = ps.root(p, 1.0)
         b = ps.bracket_root(p, 1.0)
         assert s == reference_scaled_pow_sum(scaled, p)
         assert b == reference_pair_bracket(scaled, p)
         assert type(s) is float and type(b) is float
-    for v in (*ps._scaled, ps.maximum):
-        assert type(v) is float
 
 
 def assert_gram_stats_identical(gram):
@@ -773,7 +785,88 @@ def assert_coeff_stats_identical(coeffs):
             assert type(got) is float and _bits(got) == _bits(value), name
 
 
+def _python_pow(x: float, p: float) -> float:
+    """Python's float power, with inf where it raises OverflowError."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+def _mismatches(got: np.ndarray, bases, exponent) -> list:
+    """The (base, exponent, got, x**p) where ``got`` differs from Python's
+    float power in value or sign, NaN matching NaN."""
+    expected = np.array([_python_pow(float(x), exponent) for x in bases])
+    same = (got == expected) & (np.signbit(got) == np.signbit(expected)) | np.isnan(got) & np.isnan(expected)
+    return [(x, exponent, g, e) for x, g, e in zip(np.asarray(bases)[~same].tolist(), got[~same], expected[~same])]
+
+
+class TestFloatPowerPremise:
+    """Blocks, and one instance's long rows, take Python's float power with
+    ``np.float_power``, whose float64 loop calls the C library's ``pow`` on
+    each entry as CPython's float ``**`` does.  A numpy build that sent it
+    through a SIMD kernel instead (as float64 ``np.power`` is on AVX-512
+    machines) would change the last bit of some entries, and fail here."""
+
+    EXPONENTS = sorted({
+        *DEFAULT_EXPONENTS,
+        *(conjugate_exponent(p) for p in DEFAULT_EXPONENTS),
+        *(2.0 * p for p in DEFAULT_EXPONENTS),
+        *(1.0 / p for p in DEFAULT_EXPONENTS),
+        *(1.0 / conjugate_exponent(p) for p in DEFAULT_EXPONENTS),
+        *_DEFAULT_GRID,
+        EXPONENT_MIN,
+        64.0,
+        2.0,
+        1.0,
+        *np.random.default_rng(20).uniform(EXPONENT_MIN, 64.0, 6).tolist(),
+    })
+
+    @staticmethod
+    def _values() -> np.ndarray:
+        rng = np.random.default_rng(2024)
+        tiny = np.finfo(np.float64).tiny
+        special = [0.0, -0.0, 1.0, tiny, tiny / 2.0, 5e-324, 1e-300, 1e154, 1.4e154, 1e200, 1e308,
+                   np.finfo(np.float64).max, math.inf, math.nan]
+        return np.concatenate([
+            rng.uniform(0.0, 1.0, 20000),
+            10.0 ** rng.uniform(-320.0, 308.0, 4000),         # wide magnitudes, subnormals and overflows
+            np.sqrt(np.finfo(np.float64).max) * rng.uniform(0.5, 2.0, 500),  # squares either side of overflow
+            special,
+        ])
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_float_power_is_pythons_float_power(self, exponent):
+        values = self._values()
+        with np.errstate(all="ignore"):
+            got = np.float_power(values, exponent)
+        bad = _mismatches(got, values, exponent)
+        assert not bad, (
+            f"np.float_power differs from Python's x**p on {len(bad)} of {values.size} values "
+            f"(numpy {np.__version__}; a SIMD float_power kernel?), first: {bad[:5]}"
+        )
+
+    def test_int_bases(self):
+        # the terms take (n - 1)**(1/p) and n**(1/q) of a block's int counts
+        counts = np.arange(0, 2100)
+        for exponent in self.EXPONENTS:
+            got = _Arrays.pow(counts, exponent)
+            assert got.dtype == np.float64
+            assert got.tolist() == [float(k) ** exponent for k in counts.tolist()], exponent
+
+
 class TestStatsBitIdentity:
+    @pytest.mark.parametrize("length", [_KERNEL_ROW, _KERNEL_ROW + 1, 2016])
+    def test_one_instance_rows_either_side_of_the_kernel(self, length):
+        # rows up to _KERNEL_ROW values sum in a Python loop, longer ones
+        # through np.float_power; both are the reference loop bit for bit
+        rng = np.random.default_rng(length)
+        values = rng.uniform(0.0, 5.0, length) * 10.0 ** rng.uniform(-8.0, 0.0, length)
+        values[rng.integers(length, size=4)] = 0.0
+        values[rng.integers(length, size=4)] = values.max()  # a tied maximum
+        exponents = (1.0, 1.25, 2.0, EXPONENT_MIN, conjugate_exponent(EXPONENT_MIN), 64.0, *_DEFAULT_GRID)
+        assert_power_stats_identical(_PowerStats(values), values, exponents)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 24, 64])
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_family_gram_and_coefficients(self, n, complex_field):

@@ -2,10 +2,12 @@
 
 import concurrent.futures
 import hashlib
+import json
 import math
 import os
 import pickle
 import tracemalloc
+from dataclasses import asdict
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -355,6 +357,20 @@ class TestRunSuite:
             report = run_suite(config, [], jobs=jobs)
             assert report.to_csv() == "variant,checked,held,violated,min_slack,min_rel_slack\n"
             assert report.totals == {} and report.violations == []
+
+    def test_no_variants_draw_no_instance(self, monkeypatch):
+        # the header-only report, and the JSON of a run with no rows, before
+        # any instance is drawn
+        def no_draws(*args):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(verify, "_draw", no_draws)
+        config = GenConfig(master_seed=42, count=10000)
+        for jobs in (1, 2):
+            report = run_suite(config, [], jobs=jobs)
+            assert report.to_csv() == "variant,checked,held,violated,min_slack,min_rel_slack\n"
+            expected = {"config": asdict(config), "policy": asdict(DEFAULT_POLICY), "variants": {}, "violations": []}
+            assert report.to_json() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_single_variant_single_instance(self):
         report = run_suite(GenConfig(count=1), [parse_variant("cor23:weak")])
