@@ -14,7 +14,7 @@ left-hand sides once (``Plan.columns``), then gathers, judges and reduces
 its (instances, rows) arrays a slice of at most ``_BLOCK_ENTRIES`` entries
 at a time, which the tests hold to ``VariantTotals.record``.  A block holds
 the instances whose own arrays take at most ``_BLOCK_BYTES``: on the full
-catalog, over a thousand one-vector families, a few hundred of the default
+catalog, about 850 one-vector families, a few hundred of the default
 stream's, four of 64 vectors in 128 dimensions.  So the fixed cost of a block is paid rarely,
 memory stays flat as the count grows, and where the blocks and slices are
 cut changes no output bit.
@@ -28,21 +28,25 @@ generator is set to it, the state ``SeedSequence`` gives, bit for bit.
 ``generate_instance`` keeps ``SeedSequence`` (``_rng_for``), which is
 faster for one index and is the oracle the tests hold the chunks to.  Per
 instance run only its seeded draws (``_draw``, which ``generate_instance``
-uses too: its integers and one ``standard_normal`` call) and the BLAS
-products whose bits depend on its shape.  With ``v`` the rows x, y_1, ...,
-y_n, ``c`` the coefficients, ``Y`` the family, ``f`` the Fourier vector
-and ``G`` the family's block of the bordered Gram, which both sides of a
-combination check read, those are the bordered Gram ``v @ v.conj().T``
-(into a zero-padded stack), ``c @ Y`` and its ``vdot``,
-``c @ G @ conj(c)``, ``|c| @ |G| @ |c|`` and ``dot(c, f)``.  Everything
-entry by entry runs once per block: the scaling of the draws, the
-Hermitian part (``space._hermitian_part``), the finiteness checks, the
-checks of the Gram double sum (``space._double_sum_faults``), ``|x|^2``,
-the Fourier vectors, ``np.hypot`` and the weighted side's Python float
-power.  If an instance fails a check, the first that does is generated
-again through ``generate_instance`` and ``EvalContext``, which raise the
-error they always have; a violation's payload is its instance, generated
-again likewise.  Otherwise the suite calls neither ``generate_instance``
+uses too: n, d and the field from raw words, as ``Generator.integers``
+reads them, and one ``standard_normal`` call).  The BLAS products whose
+bits depend on an instance's shape run per shape group, one stacked
+``np.matmul`` for the block's instances of one shape, whose slices run
+through the routine, shapes and inner strides of each instance's own call.
+With ``v`` the rows x, y_1, ..., y_n, ``c`` the coefficients, ``Y`` the
+family, ``f`` the Fourier vector and ``G`` the family's block of the
+bordered Gram, which both sides of a combination check read, those are, per
+(n, d), the bordered Gram ``v @ v.conj().T`` (into a zero-padded stack),
+``c @ Y`` and its squared norm, and per n, ``c @ G @ conj(c)``,
+``|c| @ |G| @ |c|`` and ``c @ f``.  Everything entry by entry runs once per
+block: the scaling of the draws, the Hermitian part
+(``space._hermitian_part``), the finiteness checks, the checks of the Gram
+double sum (``space._double_sum_faults``), ``|x|^2``, the Fourier vectors,
+``np.hypot`` and the weighted side's Python float power.  If an instance
+fails a check, the first that does is generated again through
+``generate_instance`` and ``EvalContext``, which raise the error they
+always have; a violation's payload is its instance, generated again
+likewise.  Otherwise the suite calls neither ``generate_instance``
 nor ``gram_of_family`` nor ``combination_norm_sq``, so the spans that the
 benchmark's tracer records under those names no longer cover the suite's
 instances.
@@ -106,6 +110,8 @@ class GenConfig:
             raise ValueError(f"empty or invalid n_range {self.n_range}")
         if not (1 <= d_lo <= d_hi):
             raise ValueError(f"empty or invalid d_range {self.d_range}")
+        if n_hi - n_lo >= 2**32 or d_hi - d_lo >= 2**32:
+            raise ValueError("n_range and d_range may span at most 2**32 values each")
         if self.field_mode not in ("real", "complex", "both"):
             raise ValueError(f"unknown field_mode {self.field_mode!r}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
@@ -237,9 +243,36 @@ class _Draw(NamedTuple):
     triple: tuple | None = None
 
 
+def _bounded(bit_generator: np.random.BitGenerator, ranges) -> list[int]:
+    """``int(Generator.integers(lo, hi + 1))`` for each ``(lo, hi)`` of
+    ``ranges`` in turn, from a bit generator with no buffered half-word, bit
+    for bit: numpy's buffered 32-bit Lemire draw (``random_bounded_uint64_fill``
+    in numpy/random/src/distributions), which ``GenConfig`` keeps its ranges
+    to.  Each 32-bit draw reads the low half of a new raw word, or the high
+    half that the draw before it left; a range of one value draws nothing;
+    a draw whose low product falls below ``2**32 % width`` is drawn again."""
+    values, half = [], None
+    for lo, hi in ranges:
+        width = hi - lo + 1
+        if width > 1:
+            while True:
+                if half is None:
+                    word = bit_generator.random_raw()
+                    value, half = word & _MASK32, word >> 32
+                else:
+                    value, half = half, None
+                product = value * width
+                if (product & _MASK32) >= 2**32 % width:
+                    break
+            lo += product >> 32
+        values.append(lo)
+    return values
+
+
 def _draw(config: GenConfig, index: int, rng: np.random.Generator) -> _Draw:
     """The draws of instance ``index`` from ``rng``, in the state that
-    ``_rng_for`` gives it: its integers, then one call of
+    ``_rng_for`` gives it: n, d and the field coin, read from raw words as
+    ``Generator.integers`` reads them (``_bounded``), then one call of
     ``standard_normal``, which gives the values that consecutive calls for x,
     the family and the coefficients did."""
     if config.structured_families and (index < 2 or index % 2 == 0):
@@ -250,13 +283,11 @@ def _draw(config: GenConfig, index: int, rng: np.random.Generator) -> _Draw:
             return _Draw(3, 1, "real", np.concatenate([t[:1], triple, t[1:]]), triple)
         t = rng.standard_normal(7)
         return _Draw(3, 1, "real", np.concatenate([t[3:4], np.abs(t[:3]), t[4:]]))
-    n_lo, n_hi = config.n_range
-    d_lo, d_hi = config.d_range
-    n = int(rng.integers(n_lo, n_hi + 1))
-    d = int(rng.integers(d_lo, d_hi + 1))
     if config.field_mode == "both":
-        field_mode = "complex" if rng.integers(0, 2) else "real"
+        n, d, coin = _bounded(rng.bit_generator, (config.n_range, config.d_range, (0, 1)))
+        field_mode = "complex" if coin else "real"
     else:
+        n, d = _bounded(rng.bit_generator, (config.n_range, config.d_range))
         field_mode = config.field_mode
     size = (n + 1) * d + n
     return _Draw(n, d, field_mode, rng.standard_normal(2 * size if field_mode == "complex" else size))
@@ -433,6 +464,11 @@ def _first_minima(samples: np.ndarray, checked: np.ndarray) -> tuple[np.ndarray,
     return np.where(live.any(axis=0), low, np.nan), met
 
 
+# What a block holds for ``Plan.columns`` and ``Plan.skips`` alone: its
+# statistics, built on first use, and its stacks.
+_READ_BY_COLUMNS = ("gram_stats", "coeff_stats", "fourier_stats", "bordered", "coeffs", "lhs_combination", "lhs_weighted")
+
+
 class _Tally:
     """A plan's checks over one contiguous range of instances, added a block
     of consecutive instances at a time, judged by ``TolerancePolicy.holds``
@@ -456,7 +492,10 @@ class _Tally:
         ``block``: its terms at once, its rows a slice of instances at a time."""
         plan = self.plan
         terms, sides = plan.columns(block)
-        x_norm_sq, skips = block.x_norm_sq, plan.skips(block)
+        x_norm_sq, skips = block.x_norm_sq.copy(), plan.skips(block)
+        # the rows read only these: the statistics and stacks are freed before they are judged
+        for attr in _READ_BY_COLUMNS:
+            vars(block).pop(attr, None)
         step = max(1, _BLOCK_ENTRIES // len(plan.names))              # run_suite gives a plan with rows
         for lo in range(0, len(block), step):
             hi = lo + step
@@ -523,26 +562,49 @@ class _Tally:
 # padded to the block's widest family of w vectors, its bordered Gram with
 # the real arrays read from it (32 bytes an entry of (w + 1)^2), its
 # coefficients (16 w), its pair statistics (56 bytes a pair: magnitudes,
-# sorted and scaled, and powers) and the plan's term columns (24 bytes a
-# term, with the power-sum roots they read) and skips (a byte a row).  Four
+# sorted and scaled, and powers) and the plan's term columns and skips (a
+# byte a row).  A term counts 40 bytes: its column, the list the columns are
+# stacked from and the power sums and roots they read take about 25 on
+# one-vector blocks, whose terms are most of what they hold, and the margin
+# keeps their traced peak no higher than that of wide families, now that
+# _Tally.add frees a block's statistics and stacks once they are read.  Four
 # instances of 64 vectors in 128 dimensions fit, so that a block's fixed
 # cost stays small beside its instances' own work on wide families too.
 _BLOCK_ENTRIES = 8192
 _BLOCK_BYTES = 2 * 2**20
 
 
+def _groups(keys: Iterable) -> Iterable[tuple]:
+    """Each distinct key of a block's instances, in order of first
+    appearance, with its instances: a slice where they are consecutive, so
+    that their slots of the block's stacks are views, or else an index
+    array."""
+    groups: dict = {}
+    for b, key in enumerate(keys):
+        groups.setdefault(key, []).append(b)
+    for key, members in groups.items():
+        first, last = members[0], members[-1]
+        yield key, slice(first, last + 1) if last - first + 1 == len(members) else np.array(members)
+
+
 def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: list[str]) -> EvalBlock:
     """The block of the instances ``first``, ``first + 1``, ... drawn as
     ``draws``, with the left-hand sides ``sides`` and the checks that
-    ``generate_instance`` and ``EvalContext`` make, bit for bit.  Per
-    instance run only the products whose bits depend on its shape (BLAS),
-    each into its slot of a zero-padded stack; everything entry by entry
-    runs once on the stacks.  If an instance fails a check, the first that
-    does is generated alone, which raises its error.  Empties ``draws``, as
-    ``_entries`` does."""
+    ``generate_instance`` and ``EvalContext`` make, bit for bit.  The
+    products whose bits depend on an instance's shape (BLAS) run once per
+    shape group: one stacked ``np.matmul`` per (n, d) for the bordered Gram
+    and for ``c @ Y``, and per n for the double sums and the Fourier dot,
+    which runs each slice through the routine, shapes and inner strides of
+    that instance's own call.  A group of consecutive instances writes
+    through views of its slots, and one of one instance reads a view of its
+    packed entries too.  Everything entry by entry runs once on the
+    zero-padded stacks.  If an instance fails a check, the
+    first that does is generated alone, which raises its error.  Empties
+    ``draws``, as ``_entries`` does."""
     combination, weighted = "lhs_combination" in sides, "lhs_weighted" in sides
     count = len(draws)
-    n = np.array([dr.n for dr in draws])
+    shapes = [(dr.n, dr.d) for dr in draws]
+    n = np.array([nb for nb, _ in shapes])
     width = int(n.max())
     lhs = {}
     with np.errstate(all="ignore"):
@@ -551,12 +613,21 @@ def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: l
         coeffs[_first(n, width)] = z[np.arange(n.sum()) + np.repeat(starts[:, 2] - (np.cumsum(n) - n), n)]
         bordered = np.zeros((count, width + 1, width + 1), dtype=np.complex128)
         direct = np.empty(count)
-        for b, (nb, x0, c0) in enumerate(zip(n.tolist(), starts[:, 0].tolist(), starts[:, 2].tolist())):
-            v = z[x0:c0].reshape(nb + 1, -1)                 # x, then the family's rows
-            np.matmul(v, v.conj().T, out=bordered[b, : nb + 1, : nb + 1])
+        for (nb, db), group in _groups(shapes):
+            size = (nb + 1) * db                            # x, then the family's rows
+            x0 = starts[group, :1]
+            if len(x0) == 1:
+                v = z[x0[0, 0] : x0[0, 0] + size].reshape(1, nb + 1, db)
+            else:
+                v = z[x0 + np.arange(size)].reshape(-1, nb + 1, db)
+            if isinstance(group, slice):
+                np.matmul(v, v.conj().transpose(0, 2, 1), out=bordered[group, : nb + 1, : nb + 1])
+            else:
+                bordered[group, : nb + 1, : nb + 1] = v @ v.conj().transpose(0, 2, 1)
             if combination:
-                summed = coeffs[b, :nb] @ v[1:]
-                direct[b] = np.vdot(summed, summed).real
+                summed = coeffs[group, None, :nb] @ v[:, 1:]
+                # conj(s) @ s runs the BLAS dot of np.vdot(s, s) on conj(s), unconjugated: the same real part
+                direct[group] = (summed.conj() @ summed.transpose(0, 2, 1))[:, 0, 0].real
         del z
         bordered = _hermitian_part(bordered)
         # a non-finite entry of x or of a family vector makes the Gram matrix non-finite too
@@ -566,13 +637,14 @@ def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: l
             conj, magnitudes, family_magnitudes = coeffs.conj(), np.abs(coeffs), np.abs(family)
             value, mass = np.empty(count, dtype=np.complex128), np.empty(count)
         dots = np.empty(count, dtype=np.complex128)
-        for b, nb in enumerate(n.tolist() if combination or weighted else ()):
-            c = coeffs[b, :nb]
+        for nb, group in _groups(n.tolist()) if combination or weighted else ():
+            c = coeffs[group, None, :nb]
             if combination:
-                value[b] = c @ family[b, :nb, :nb] @ conj[b, :nb]
-                mass[b] = magnitudes[b, :nb] @ family_magnitudes[b, :nb, :nb] @ magnitudes[b, :nb]
+                value[group] = (c @ family[group, :nb, :nb] @ conj[group, :nb, None])[:, 0, 0]
+                a = magnitudes[group, None, :nb]
+                mass[group] = (a @ family_magnitudes[group, :nb, :nb] @ magnitudes[group, :nb, None])[:, 0, 0]
             if weighted:
-                dots[b] = np.dot(c, bordered[b, 0, 1 : nb + 1])      # with the Fourier vector
+                dots[group] = (c @ bordered[group, 0, 1 : nb + 1, None])[:, 0, 0]    # with the Fourier vector
         if combination:
             bad |= ~np.isfinite(coeffs).all(axis=1)
             for fault in _double_sum_faults(value, mass, direct):
@@ -583,12 +655,12 @@ def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: l
             lhs["lhs_weighted"] = square = _Arrays.pow(roots, 2.0)
             # where Python's root**2 raises OverflowError, as in EvalContext.lhs_weighted
             bad |= np.isinf(square) & np.isfinite(roots)
-    if bad.any():
-        index = first + int(bad.argmax())
-        ctx = EvalContext(*generate_instance(config, index))
-        for attr in sides:
-            getattr(ctx, attr)
-        raise AssertionError(f"instance {index} failed a check of its block but none of its own")
+        if bad.any():
+            index = first + int(bad.argmax())
+            ctx = EvalContext(*generate_instance(config, index))
+            for attr in sides:
+                getattr(ctx, attr)
+            raise AssertionError(f"instance {index} failed a check of its block but none of its own")
     return EvalBlock(bordered, n, coeffs, lambda b: generate_instance(config, first + b), **lhs)
 
 
@@ -598,7 +670,7 @@ def _blocks(config: GenConfig, plan: Plan, start: int, stop: int):
     to raise is the one that raises one instance at a time)."""
     # the Fourier side is a statistic of the block; the other two may raise
     sides = [attr for attr in plan.lhs_attrs if attr != "lhs_fourier"]
-    columns = 24 * len(plan.terms) + len(plan.names)
+    columns = 40 * len(plan.terms) + len(plan.names)
     draws: list[_Draw] = []
     width = packed = 0
     for index, rng in _seeded(config, start, stop):

@@ -114,6 +114,15 @@ class TestVerifyCommand:
         assert proc.stderr.startswith("error: weighted left-hand side |sum c_i (x, y_i)|^2 overflows")
         assert proc.stderr.count("\n") == 1
 
+    def test_combination_overflow_warns_nothing(self):
+        # the double sums overflow before the weighted side does; the instance
+        # that fails is evaluated again as silently as its block was
+        proc = run_cli("verify", "--seed", "42", "--count", "20", "--scale", "1e77", "--variants", "all")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: weighted left-hand side |sum c_i (x, y_i)|^2 overflows")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_gram_overflow_exits_2_with_one_line(self, jobs):
         # the Gram products overflow silently; the finiteness check alone reports it

@@ -78,6 +78,9 @@ class TestGenConfig:
             {"master_seed": -1},
             {"master_seed": 2**64},
             {"scale": math.inf},
+            # numpy draws from wider ranges with 64-bit words, which the shape draws do not read
+            {"n_range": (1, 2**32 + 1)},
+            {"d_range": (5, 5 + 2**32)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -844,27 +847,41 @@ class TestSeeding:
                 checked += 1
         assert checked == 25_000
 
+    @pytest.mark.parametrize("d_span", [0, 3, 2**31 + 1])
+    @pytest.mark.parametrize("n_span", [0, 1, 3, 7, 2**31 + 1, 2**32 - 1])
+    def test_shape_draws_are_those_of_integers(self, n_span, d_span):
+        # n, d and the field coin in turn, so a draw may read the half-word
+        # that the one before it left; at a span of 2**31 + 1 about half the
+        # draws are rejected, and 2**32 - 1 spans every 32-bit value
+        ranges = ((1, 1 + n_span), (2, 2 + d_span), (0, 1))
+        for seed in range(200):
+            bit_generator, oracle = np.random.PCG64(seed), np.random.Generator(np.random.PCG64(seed))
+            expected = [int(oracle.integers(lo, hi + 1)) for lo, hi in ranges]
+            assert verify._bounded(bit_generator, ranges) == expected, seed
+            # as many raw words read
+            assert bit_generator.random_raw() == oracle.bit_generator.random_raw(), seed
+
+
+# The streams whose blocks are held to generate_instance and EvalContext, with
+# the digest of their instances, recorded before the generator drew each
+# instance with one standard_normal call.
+BLOCK_STREAMS = [
+    pytest.param(GenConfig(master_seed=42, count=200), "06b5d3f6e325b9e4", id="seed42"),
+    pytest.param(GenConfig(master_seed=7, count=120, structured_families=True), "fa62aceb02e325f9", id="structured"),
+    pytest.param(WIDE_CONFIG, "590ad7c841238e29", id="wide"),
+    pytest.param(GenConfig(master_seed=9, count=100, field_mode="real"), "4ce4e0676c969bed", id="real"),
+    pytest.param(GenConfig(master_seed=9, count=100, field_mode="complex"), "8736186ae3ca523a", id="complex"),
+    pytest.param(GenConfig(master_seed=42, count=100, scale=1e150), "04e993ca8517d1d2", id="scale1e150", marks=SCALAR_OVERFLOW),
+    pytest.param(GenConfig(master_seed=42, count=100, scale=1e-170), "e5dd1e720db664cc", id="scale1e-170"),
+]
+
 
 class TestBlockGeneration:
     # a generated block holds, instance by instance, the bits that
     # generate_instance and EvalContext give one instance at a time
 
-    @pytest.mark.parametrize(
-        "config, digest",
-        [
-            (GenConfig(master_seed=42, count=200), "06b5d3f6e325b9e4"),
-            (GenConfig(master_seed=7, count=120, structured_families=True), "fa62aceb02e325f9"),
-            (WIDE_CONFIG, "590ad7c841238e29"),
-            (GenConfig(master_seed=9, count=100, field_mode="real"), "4ce4e0676c969bed"),
-            (GenConfig(master_seed=9, count=100, field_mode="complex"), "8736186ae3ca523a"),
-            pytest.param(GenConfig(master_seed=42, count=100, scale=1e150), "04e993ca8517d1d2", marks=SCALAR_OVERFLOW),
-            (GenConfig(master_seed=42, count=100, scale=1e-170), "e5dd1e720db664cc"),
-        ],
-        ids=["seed42", "structured", "wide", "real", "complex", "scale1e150", "scale1e-170"],
-    )
-    def test_blocks_match_one_instance_at_a_time(self, config, digest, monkeypatch):
-        # the digests were recorded before the generator drew each instance
-        # with one standard_normal call
+    @pytest.mark.parametrize("config, digest", BLOCK_STREAMS)
+    def test_stream_digests(self, config, digest):
         h = hashlib.sha256()
         for index in range(config.count):
             inst, coeffs = generate_instance(config, index)
@@ -872,9 +889,43 @@ class TestBlockGeneration:
                 h.update(a.tobytes())
             h.update(inst.field_mode.encode())
         assert h.hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("config, digest", BLOCK_STREAMS)
+    def test_blocks_match_one_instance_at_a_time(self, config, digest, monkeypatch):
         # an eighth of the budget cuts each of these streams into several blocks
         monkeypatch.setattr(verify, "_BLOCK_BYTES", verify._BLOCK_BYTES // 8)
         assert len(_blocks_match(config, 0, config.count)) > 1
+
+    def test_blocks_match_with_consecutive_groups(self, monkeypatch):
+        # blocks of 13 instances of six shapes: a group whose instances are
+        # consecutive, in a block with a wider family, is stacked through
+        # views of its strided slots
+        config = GenConfig(master_seed=1, count=400, n_range=(1, 3), d_range=(2, 3))
+        monkeypatch.setattr(verify, "_BLOCK_BYTES", 40_000)
+        runs, groups = [], verify._groups
+
+        def spy(keys):
+            keys = list(keys)
+            width = max(k if isinstance(k, int) else k[0] for k in keys)
+            for key, group in groups(keys):
+                if isinstance(group, slice) and group.stop - group.start > 1 and (key if isinstance(key, int) else key[0]) < width:
+                    runs.append(key)
+                yield key, group
+
+        monkeypatch.setattr(verify, "_groups", spy)
+        _blocks_match(config, 0, config.count)
+        assert {type(key) for key in runs} == {int, tuple}
+
+    def test_stacked_direct_norm_is_that_of_vdot(self):
+        # the block's direct norm of sum c_i y_i, conj(s) @ s on a stack, runs
+        # the BLAS dot that np.vdot(s, s) runs, on conj(s) unconjugated: the
+        # real parts agree bit for bit; no oracle reads the direct norm
+        rng = np.random.default_rng(0)
+        for d in list(range(1, 140)) * 3:
+            s = (rng.standard_normal((3, 1, d)) + 1j * rng.standard_normal((3, 1, d))) * 10.0 ** rng.integers(-150, 150)
+            for stack in (s, s.real + 0j):
+                stacked = (stack.conj() @ stack.transpose(0, 2, 1))[:, 0, 0].real
+                assert _texts(stacked) == _texts([np.vdot(v[0], v[0]).real for v in stack]), d
 
     @pytest.mark.parametrize(
         "config, start",
@@ -889,16 +940,23 @@ class TestBlockGeneration:
             (GenConfig(master_seed=2**32, count=2000), 1333),
             (GenConfig(master_seed=2**64 - 1, count=2000), 666),
             (GenConfig(master_seed=42, count=2**32 + 300), 2**32 - 300),
+            (GenConfig(master_seed=3, count=2000, n_range=(4, 4), d_range=(5, 5)), 666),
+            (GenConfig(master_seed=3, count=2000, n_range=(3, 3), d_range=(1, 4000)), 1333),
         ],
-        ids=["default", "real", "complex", "structured", "n3", "seed0", "seed2^32-1", "seed2^32", "seed2^64-1", "index2^32"],
+        ids=[
+            "default", "real", "complex", "structured", "n3", "seed0", "seed2^32-1", "seed2^32", "seed2^64-1", "index2^32",
+            "one-shape", "singletons",
+        ],
     )
     def test_ranges_that_start_mid_stream(self, config, start):
         # a range seeds its indices a chunk at a time from its own start, as
         # the --jobs splits of 2,000 instances start at 666 and 1,333; each
-        # range here crosses a chunk, and the last crosses 2**32, where the
-        # index gains a word.  "real" and "complex" draw two uint32s from
-        # integers, "both" three, whose buffered half must not leak into the
-        # next instance; n in 3..3 draws none for n.
+        # range here crosses a chunk, and "index2^32" crosses 2**32, where the
+        # index gains a word.  "real" and "complex" draw two uint32s for n and
+        # d, "both" three, whose buffered half must not leak into the next
+        # instance; n in 3..3 draws none for n.  Every instance of "one-shape"
+        # has one shape, so one group fills each block; in "singletons", d
+        # spreads so wide that nearly every (n, d) group is of one instance.
         _blocks_match(config, start, start + verify._SEED_CHUNK + 40)
 
     @pytest.mark.parametrize(
