@@ -598,10 +598,11 @@ class Plan:
     """A variant tuple compiled for evaluation on many instances.
 
     The rows are the distinct variants in the caller's order; ``order`` is
-    the row of each entry of the tuple, and ``weights`` counts the entries
-    of each row.  The left-hand sides (``lhs_*`` attributes of
-    ``EvalContext``) and the distinct (term, selector) pairs the rows read
-    are numbered once.  A row is one entry of ``need``, ``lhs_index``,
+    the row of each entry of the tuple, ``weights`` counts the entries of
+    each row, and ``name_rank`` is the place of each row's name among the
+    sorted names, by which rankings break ties.  The left-hand sides
+    (``lhs_*`` attributes of ``EvalContext``) and the distinct (term,
+    selector) pairs the rows read are numbered once.  A row is one entry of ``need``, ``lhs_index``,
     ``two_terms`` and ``weighted`` (its index in ``SKIP_REASONS``, its
     left-hand side, whether it adds two terms, whether ``x_norm_sq`` scales
     it) and a column of ``term_index`` (its first and last term).  So
@@ -614,9 +615,11 @@ class Plan:
 
     def __init__(self, variants):
         rows: dict[Variant, int] = {}
-        self.order = tuple(rows.setdefault(v, len(rows)) for v in variants)
+        self.order = np.array([rows.setdefault(v, len(rows)) for v in variants], dtype=np.intp)
         self.variants = tuple(rows)
         self.names = tuple(v.name for v in self.variants)
+        ranks = {name: k for k, name in enumerate(sorted(set(self.names)))}
+        self.name_rank = np.array([ranks[name] for name in self.names], dtype=np.intp)
         self.weights = np.bincount(self.order, minlength=len(rows))
         need = [1 if v.orthonormal_only else 2 if v.requires_coeffs else 0 for v in self.variants]
         self.need = np.array(need, dtype=np.int8)
@@ -688,7 +691,7 @@ class Plan:
             SKIP_REASONS[s] if s else BoundEvaluation(v, *sides)
             for v, s, *sides in zip(self.variants, *(a.tolist() for a in (skips, lhs, rhs, slack, holds)))
         ]
-        return [rows[k] for k in self.order]
+        return [rows[k] for k in self.order.tolist()]
 
 
 @lru_cache(maxsize=256)

@@ -148,7 +148,7 @@ def _cmd_rank(args) -> int:
     variants = parse_variant_list(args.variants)
     inst, coeffs = _instance_for(args)
     plan = plan_for(variants)
-    skips = plan.skips(EvalContext(inst, coeffs))[list(plan.order)].tolist()
+    skips = plan.skips(EvalContext(inst, coeffs))[plan.order].tolist()
     ranking = rank_variants(inst, coeffs, [v for v, skip in zip(variants, skips) if not skip])
     for variant, skip in zip(variants, skips):
         if skip:

@@ -80,7 +80,10 @@ class RankEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class TightnessRanking:
-    """Variants ordered by rhs, tightest first; ties break lexicographically."""
+    """Variants ordered by rhs, tightest first; equal right-hand sides
+    (-0.0 equals 0.0) break by name, and a variant listed twice has two
+    entries side by side.  ``rel_slack`` is ``(rhs - lhs) / lhs``, or where
+    ``lhs`` is not positive, 0.0 if ``rhs`` is zero and inf otherwise."""
 
     entries: tuple[RankEntry, ...]
 
@@ -252,12 +255,6 @@ def profile_exponent(
 # ---------------------------------------------------------------------------
 
 
-def _relative_slack(lhs: float, rhs: float) -> float:
-    if lhs > 0.0:
-        return (rhs - lhs) / lhs
-    return 0.0 if rhs == 0.0 else math.inf
-
-
 def rank_variants(
     inst: ProblemInstance,
     coeffs,
@@ -278,6 +275,11 @@ def rank_variants(
     IncompatibleInstanceError.  A variant listed twice is ranked twice.  A
     non-finite left- or right-hand side, or tuned term, raises
     ArithmeticError: an overflowed row has no rank.
+
+    The entries come straight from the plan's arrays: the relative slacks
+    as one masked division, and the order from one stable ``np.lexsort``
+    by right-hand side, then by the rank of the name (``Plan.name_rank``),
+    which is the order of a stable sort keyed by ``(rhs, name)``.
     """
     plan = plan_for(tuple(variants))
     ctx = EvalContext(inst, coeffs)
@@ -291,7 +293,10 @@ def rank_variants(
     finite = np.isfinite(lhs) & np.isfinite(rhs)
     if not finite.all():
         raise ArithmeticError(f"non-finite left- or right-hand side of {plan.names[finite.argmin()]}")
-    lhs, rhs = lhs.tolist(), rhs.tolist()
-    entries = [RankEntry(plan.names[k], rhs[k], _relative_slack(lhs[k], rhs[k])) for k in plan.order]
-    entries.sort(key=lambda e: (e.rhs, e.variant))
-    return TightnessRanking(tuple(entries))
+    # by right-hand side, then by name: -0.0 ties with 0.0, as in Python
+    rows = plan.order[np.lexsort((plan.name_rank[plan.order], rhs[plan.order]))]
+    lhs, rhs = lhs[rows], rhs[rows]
+    rel = np.where(rhs == 0.0, 0.0, math.inf)
+    np.divide(rhs - lhs, lhs, out=rel, where=lhs > 0.0)
+    names = [plan.names[k] for k in rows.tolist()]
+    return TightnessRanking(tuple(map(RankEntry._make, zip(names, rhs.tolist(), rel.tolist()))))

@@ -5,7 +5,11 @@ The harness contract is determinism: an instance is a pure function of
 suite report is a pure function of ``(config, variants, policy)``.  Violations
 are collected with full instance payloads rather than raised; a violated
 inequality is the most valuable output the suite can produce, since every
-bound in the catalog is a theorem.
+bound in the catalog is a theorem.  A report's JSON is what
+``json.dumps(..., indent=2, sort_keys=True)`` writes of ``to_jsonable``;
+``SuiteReport.to_json`` writes each variant's block itself, since the
+indenting encoder of ``json`` is pure Python, and the tests hold the two to
+the same bytes.
 
 Checks read the plan of their variants (``bounds.plan_for``): one row for
 ``check_variant``, and a whole suite's rows for blocks of consecutive
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -400,9 +405,43 @@ class VariantTotals:
             self.min_rel_slack = rel
 
 
+# The tokens json.dumps writes for the floats whose float.__repr__ is not JSON
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    r = float.__repr__(x)
+    return _JSON_FLOATS.get(r, r)
+
+
+def _nested(doc, depth: int = 1) -> str:
+    """``doc`` as json.dumps lays it out ``depth`` levels down."""
+    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _add_json_items(parts: list[str], brackets: str, items: Iterable[str]) -> None:
+    """Add ``items``, laid out two levels down, to ``parts`` in their
+    ``brackets``, one level down."""
+    empty = True
+    for item in items:
+        parts += (brackets[0] + "\n    " if empty else ",\n    ", item)
+        empty = False
+    parts.append(brackets if empty else "\n  " + brackets[1])
+
+
 @dataclass
 class SuiteReport:
-    """Totals per variant plus the full payload of every violation."""
+    """Totals per variant plus the full payload of every violation.
+
+    ``to_jsonable`` is the report as a dict.  ``to_json`` writes it as
+    ``json.dumps(..., indent=2, sort_keys=True)`` does, plus a newline:
+    sorted keys, a two-space indent, ``NaN``, ``Infinity`` and
+    ``-Infinity`` for non-finite floats, and ``null`` minima for a variant
+    never checked.  It lays out each variant's totals itself, straight from
+    its fields, and leaves only the config, the policy and each violation
+    to ``json``, whose indenting encoder is pure Python.  ``to_csv`` writes
+    one row per variant likewise, the minima as ``repr`` gives them.
+    """
 
     config: GenConfig
     policy: TolerancePolicy
@@ -418,14 +457,10 @@ class SuiteReport:
         return sum(t.violated for t in self.totals.values())
 
     def to_csv(self) -> str:
-        lines = ["variant,checked,held,violated,min_slack,min_rel_slack"]
-        for name in sorted(self.totals):
-            t = self.totals[name]
-            lines.append(
-                f"{name},{t.checked},{t.held},{t.violated},"
-                f"{repr(t.min_slack)},{repr(t.min_rel_slack)}"
-            )
-        return "\n".join(lines) + "\n"
+        return "variant,checked,held,violated,min_slack,min_rel_slack\n" + "".join([
+            f"{name},{t.checked},{t.held},{t.violated},{t.min_slack!r},{t.min_rel_slack!r}\n"
+            for name, t in sorted(self.totals.items())
+        ])
 
     def to_jsonable(self) -> dict:
         return {
@@ -439,8 +474,24 @@ class SuiteReport:
             "violations": self.violations,
         }
 
+    def _variants_json(self) -> Iterable[str]:
+        for name, t in sorted(self.totals.items()):
+            rel, low = (_json_float(t.min_rel_slack), _json_float(t.min_slack)) if t.checked else ("null", "null")
+            yield (
+                f'{encode_basestring_ascii(name)}: {{\n      "checked": {t.checked},\n      "held": {t.held},\n'
+                f'      "min_rel_slack": {rel},\n      "min_slack": {low},\n'
+                f'      "skipped": {t.skipped},\n      "violated": {t.violated}\n    }}'
+            )
+
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\n"
+        parts = ['{\n  "config": ', _nested(asdict(self.config)), ',\n  "policy": ', _nested(asdict(self.policy))]
+        parts.append(',\n  "variants": ')
+        _add_json_items(parts, "{}", self._variants_json())
+        parts.append(',\n  "violations": ')
+        # one violation at a time, so json holds the tokens of only one at once
+        _add_json_items(parts, "[]", (_nested(v, 2) for v in self.violations))
+        parts.append("\n}\n")
+        return "".join(parts)
 
 
 def _first_minima(samples: np.ndarray, checked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

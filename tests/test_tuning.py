@@ -30,6 +30,7 @@ from bbbounds import (
     rank_variants,
 )
 from bbbounds.bounds import EvalContext, Plan, plan_for
+from bbbounds.tuning import RankEntry, TightnessRanking
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -162,6 +163,77 @@ class TestOptimize:
         for fn in (optimize_exponent, profile_exponent):
             with pytest.raises(ArithmeticError, match="non-finite profile value"):
                 fn(family, inst, coeffs)
+
+
+def relative_slack(lhs, rhs):
+    """The relative slack of one entry, as the ranking reports it."""
+    if lhs > 0.0:
+        return (rhs - lhs) / lhs
+    return 0.0 if rhs == 0.0 else math.inf
+
+
+def sorted_ranking(names, lhs, rhs):
+    """The reference assembly of a ranking: the entries in the caller's
+    order, then a stable sort keyed by (rhs, name)."""
+    entries = [RankEntry(name, r, relative_slack(l, r)) for name, l, r in zip(names, lhs, rhs)]
+    entries.sort(key=lambda e: (e.rhs, e.variant))
+    return TightnessRanking(tuple(entries))
+
+
+class TestRankingOrder:
+    # rank_variants must order and fill its entries as sorted_ranking does,
+    # with the same float bits: repr tells -0.0 from 0.0
+
+    @staticmethod
+    def _given_sides(monkeypatch, lhs, rhs):
+        sides = np.array(lhs, dtype=np.float64), np.array(rhs, dtype=np.float64)
+        monkeypatch.setattr(bounds.Plan, "evaluate", lambda plan, ctx, tuned=None: (sides[0].copy(), sides[1].copy()))
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            ([1.0, 2.0, 1.0, 0.5], [3.0, 3.0, 3.0, 3.0]),         # equal rhs on different names
+            ([0.0, 0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 0.0]),        # -0.0 against 0.0, rel_slack 0.0
+            ([0.0, -0.0, 0.0, 1.0], [0.0, 2.0, 5e-324, 1.0]),      # lhs == 0: rel_slack 0.0 or inf
+            ([1.0, 3.0, 0.0, 0.25], [2.0 + 2**-51, 1e300, -1.0, 0.5]),
+        ],
+        ids=["equal-rhs", "signed-zeros", "zero-lhs", "mixed"],
+    )
+    def test_against_sorted_assembly(self, monkeypatch, lhs, rhs):
+        inst = basis_instance(3)
+        # listed in reverse name order, so ties must reorder them
+        names = ["lemma21:sum:sum", "lemma21:max:sum", "lemma21:max:max", "cor23:weak"]
+        variants = [parse_variant(n) for n in names]
+        self._given_sides(monkeypatch, lhs, rhs)
+        for optimize_exponents in (True, False):
+            ranking = rank_variants(inst, [1.0, 2.0, 0.5], variants, optimize_exponents)
+            expected = sorted_ranking(names, lhs, rhs)
+            assert repr(ranking) == repr(expected)
+            assert all(type(x) is float for e in ranking.entries for x in e[1:])
+
+    def test_variant_listed_twice(self, monkeypatch):
+        inst = basis_instance(3)
+        names = ["lemma21:max:sum", "bb:1.2", "lemma21:max:sum", "cor23:weak"]
+        variants = [parse_variant(n) for n in names]
+        # a plan has one row per distinct variant: the rows are lemma21, bb, cor23
+        self._given_sides(monkeypatch, [1.0, 0.0, 1.0], [2.0, 0.0, 2.0])
+        ranking = rank_variants(inst, [1.0, 2.0, 0.5], variants)
+        expected = sorted_ranking(names, [1.0, 0.0, 1.0, 1.0], [2.0, 0.0, 2.0, 2.0])
+        assert repr(ranking) == repr(expected)
+        assert [e.variant for e in ranking.entries] == ["bb:1.2", "cor23:weak", "lemma21:max:sum", "lemma21:max:sum"]
+
+    @pytest.mark.parametrize("seed", [5, 11, 42])
+    @pytest.mark.parametrize("optimize_exponents", [True, False], ids=["tuned", "pinned"])
+    def test_seeded_ranks(self, seed, optimize_exponents):
+        config = GenConfig(master_seed=seed, count=8)
+        usable = tuple(v for v in full_catalog() if not v.orthonormal_only)
+        names = [v.name for v in usable]
+        for index in range(config.count):
+            inst, coeffs = generate_instance(config, index)
+            ranking = rank_variants(inst, coeffs, usable, optimize_exponents)
+            ctx = EvalContext(inst, coeffs)
+            lhs, rhs = plan_for(usable).evaluate(ctx, tuning._tuned_value if optimize_exponents else None)
+            assert repr(ranking) == repr(sorted_ranking(names, lhs.tolist(), rhs.tolist()))
 
 
 class TestRanking:

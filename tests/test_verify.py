@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbbounds import (
     DEFAULT_POLICY,
@@ -39,10 +41,11 @@ from bbbounds import (
 import bbbounds.verify as verify
 from bbbounds.bounds import SKIP_REASONS, BoundEvaluation, EvalContext, Plan, plan_for
 from bbbounds.space import ValidationError, instance_to_jsonable, load_instance
-from bbbounds.tuning import RankEntry, TightnessRanking, _relative_slack, _tuned_value
+from bbbounds.tuning import _tuned_value
 from bbbounds.variants import _TERMS
 from bbbounds.verify import SuiteReport, VariantTotals, _Tally, _blocks
 from test_bounds import block_of
+from test_tuning import sorted_ranking
 
 E1 = [1.0, 0.0]
 
@@ -466,6 +469,86 @@ class TestRunSuite:
         assert "coeffs" in payload["instance"]
 
 
+# The reference CSV rows, one f-string per variant, and the values whose JSON
+# tokens the writer must match: non-finite floats, signed zeros, subnormals,
+# counts above 2**53, and null minima where nothing was checked.
+def _csv_rows(report: SuiteReport) -> str:
+    lines = ["variant,checked,held,violated,min_slack,min_rel_slack"]
+    for name in sorted(report.totals):
+        t = report.totals[name]
+        lines.append(f"{name},{t.checked},{t.held},{t.violated},{repr(t.min_slack)},{repr(t.min_rel_slack)}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_writers_match(report: SuiteReport) -> None:
+    assert report.to_json() == json.dumps(report.to_jsonable(), indent=2, sort_keys=True) + "\n"
+    assert report.to_csv() == _csv_rows(report)
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, -1.5e-300]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_COUNTS = st.one_of(st.just(0), st.integers(0, 10**6), st.integers(2**53, 2**70))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+_REPORTS = st.builds(
+    SuiteReport,
+    config=st.sampled_from([
+        GenConfig(),
+        GenConfig(master_seed=2**64 - 59, count=3000, scale=1e150, structured_families=True),
+        GenConfig(n_range=(24, 64), d_range=(16, 128), field_mode="complex", scale=5e-324),
+    ]),
+    policy=st.builds(TolerancePolicy, *[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+    totals=st.dictionaries(st.text(), st.builds(VariantTotals, *[_COUNTS] * 4, _FLOATS, _FLOATS), max_size=6),
+    violations=st.lists(st.dictionaries(st.text(), _JSON_VALUES, max_size=5), max_size=3),
+)
+
+
+class TestReportWriters:
+    # to_json writes what json.dumps writes of to_jsonable, byte for byte,
+    # and to_csv the rows the old f-string loop wrote
+
+    @settings(max_examples=300, deadline=None)
+    @given(_REPORTS)
+    def test_any_report(self, report):
+        _assert_writers_match(report)
+
+    def test_empty_report(self):
+        report = SuiteReport(GenConfig(), DEFAULT_POLICY)
+        _assert_writers_match(report)
+        assert '"variants": {},\n  "violations": []\n}\n' in report.to_json()
+
+    def test_unchecked_variant_and_nested_violation(self):
+        inst, coeffs = generate_instance(GenConfig(master_seed=42, count=1), 0)
+        payload = instance_to_jsonable(inst, coeffs)
+        violation = {"instance_id": 0, "variant": "bb:1.2", "lhs": math.inf, "rhs": math.inf, "slack": math.nan}
+        violation["instance"] = payload
+        report = SuiteReport(
+            GenConfig(master_seed=42),
+            DEFAULT_POLICY,
+            {"bb:1.2": VariantTotals(1, 0, 1, 0, math.nan, math.nan), "ortho:4.2": VariantTotals(skipped=1)},
+            [violation, violation],
+        )
+        _assert_writers_match(report)
+        text = report.to_json()
+        assert '"min_slack": null' in text and '"min_slack": NaN' in text and '"lhs": Infinity' in text
+
+    @pytest.mark.parametrize(
+        "config, policy",
+        [
+            pytest.param(GenConfig(master_seed=42, count=4, scale=1e150), DEFAULT_POLICY, marks=SCALAR_OVERFLOW),
+            (GenConfig(master_seed=42, count=20), TolerancePolicy(tol_abs=-1)),
+        ],
+        ids=["scale1e150", "tol-abs-1"],
+    )
+    def test_run_suite_reports_with_violations(self, config, policy):
+        report = run_suite(config, full_catalog(), policy)
+        assert report.violations and all("instance" in v for v in report.violations)
+        _assert_writers_match(report)
+
+
 class _InlinePool:
     """Stands in for ``ProcessPoolExecutor``: records its worker count and
     the index range of each submitted tally, which it runs in this process."""
@@ -547,7 +630,7 @@ class TestBlockSizing:
         assert thrice <= 1.1 * once
 
     def test_single_vectors_peak_no_higher_than_wide_families(self):
-        # one-vector instances hold little each, so a block holds over a thousand of them
+        # one-vector instances hold little each, so a block holds about 850 of them
         narrow = self._peak(GenConfig(master_seed=42, count=4500, n_range=(1, 1)))
         wide = self._peak(GenConfig(master_seed=42, count=60, n_range=(24, 64), d_range=(16, 128)))
         assert narrow <= wide
@@ -724,12 +807,8 @@ class TestPlanMatchesScalarOracle:
 
         def rank(inst, coeffs, variants):
             ctx = EvalContext(inst, coeffs)
-            entries = []
-            for variant in variants:
-                lhs, rhs = sides(variant, ctx, tuned)
-                entries.append(RankEntry(variant.name, rhs, _relative_slack(lhs, rhs)))
-            entries.sort(key=lambda e: (e.rhs, e.variant))
-            return TightnessRanking(tuple(entries)).to_csv()
+            lhs, rhs = zip(*(sides(variant, ctx, tuned) for variant in variants))
+            return sorted_ranking([v.name for v in variants], lhs, rhs).to_csv()
 
         usable = [v for v in self.CATALOG if not v.orthonormal_only]
         fourier = [v for v in usable if v.family == "fourier"]
