@@ -152,9 +152,18 @@ class IncompatibleInstanceError(ValueError):
 def _sequential_sum(a: np.ndarray):
     """The sum along the last axis as ``sum(row.tolist(), 0.0)`` adds it in
     Python 3.11, left to right (3.12 compensates, and ``np.sum`` adds
-    pairwise): a float for one row, an array for a block of rows.  ``+ 0.0``
-    maps the -0.0 of an all-negative-zero row to the 0.0 that a 0.0 start
-    gives, so zero padding after a row's entries leaves its sum unchanged."""
+    pairwise): a float for one row, an array for a block of rows.  One row
+    of up to ``_KERNEL_ROW`` values adds in a Python loop from 0.0, several
+    times faster there than the kernel; longer rows and blocks take
+    ``np.add.accumulate``, whose ``+ 0.0`` maps the -0.0 of an
+    all-negative-zero row to the 0.0 that a 0.0 start gives, so the two
+    agree bit for bit, and zero padding after a row's entries leaves its sum
+    unchanged."""
+    if a.ndim == 1 and a.shape[0] <= _KERNEL_ROW:
+        total = 0.0
+        for value in a.tolist():
+            total += value
+        return total
     if not a.shape[-1]:
         return np.zeros(a.shape[:-1]) if a.ndim > 1 else 0.0
     total = np.add.accumulate(a, axis=-1)[..., -1] + 0.0
@@ -599,13 +608,15 @@ class Plan:
 
     The rows are the distinct variants in the caller's order; ``order`` is
     the row of each entry of the tuple, ``weights`` counts the entries of
-    each row, and ``name_rank`` is the place of each row's name among the
+    each row, and ``name_rank`` is the place of each entry's name among the
     sorted names, by which rankings break ties.  The left-hand sides
     (``lhs_*`` attributes of ``EvalContext``) and the distinct (term,
     selector) pairs the rows read are numbered once.  A row is one entry of ``need``, ``lhs_index``,
     ``two_terms`` and ``weighted`` (its index in ``SKIP_REASONS``, its
     left-hand side, whether it adds two terms, whether ``x_norm_sq`` scales
-    it) and a column of ``term_index`` (its first and last term).  So
+    it) and a column of ``term_index`` (its first and last term);
+    ``gated`` and ``scaled`` say whether any row is orthonormal-only or
+    weighted, once per plan rather than per instance.  So
     ``columns`` computes each term and left-hand side once per instance,
     those of gated rows on every family (closed forms, which neither raise
     nor warn) and those read with coefficients only when there are some;
@@ -619,7 +630,7 @@ class Plan:
         self.variants = tuple(rows)
         self.names = tuple(v.name for v in self.variants)
         ranks = {name: k for k, name in enumerate(sorted(set(self.names)))}
-        self.name_rank = np.array([ranks[name] for name in self.names], dtype=np.intp)
+        self.name_rank = np.array([ranks[self.names[k]] for k in self.order.tolist()], dtype=np.intp)
         self.weights = np.bincount(self.order, minlength=len(rows))
         need = [1 if v.orthonormal_only else 2 if v.requires_coeffs else 0 for v in self.variants]
         self.need = np.array(need, dtype=np.int8)
@@ -633,16 +644,26 @@ class Plan:
         self.term_index = np.array([[terms[v.terms[k]] for v in self.variants] for k in (0, -1)], dtype=np.intp)
         self.two_terms = np.array([len(v.terms) == 2 for v in self.variants], dtype=bool)
         self.weighted = np.array([v.family == "weighted" for v in self.variants], dtype=bool)
+        self.gated, self.scaled = bool((self.need == 1).any()), bool(self.weighted.any())
+        # one instance's skips, by (gate failed, no coefficients): each need unmet or not
+        unmet = np.array([[[False, gate, bare] for bare in (False, True)] for gate in (False, True)])
+        self.instance_skips = self.need * unmet[..., self.need]
+        self.instance_skips.setflags(write=False)
 
     def skips(self, ctx: EvalContext | EvalBlock) -> np.ndarray:
         """Each row's index in SKIP_REASONS on this instance, 0 where it is
-        checked, found without evaluating anything; for a block, one row of
-        them per instance."""
-        unmet = np.zeros((len(ctx), 3) if isinstance(ctx, EvalBlock) else 3, dtype=bool)
-        if (self.need == 1).any():
-            unmet[..., 1] = np.logical_not(ctx.gram_stats.orthonormal_within())
-        unmet[..., 2] = ctx.coeffs is None
-        return self.need * unmet[..., self.need]
+        checked, found without evaluating anything (read-only, one of the
+        plan's four ``instance_skips``); for a block, one row of them per
+        instance."""
+        if not isinstance(ctx, EvalBlock):
+            # ints: numpy reads a bool index as a mask
+            gate = self.gated and not ctx.gram_stats.orthonormal_within()
+            return self.instance_skips[int(gate), int(ctx.coeffs is None)]
+        unmet = np.zeros((len(ctx), 3), dtype=bool)
+        if self.gated:
+            unmet[:, 1] = np.logical_not(ctx.gram_stats.orthonormal_within())
+        unmet[:, 2] = ctx.coeffs is None
+        return self.need * unmet[:, self.need]
 
     def columns(self, ctx: EvalContext | EvalBlock, tuned=None) -> tuple[np.ndarray, np.ndarray]:
         """``(terms, sides)``: each distinct term's value and each left-hand
@@ -670,7 +691,7 @@ class Plan:
         with np.errstate(all="ignore"):
             rhs, second = terms[..., self.term_index[0]], terms[..., self.term_index[1]]
             np.add(rhs, second, out=rhs, where=self.two_terms)
-            if self.weighted.any():
+            if self.scaled:
                 np.multiply(rhs, np.asarray(x_norm_sq)[..., None], out=rhs, where=self.weighted)
         return sides[..., self.lhs_index], rhs
 
@@ -678,7 +699,7 @@ class Plan:
         """``(lhs, rhs)`` for every row, meaning nothing where ``skips`` skips
         it; for a block, arrays of (instances, rows), each instance's row bit
         for bit its own evaluation.  ``tuned`` is as in ``columns``."""
-        return self.gather(*self.columns(ctx, tuned), ctx.x_norm_sq if self.weighted.any() else None)
+        return self.gather(*self.columns(ctx, tuned), ctx.x_norm_sq if self.scaled else None)
 
     def check(self, ctx: EvalContext, policy: TolerancePolicy) -> list[BoundEvaluation | str]:
         """Each variant of the caller's tuple, in its order: its evaluation, in
@@ -694,11 +715,37 @@ class Plan:
         return [rows[k] for k in self.order.tolist()]
 
 
-@lru_cache(maxsize=256)
-def plan_for(variants: tuple[Variant, ...]) -> Plan:
-    """The plan of a variant tuple, built once for equal tuples: a build
-    costs more than an evaluation."""
-    return Plan(variants)
+class _PlanCache:
+    """``plan_for(variants)``: the plan of a variant sequence, built once for
+    equal tuples (a build costs more than an evaluation), and ``cache_clear``.
+
+    Equal tuples, a list of the same variants and unpickled copies all find
+    the one plan through an ``lru_cache`` keyed by the tuple, which hashes
+    every variant on each lookup.  A caller that passes the same tuple object
+    again, as a rank over a fixed catalog does, gets the plan it got last
+    without that hashing: the last tuple and its plan are kept as one pair,
+    so the tuple cannot die and its id be reused while it is the key.
+    """
+
+    def __init__(self):
+        self._plans = lru_cache(maxsize=256)(Plan)
+        self._last = (None, None)
+
+    def __call__(self, variants) -> Plan:
+        last, plan = self._last
+        if variants is last:
+            return plan
+        plan = self._plans(tuple(variants))
+        if type(variants) is tuple:
+            self._last = (variants, plan)
+        return plan
+
+    def cache_clear(self) -> None:
+        self._plans.cache_clear()
+        self._last = (None, None)
+
+
+plan_for = _PlanCache()
 
 
 def _bound(variant: Variant, ctx: EvalContext, policy: TolerancePolicy) -> BoundEvaluation:

@@ -153,6 +153,15 @@ class GramMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    @classmethod
+    def _of_checked(cls, entries: np.ndarray) -> "GramMatrix":
+        """A GramMatrix of a complex128 square array whose entries have passed
+        the finiteness check; it is made read-only and not checked again."""
+        entries.setflags(write=False)
+        gram = object.__new__(cls)
+        object.__setattr__(gram, "entries", entries)
+        return gram
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -386,7 +395,10 @@ class ProblemInstance:
 
     @cached_property
     def family_gram(self) -> GramMatrix:
-        return GramMatrix(self.bordered.entries[1:, 1:])
+        # a C-ordered, read-only copy of the bordered Gram's family block, as
+        # GramMatrix makes one, without its finiteness check: the bordered
+        # matrix passed it
+        return GramMatrix._of_checked(self.bordered.entries[1:, 1:].copy())
 
     # The statistics every bound on this instance reads, built on first use
     # and kept with it, so every evaluation context on the instance shares

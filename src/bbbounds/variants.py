@@ -73,7 +73,16 @@ def conjugate_exponent(p: float) -> float:
 
 @dataclass(frozen=True)
 class Selector:
-    """One branch choice for a diagonal or off-diagonal term."""
+    """One branch choice for a diagonal or off-diagonal term.
+
+    A holder selector carries its ``conjugate`` exponent, computed once when
+    it is made (``conjugate_exponent(exponent)``, the same bits), since the
+    terms read it at every evaluation; reading ``conjugate`` on a max or sum
+    selector raises VariantError.  ``conjugate`` is not a field: equality,
+    hash, repr and the pickled state are those of ``(kind, exponent)``.
+    ``holder(p)`` makes the same object without the dataclass machinery,
+    for the tuner, which makes one per evaluation.
+    """
 
     kind: str                     # "max" | "holder" | "sum"
     exponent: float | None = None
@@ -83,14 +92,26 @@ class Selector:
             raise VariantError(f"unknown selector kind {self.kind!r}")
         if self.kind == "holder":
             object.__setattr__(self, "exponent", _check_exponent(self.exponent))
+            object.__setattr__(self, "conjugate", conjugate_exponent(self.exponent))
         elif self.exponent is not None:
             raise VariantError(f"selector {self.kind!r} does not take an exponent")
 
-    @property
-    def conjugate(self) -> float:
+    def __getattr__(self, attr: str):
+        # reached only where the instance has no such attribute: a max or sum
+        # selector's conjugate, or a holder's unpickled by an older version
+        if attr != "conjugate":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
         if self.kind != "holder":
             raise VariantError(f"selector {self.kind!r} has no conjugate exponent")
         return conjugate_exponent(self.exponent)
+
+    def __getstate__(self) -> dict:
+        return {"kind": self.kind, "exponent": self.exponent}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self.kind == "holder":
+            self.__dict__["conjugate"] = conjugate_exponent(self.exponent)
 
     @property
     def name(self) -> str:
@@ -107,7 +128,13 @@ SUM = Selector("sum")
 
 
 def holder(p: float) -> Selector:
-    return Selector("holder", p)
+    """``Selector("holder", p)``, with the same exponent check and error, made
+    by filling the frozen instance's attributes directly: a fraction of the
+    dataclass constructor's cost."""
+    p = _check_exponent(p)
+    sel = object.__new__(Selector)
+    sel.__dict__.update(kind="holder", exponent=p, conjugate=conjugate_exponent(p))
+    return sel
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from bbbounds.bounds import (
     _Arrays,
     _Block,
     _PowerStats,
+    _sequential_sum,
     plan_for,
 )
 from bbbounds.space import load_instance
@@ -900,6 +901,25 @@ class TestStatsBitIdentity:
             assert_coeff_stats_identical(rng.integers(-9, 10, n).tolist())
             assert_coeff_stats_identical(rng.standard_normal(n).astype(np.float32))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e308, -1e308]),
+            max_size=2 * _KERNEL_ROW,
+        )
+    )
+    def test_one_row_sum_is_the_kernel_sum(self, values):
+        # one row of up to _KERNEL_ROW values adds in a Python loop, a longer
+        # one through np.add.accumulate; either gives the kernel's bits (-0.0
+        # rows to 0.0), and a block's rows give the same
+        row = np.array(values, dtype=np.float64)
+        with np.errstate(all="ignore"):      # the loop overflows silently, as Python floats do
+            kernel = float(np.add.accumulate(row)[-1] + 0.0) if row.size else 0.0
+            got, block = _sequential_sum(row), _sequential_sum(np.stack([row, row]))
+        assert type(got) is float and _bits(got) == _bits(kernel)
+        assert _bits(block[1]) == _bits(kernel)
+
     def test_totals_add_left_to_right(self):
         # Python 3.12's sum gives 1.0000000000000002 here
         assert GramStats(np.diag([1.0, 1e-16, 1e-16])).sum_diag == 1.0
@@ -1026,6 +1046,21 @@ class TestBlockBitIdentity:
         assert {bool(v) for v in got["orthonormal"]} == {True, False}
         assert not got["gram.max_off"].all() and not got["coeff.max_a"].all()
         assert np.isinf(got["lhs_fourier"]).any() and got["gram.n"].max() == 64
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning:bbbounds.space", "ignore::RuntimeWarning:bbbounds.bounds")
+    def test_one_instance_skips_are_its_block_row(self):
+        # one instance's skips come from the plan's four ``instance_skips``,
+        # read-only; they are the rows its block gives, with and without coefficients
+        contexts = _mixed_block()
+        variants = full_catalog()
+        for plan in (Plan(variants), Plan([v for v in variants if not v.orthonormal_only]), Plan(())):
+            block = plan.skips(block_of(contexts))
+            for k, ctx in enumerate(contexts):
+                for bare in (False, True):
+                    one = plan.skips(EvalContext(ctx.inst, None if bare else ctx.coeffs))
+                    assert one.dtype == block.dtype and not one.flags.writeable
+                    expected = block[k] if not bare else np.where(plan.need == 2, 2, block[k])
+                    assert one.tolist() == expected.tolist(), (k, bare)
 
 
 class TestRawGramInput:

@@ -316,6 +316,21 @@ class TestProblemInstance:
                     expected = inner_product(fam[i], fam[j])
                     assert abs(inst.family_gram.entries[i, j] - expected) <= 1e-12 * scale
 
+    def test_family_gram_is_the_checked_block_copied(self):
+        # the family block of the bordered Gram, which passed the finiteness
+        # check once: a C-ordered, read-only complex copy, as GramMatrix makes
+        rng = np.random.default_rng(9)
+        for n in (0, 1, 3, 40):
+            x, fam, _ = random_instance(rng, n=n, d=5, complex_field=bool(n % 2))
+            for inst in (ProblemInstance.from_vectors(x, fam),
+                         ProblemInstance.from_bordered_gram(ProblemInstance.from_vectors(x, fam).bordered)):
+                got, made = inst.family_gram, GramMatrix(inst.bordered.entries[1:, 1:])
+                assert type(got) is GramMatrix and got.n == inst.n
+                assert got.entries.dtype == np.complex128 and got.entries.flags.c_contiguous
+                assert not got.entries.flags.writeable
+                assert not np.shares_memory(got.entries, inst.bordered.entries)
+                assert got.entries.tobytes() == made.entries.tobytes()
+
     def test_validate_instance_psd_tol_passthrough(self):
         eps = 1e-12
         near = np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]], dtype=complex)

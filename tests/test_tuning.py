@@ -31,6 +31,7 @@ from bbbounds import (
 )
 from bbbounds.bounds import EvalContext, Plan, plan_for
 from bbbounds.tuning import RankEntry, TightnessRanking
+from bbbounds.variants import Selector
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -209,6 +210,7 @@ class TestRankingOrder:
             ranking = rank_variants(inst, [1.0, 2.0, 0.5], variants, optimize_exponents)
             expected = sorted_ranking(names, lhs, rhs)
             assert repr(ranking) == repr(expected)
+            assert all(type(e) is RankEntry for e in ranking.entries)
             assert all(type(x) is float for e in ranking.entries for x in e[1:])
 
     def test_variant_listed_twice(self, monkeypatch):
@@ -487,6 +489,34 @@ class TestTunedTerms:
         variants = [v for v in full_catalog() if not v.orthonormal_only]
         expected = (Path(__file__).parent / "golden" / "rank_pinned_seed5_n4.csv").read_text()
         assert rank_variants(inst, coeffs, variants, optimize_exponents=False).to_csv() == expected
+
+
+class TestTunerSelectors:
+    """The tuner makes one holder selector per evaluation with ``holder``,
+    which fills the frozen selector directly; it must evaluate what the
+    dataclass constructor's selectors evaluate."""
+
+    @staticmethod
+    def _evaluations(monkeypatch, inst, coeffs, family):
+        """The exponents ``_minimize`` evaluates for one optimize, and its result."""
+        seen = []
+        minimize = tuning._minimize
+        monkeypatch.setattr(tuning, "_minimize", lambda fn, interval: minimize(lambda t: seen.append(t) or fn(t), interval))
+        result = optimize_exponent(family, inst, coeffs)
+        monkeypatch.setattr(tuning, "_minimize", minimize)
+        return seen, result
+
+    @pytest.mark.parametrize("shape, count", [({}, 100), ({"n_range": (24, 64), "d_range": (16, 128)}, 20)], ids=["default", "wide"])
+    def test_minimize_evaluates_the_dataclass_selectors_exponents(self, monkeypatch, shape, count):
+        config = GenConfig(master_seed=61, count=count, **shape)
+        for index in range(count):
+            for family in PROFILE_FAMILIES:
+                fast = self._evaluations(monkeypatch, *generate_instance(config, index), family)
+                with monkeypatch.context() as m:
+                    m.setattr(tuning, "holder", lambda t: Selector("holder", t))
+                    built = self._evaluations(monkeypatch, *generate_instance(config, index), family)
+                assert len(fast[0]) >= 2 * tuning.COARSE_GRID_POINTS
+                assert repr(fast) == repr(built), (index, family)
 
 
 class TestSharedInstanceStatistics:

@@ -5,7 +5,11 @@ import pickle
 import re
 import subprocess
 import sys
+from copy import deepcopy
+from dataclasses import replace
 from itertools import product
+
+import numpy as np
 
 import pytest
 from hypothesis import given
@@ -23,8 +27,12 @@ from bbbounds import (
     parse_variant,
     parse_variant_list,
 )
-from bbbounds.bounds import plan_for
-from bbbounds.variants import _SPEC_OF, _SPECS
+from bbbounds.bounds import Plan, plan_for
+from bbbounds.tuning import _DEFAULT_GRID, EXPONENT_MIN
+from bbbounds.variants import _SPEC_OF, _SPECS, DEFAULT_EXPONENTS
+
+# the exponents the tuner starts from: its lower end, the catalog's and its grid
+TUNER_EXPONENTS = (EXPONENT_MIN, *DEFAULT_EXPONENTS, *_DEFAULT_GRID)
 
 
 class TestSelector:
@@ -48,13 +56,46 @@ class TestSelector:
 
     def test_conjugate_only_for_holder(self):
         assert holder(2.0).conjugate == 2.0
-        with pytest.raises(VariantError):
-            MAX.conjugate
+        for sel in (MAX, SUM, Selector("max"), Selector("sum")):
+            for copy in (sel, pickle.loads(pickle.dumps(sel)), deepcopy(sel)):
+                with pytest.raises(VariantError, match="has no conjugate exponent"):
+                    copy.conjugate
+        with pytest.raises(AttributeError):
+            MAX.missing
 
     @given(st.floats(min_value=1.0, max_value=64.0, exclude_min=True))
     def test_conjugate_identity(self, p):
         q = conjugate_exponent(p)
         assert abs(1.0 / p + 1.0 / q - 1.0) <= 1e-15
+
+    @given(st.floats(min_value=1.0, max_value=64.0, exclude_min=True) | st.sampled_from(TUNER_EXPONENTS))
+    def test_stored_conjugate_is_the_conjugate_exponent(self, p):
+        # each way to make a holder selector carries conjugate_exponent(p), bit for bit
+        for sel in (holder(p), Selector("holder", p), pickle.loads(pickle.dumps(holder(p))), deepcopy(holder(p))):
+            assert sel.conjugate.hex() == conjugate_exponent(p).hex()
+
+    @given(st.floats(min_value=1.0, max_value=64.0, exclude_min=True) | st.sampled_from(TUNER_EXPONENTS))
+    def test_holder_is_the_dataclass_selector(self, p):
+        # holder() fills the frozen selector directly; it compares, hashes,
+        # prints and pickles as the dataclass constructor's selector
+        fast, built = holder(p), Selector("holder", p)
+        assert type(fast) is Selector
+        assert fast == built and hash(fast) == hash(built) and repr(fast) == repr(built)
+        assert fast.name == built.name
+        assert vars(fast) == vars(built) == {"kind": "holder", "exponent": p, "conjugate": conjugate_exponent(p)}
+        assert pickle.dumps(fast) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(fast)) == fast
+        assert replace(fast, exponent=2.0) == holder(2.0)
+
+    def test_pickled_state_is_kind_and_exponent(self):
+        # the pickled state is the two fields, as before the conjugate was
+        # stored; a holder unpickled from that state carries its conjugate
+        for sel in (MAX, SUM, holder(1.5)):
+            assert sel.__reduce_ex__(4)[2] == {"kind": sel.kind, "exponent": sel.exponent}
+        older = Selector.__new__(Selector)
+        older.__dict__.update(kind="holder", exponent=3.0)
+        assert older.conjugate == conjugate_exponent(3.0)
+        assert older == holder(3.0) and hash(older) == hash(holder(3.0))
 
 
 class TestVariantNames:
@@ -194,6 +235,42 @@ class TestVariantObjects:
         assert plan_for(again) is plan
         assert plan_for(pickle.loads(pickle.dumps(first))) is plan
         assert plan_for(pickle.loads(pickle.dumps(plan)).variants) is plan
+
+    def test_plan_lookup(self, monkeypatch):
+        # the same tuple object finds its plan without hashing a variant; an
+        # equal tuple, a list and an unpickled copy find the same plan by
+        # hash; after cache_clear nothing is found, the same tuple included
+        plan_for.cache_clear()
+        catalog = full_catalog()
+        plan = plan_for(catalog)
+        hashed = []
+        variant_hash = Variant.__hash__
+        monkeypatch.setattr(Variant, "__hash__", lambda v: hashed.append(v) or variant_hash(v))
+        assert plan_for(catalog) is plan and hashed == []
+        for equal in (tuple(parse_variant_list("all")), list(catalog), pickle.loads(pickle.dumps(catalog))):
+            hashed.clear()
+            assert plan_for(equal) is plan and len(hashed) == len(catalog)
+        assert plan_for(catalog) is plan
+        plan_for.cache_clear()
+        fresh = plan_for(catalog)
+        assert fresh is not plan and plan_for(list(catalog)) is fresh
+
+    def test_plan_pickles_whole(self):
+        # plans reach the --jobs workers pickled: every attribute survives,
+        # the variants compare and hash as the originals do
+        catalog = full_catalog() + full_catalog()[:4]
+        plan = Plan(catalog)
+        copy = pickle.loads(pickle.dumps(plan))
+        assert vars(copy).keys() == vars(plan).keys()
+        for name, value in vars(plan).items():
+            got = getattr(copy, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and np.array_equal(got, value), name
+            else:
+                assert got == value, name
+        assert [hash(v) for v in copy.variants] == [hash(v) for v in plan.variants]
+        assert [repr(v) for v in copy.variants] == [repr(v) for v in plan.variants]
+        assert [v.terms for v in copy.variants] == [v.terms for v in plan.variants]
 
     def test_unpickled_variants_hash_in_another_process(self):
         # a string hashes differently in each process, and an unpickled
