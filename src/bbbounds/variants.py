@@ -75,13 +75,13 @@ def conjugate_exponent(p: float) -> float:
 class Selector:
     """One branch choice for a diagonal or off-diagonal term.
 
-    A holder selector carries its ``conjugate`` exponent, computed once when
-    it is made (``conjugate_exponent(exponent)``, the same bits), since the
-    terms read it at every evaluation; reading ``conjugate`` on a max or sum
-    selector raises VariantError.  ``conjugate`` is not a field: equality,
-    hash, repr and the pickled state are those of ``(kind, exponent)``.
-    ``holder(p)`` makes the same object without the dataclass machinery,
-    for the tuner, which makes one per evaluation.
+    A holder selector stores its ``conjugate`` exponent when it is made
+    (``conjugate_exponent(exponent)``, the same bits), since the terms read
+    it at every evaluation; reading ``conjugate`` on a max or sum selector
+    raises VariantError.  ``conjugate`` is not a field: equality, hash, repr
+    and the pickled state are those of ``(kind, exponent)``.  ``holder(p)``
+    makes the same object without the dataclass machinery, for the tuner,
+    which makes one per evaluation.
     """
 
     kind: str                     # "max" | "holder" | "sum"
@@ -96,22 +96,16 @@ class Selector:
         elif self.exponent is not None:
             raise VariantError(f"selector {self.kind!r} does not take an exponent")
 
-    def __getattr__(self, attr: str):
-        # reached only where the instance has no such attribute: a max or sum
-        # selector's conjugate, or a holder's unpickled by an older version
-        if attr != "conjugate":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+    @cached_property
+    def conjugate(self) -> float:
+        # read only where the instance stores none: on a max or sum
+        # selector, and on a holder unpickled from its two fields
         if self.kind != "holder":
             raise VariantError(f"selector {self.kind!r} has no conjugate exponent")
         return conjugate_exponent(self.exponent)
 
     def __getstate__(self) -> dict:
         return {"kind": self.kind, "exponent": self.exponent}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.kind == "holder":
-            self.__dict__["conjugate"] = conjugate_exponent(self.exponent)
 
     @property
     def name(self) -> str:
