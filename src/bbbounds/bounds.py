@@ -616,7 +616,8 @@ class Plan:
     left-hand side, whether it adds two terms, whether ``x_norm_sq`` scales
     it) and a column of ``term_index`` (its first and last term);
     ``gated`` and ``scaled`` say whether any row is orthonormal-only or
-    weighted, once per plan rather than per instance.  So
+    weighted, and ``instance_skips`` holds the four ways ``skips`` can come
+    out on one instance, once per plan rather than per instance.  So
     ``columns`` computes each term and left-hand side once per instance,
     those of gated rows on every family (closed forms, which neither raise
     nor warn) and those read with coefficients only when there are some;
@@ -736,7 +737,7 @@ class _PlanCache:
         if variants is last:
             return plan
         plan = self._plans(tuple(variants))
-        if type(variants) is tuple:
+        if type(variants) is tuple:        # a list may change before the next call
             self._last = (variants, plan)
         return plan
 

@@ -497,24 +497,24 @@ class TestTunerSelectors:
     dataclass constructor's selectors evaluate."""
 
     @staticmethod
-    def _evaluations(monkeypatch, inst, coeffs, family):
-        """The exponents ``_minimize`` evaluates for one optimize, and its result."""
+    def _evaluations(make_holder, family, inst, coeffs):
+        """The exponents ``_minimize`` evaluates for one optimize whose
+        selectors ``make_holder`` makes, and its result."""
         seen = []
         minimize = tuning._minimize
-        monkeypatch.setattr(tuning, "_minimize", lambda fn, interval: minimize(lambda t: seen.append(t) or fn(t), interval))
-        result = optimize_exponent(family, inst, coeffs)
-        monkeypatch.setattr(tuning, "_minimize", minimize)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tuning, "_minimize", lambda fn, interval: minimize(lambda t: seen.append(t) or fn(t), interval))
+            m.setattr(tuning, "holder", make_holder)
+            result = optimize_exponent(family, inst, coeffs)
         return seen, result
 
     @pytest.mark.parametrize("shape, count", [({}, 100), ({"n_range": (24, 64), "d_range": (16, 128)}, 20)], ids=["default", "wide"])
-    def test_minimize_evaluates_the_dataclass_selectors_exponents(self, monkeypatch, shape, count):
+    def test_minimize_evaluates_the_dataclass_selectors_exponents(self, shape, count):
         config = GenConfig(master_seed=61, count=count, **shape)
         for index in range(count):
             for family in PROFILE_FAMILIES:
-                fast = self._evaluations(monkeypatch, *generate_instance(config, index), family)
-                with monkeypatch.context() as m:
-                    m.setattr(tuning, "holder", lambda t: Selector("holder", t))
-                    built = self._evaluations(monkeypatch, *generate_instance(config, index), family)
+                fast = self._evaluations(holder, family, *generate_instance(config, index))
+                built = self._evaluations(lambda t: Selector("holder", t), family, *generate_instance(config, index))
                 assert len(fast[0]) >= 2 * tuning.COARSE_GRID_POINTS
                 assert repr(fast) == repr(built), (index, family)
 
