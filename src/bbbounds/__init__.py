@@ -44,24 +44,16 @@ from .bounds import (
     BoundEvaluation,
     IncompatibleInstanceError,
     TolerancePolicy,
-    coarse_bound,
-    cor23_bounds,
     diag_term,
     evaluate_variant,
-    fourier_bound,
-    lemma21_bound,
     offdiag_term,
     remark4_quantities,
-    special_bound,
-    weighted_sum_bound,
 )
 from .verify import (
     GenConfig,
     RemarkWitness,
     SearchBudgetError,
     SuiteReport,
-    VerificationResult,
-    check_variant,
     generate_instance,
     remark_comparison_rows,
     run_suite,

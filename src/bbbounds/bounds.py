@@ -15,10 +15,10 @@ The right-hand sides are defined once, in the catalog table of
 evaluates variants through one evaluator, a ``Plan`` of rows that
 evaluates each distinct (term, selector) pair and each left-hand side once
 and builds all right-hand sides as arrays.  Every caller takes its plan from
-``plan_for``: the suite, ``check_variant``, ``check-file``, the public bound
-functions here, and ``tuning``, which ranks with each holder slot's term
-replaced by its tuned minimum.  A scalar evaluator, one variant at a time,
-is kept in the tests as the plan's oracle.
+``plan_for``: the suite, ``check-file``, ``evaluate_variant`` and
+``tuning``, which ranks with each holder slot's term replaced by its tuned
+minimum.  A scalar evaluator, one variant at a time, is kept in the tests as
+the plan's oracle.
 
 A plan evaluates one instance (``EvalContext``), whose statistics are
 Python floats, or a block of consecutive instances (``EvalBlock``), whose
@@ -68,6 +68,7 @@ from .space import (
     GramMatrix,
     ProblemInstance,
     ValidationError,
+    VectorFamily,
     _as_complex_vector,
     _checked_double_sum,
     _gram_matrix,
@@ -87,12 +88,6 @@ __all__ = [
     "EvalContext",
     "diag_term",
     "offdiag_term",
-    "lemma21_bound",
-    "cor23_bounds",
-    "coarse_bound",
-    "weighted_sum_bound",
-    "special_bound",
-    "fourier_bound",
     "remark4_quantities",
     "evaluate_variant",
 ]
@@ -663,7 +658,6 @@ class Plan:
         unmet = np.zeros((len(ctx), 3), dtype=bool)
         if self.gated:
             unmet[:, 1] = np.logical_not(ctx.gram_stats.orthonormal_within())
-        unmet[:, 2] = ctx.coeffs is None
         return self.need * unmet[:, self.need]
 
     def columns(self, ctx: EvalContext | EvalBlock, tuned=None) -> tuple[np.ndarray, np.ndarray]:
@@ -749,29 +743,36 @@ class _PlanCache:
 plan_for = _PlanCache()
 
 
-def _bound(variant: Variant, ctx: EvalContext, policy: TolerancePolicy) -> BoundEvaluation:
-    ev = plan_for((variant,)).check(ctx, policy)[0]
-    if isinstance(ev, str):
-        raise IncompatibleInstanceError(ev)
-    return ev
-
-
 def evaluate_variant(
     variant: Variant,
-    inst: ProblemInstance,
+    inst: ProblemInstance | VectorFamily | GramMatrix | np.ndarray,
     coeffs=None,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> BoundEvaluation:
     """Evaluate any catalog variant on an instance.
 
     Combination and weighted variants need ``coeffs``; Fourier variants
-    derive their coefficients internally as ``conj((x, y_i))``.  Raises
-    :class:`IncompatibleInstanceError` when coefficients are missing or an
-    orthonormal-only variant meets a non-orthonormal family, and
-    ``ValidationError`` when given coefficients are of the wrong length or
-    not all finite, whatever the variant.
+    derive their coefficients internally as ``conj((x, y_i))``.  A
+    combination variant also takes a ``VectorFamily``, a ``GramMatrix`` or a
+    raw Gram array in place of the ``ProblemInstance``; a weighted or
+    Fourier variant reads x, so given no instance it raises
+    ``ValidationError``.  Raises :class:`IncompatibleInstanceError` when
+    coefficients are missing or an orthonormal-only variant meets a
+    non-orthonormal family, and ``ValidationError`` when given coefficients
+    are of the wrong length or not all finite, whatever the variant.
     """
-    return _bound(variant, EvalContext(inst, coeffs), policy)
+    if isinstance(inst, ProblemInstance):
+        ctx = EvalContext(inst, coeffs)
+    elif variant.family != "combination":
+        raise ValidationError(f"{variant.name} reads x, so it needs a problem instance")
+    elif coeffs is None:
+        raise IncompatibleInstanceError(SKIP_REASONS[2])
+    else:
+        ctx = EvalContext.of_combination(coeffs, inst)
+    ev = plan_for((variant,)).check(ctx, policy)[0]
+    if isinstance(ev, str):
+        raise IncompatibleInstanceError(ev)
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -797,83 +798,6 @@ def offdiag_term(sel: Selector, coeffs, gram) -> float:
     Zero when n <= 1 or all off-diagonal entries vanish.
     """
     return _offdiag_value(EvalContext.of_combination(coeffs, gram), sel)
-
-
-def lemma21_bound(
-    dsel: Selector,
-    osel: Selector,
-    coeffs,
-    family_or_gram,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> BoundEvaluation:
-    """The base combination bound: diagonal term plus off-diagonal term."""
-    ctx = EvalContext.of_combination(coeffs, family_or_gram)
-    return _bound(Variant("lemma21:{diag}:{offdiag}", dsel, osel), ctx, policy)
-
-
-def cor23_bounds(
-    coeffs, family_or_gram, policy: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[BoundEvaluation, BoundEvaluation]:
-    """The sharp/weak pair built from the sum-diagonal and 2-exponent branches.
-
-    sharp: ``sum|a|^2 * (max|z|^2 + sqrt((sum|a|^2)^2 - sum|a|^4)/sum|a|^2 * R)``
-    weak:  ``sum|a|^2 * (max|z|^2 + R)``, with ``R`` the ordered 2-norm of the
-    off-diagonal entries.  sharp.rhs <= weak.rhs always; both are 0 for
-    all-zero coefficients.
-    """
-    ctx = EvalContext.of_combination(coeffs, family_or_gram)
-    sharp, weak = plan_for((Variant("cor23:sharp"), Variant("cor23:weak"))).check(ctx, policy)
-    return sharp, weak
-
-
-def coarse_bound(
-    dsel: Selector,
-    osel: Selector,
-    coeffs,
-    family_or_gram,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> BoundEvaluation:
-    """Coarser combination bound: coefficient cross-factors replaced by
-    (n-1)-weighted diagonal power sums.  Dominates the base bound with the
-    same selectors on every instance.
-    """
-    ctx = EvalContext.of_combination(coeffs, family_or_gram)
-    return _bound(Variant("coarse:{diag}:{offdiag}", dsel, osel), ctx, policy)
-
-
-def special_bound(
-    variant: Variant, coeffs, family_or_gram, policy: TolerancePolicy = DEFAULT_POLICY
-) -> BoundEvaluation:
-    """One of the three aligned coarse bounds (max/max, holder p both slots, sum/sum)."""
-    if not variant.name.startswith("special:"):
-        raise ValidationError(f"not a special variant: {variant.name}")
-    return _bound(variant, EvalContext.of_combination(coeffs, family_or_gram), policy)
-
-
-# ---------------------------------------------------------------------------
-# Operations on problem instances
-# ---------------------------------------------------------------------------
-
-
-def weighted_sum_bound(
-    variant: Variant,
-    coeffs,
-    inst: ProblemInstance,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> BoundEvaluation:
-    """Bound ``|sum_i c_i (x, y_i)|^2`` by ``|x|^2`` times a combination bound."""
-    if variant.family != "weighted":
-        raise ValidationError(f"not a weighted-sum variant: {variant.name}")
-    return evaluate_variant(variant, inst, coeffs, policy)
-
-
-def fourier_bound(
-    variant: Variant, inst: ProblemInstance, policy: TolerancePolicy = DEFAULT_POLICY
-) -> BoundEvaluation:
-    """Bound ``sum_i |(x, y_i)|^2`` by the selected Fourier-coefficient bound."""
-    if variant.family != "fourier":
-        raise ValidationError(f"not a Fourier variant: {variant.name}")
-    return evaluate_variant(variant, inst, None, policy)
 
 
 def remark4_quantities(family_or_gram) -> tuple[float, float]:

@@ -11,12 +11,12 @@ bound in the catalog is a theorem.  A report's JSON is what
 indenting encoder of ``json`` is pure Python, and the tests hold the two to
 the same bytes.
 
-Checks read the plan of their variants (``bounds.plan_for``): one row for
-``check_variant``, and a whole suite's rows for blocks of consecutive
-instances (``bounds.EvalBlock``).  ``_Tally`` evaluates a block's terms and
-left-hand sides once (``Plan.columns``), then gathers, judges and reduces
-its (instances, rows) arrays a slice of at most ``_BLOCK_ENTRIES`` entries
-at a time, which the tests hold to ``VariantTotals.record``.  A block holds
+Checks read the plan of their variants (``bounds.plan_for``): a whole
+suite's rows, for blocks of consecutive instances (``bounds.EvalBlock``).
+``_Tally`` evaluates a block's terms and left-hand sides once
+(``Plan.columns``), then gathers, judges and reduces its (instances, rows)
+arrays a slice of at most ``_BLOCK_ENTRIES`` entries at a time, which the
+tests hold to ``VariantTotals.record``.  A block holds
 the instances whose own arrays take at most ``_BLOCK_BYTES``: on the full
 catalog, about 850 one-vector families, a few hundred of the default
 stream's, four of 64 vectors in 128 dimensions.  So the fixed cost of a block is paid rarely,
@@ -67,7 +67,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .bounds import (
-    BoundEvaluation,
     DEFAULT_POLICY,
     EvalBlock,
     EvalContext,
@@ -84,8 +83,6 @@ from .variants import Variant
 __all__ = [
     "GenConfig",
     "generate_instance",
-    "VerificationResult",
-    "check_variant",
     "VariantTotals",
     "SuiteReport",
     "run_suite",
@@ -353,34 +350,9 @@ def generate_instance(config: GenConfig, index: int) -> tuple[ProblemInstance, n
     return inst, z[rows:].copy()
 
 
-class VerificationResult(NamedTuple):
-    instance_id: int
-    variant: str
-    evaluation: BoundEvaluation | None  # None when the variant was skipped
-    skip_reason: str | None
-
-    @property
-    def skipped(self) -> bool:
-        return self.evaluation is None
-
-
 # Not called here: bench/tracer.py wraps this name by attribute, as it does
 # the names kept in tuning, until it wraps Plan.evaluate instead.
 _eval_on_context = None
-
-
-def check_variant(
-    variant: Variant,
-    inst: ProblemInstance,
-    coeffs=None,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-    instance_id: int = 0,
-) -> VerificationResult:
-    """Evaluate one variant on one instance; incompatibilities become skips."""
-    ev = plan_for((variant,)).check(EvalContext(inst, coeffs), policy)[0]
-    if isinstance(ev, str):
-        return VerificationResult(instance_id, variant.name, None, ev)
-    return VerificationResult(instance_id, variant.name, ev, None)
 
 
 @dataclass
@@ -759,12 +731,12 @@ def run_suite(
     the plan of the variants (``bounds.plan_for``) then evaluates each
     distinct term once per block of consecutive instances, and ``_Tally``
     judges and reduces the block's checks as arrays, with the same results,
-    bit for bit, as ``check_variant`` on each instance folded through
-    ``VariantTotals.record``.  ``jobs`` > 1 splits the stream into that many
-    contiguous index ranges, tallied by at most one forked process per
-    available CPU and merged in index order, so the output does not depend
-    on the parallelism level or on where the blocks are cut; ``jobs`` < 1
-    raises ValueError.  With no variants, the report is the header alone,
+    bit for bit, as ``bounds.evaluate_variant`` on each instance folded
+    through ``VariantTotals.record``.  ``jobs`` > 1 splits the stream into
+    that many contiguous index ranges, tallied by at most one forked process
+    per available CPU and merged in index order, so the output does not
+    depend on the parallelism level or on where the blocks are cut; ``jobs``
+    < 1 raises ValueError.  With no variants, the report is the header alone,
     and no instance is drawn.
     """
     if jobs < 1:

@@ -17,19 +17,16 @@ from bbbounds import (
     MAX,
     SUM,
     ProblemInstance,
+    Variant,
     VectorFamily,
-    coarse_bound,
-    cor23_bounds,
     diag_term,
-    fourier_bound,
+    evaluate_variant,
     full_catalog,
     gram_of_family,
     holder,
-    lemma21_bound,
     orthonormalize,
     parse_variant,
     run_suite,
-    weighted_sum_bound,
 )
 from bbbounds.bounds import CoeffStats
 
@@ -127,16 +124,16 @@ def test_criterion_4_mpf_boas_bellman_reduction():
         s = float(np.sum(np.abs(c) ** 2))
         if s == 0.0:
             continue
-        mpf = weighted_sum_bound(parse_variant("cor32:1"), c, inst)
-        bb = fourier_bound(parse_variant("bb:1.2"), inst)
+        mpf = evaluate_variant(parse_variant("cor32:1"), inst, c)
+        bb = evaluate_variant(parse_variant("bb:1.2"), inst)
         worst = max(worst, abs(mpf.rhs - s * bb.rhs) / max(mpf.rhs, s * bb.rhs, 1e-300))
         # square-root recovery of the three derived Fourier bounds
-        b2 = weighted_sum_bound(parse_variant("cor32:2"), c, inst).rhs
-        b3 = weighted_sum_bound(parse_variant("cor32:3:p=2.0"), c, inst).rhs
-        b4 = weighted_sum_bound(parse_variant("cor32:4"), c, inst).rhs
-        f41 = fourier_bound(parse_variant("bb:4.1"), inst).rhs
-        f43 = fourier_bound(parse_variant("bb:4.3:p=2.0"), inst).rhs
-        f45 = fourier_bound(parse_variant("bb:4.5"), inst).rhs
+        b2 = evaluate_variant(parse_variant("cor32:2"), inst, c).rhs
+        b3 = evaluate_variant(parse_variant("cor32:3:p=2.0"), inst, c).rhs
+        b4 = evaluate_variant(parse_variant("cor32:4"), inst, c).rhs
+        f41 = evaluate_variant(parse_variant("bb:4.1"), inst).rhs
+        f43 = evaluate_variant(parse_variant("bb:4.3:p=2.0"), inst).rhs
+        f45 = evaluate_variant(parse_variant("bb:4.5"), inst).rhs
         for want, got in ((math.sqrt(b2), f41), (math.sqrt(b3), f43), (b4 / s, f45)):
             worst = max(worst, abs(want - got) / max(want, got, 1e-300))
     ok = worst <= 1e-10
@@ -162,7 +159,7 @@ def test_criterion_5_bessel_recovery():
         # generic x: Bessel inequality at the slack tolerance
         x = draw(d)
         inst = ProblemInstance.from_vectors(x, basis)
-        ev = fourier_bound(parse_variant("bb:4.5"), inst)
+        ev = evaluate_variant(parse_variant("bb:4.5"), inst)
         worst_rhs = max(worst_rhs, abs(ev.rhs - inst.x_norm_sq) / inst.x_norm_sq)
         bessel_holds &= ev.lhs <= inst.x_norm_sq * (1 + 1e-10)
         # x inside the span: equality
@@ -196,10 +193,10 @@ def test_criterion_6_dominance_and_chain():
         pair_list = [(ds, os) for ds in selectors for os in selectors]
         pair_list += [(h, h) for h in extra_holders]
         for dsel, osel in pair_list:
-            fine = lemma21_bound(dsel, osel, coeffs, fam)
-            rough = coarse_bound(dsel, osel, coeffs, fam)
+            fine = evaluate_variant(Variant("lemma21:{diag}:{offdiag}", dsel, osel), fam, coeffs)
+            rough = evaluate_variant(Variant("coarse:{diag}:{offdiag}", dsel, osel), fam, coeffs)
             worst_dom = min(worst_dom, rough.rhs - fine.rhs)
-        sharp, weak = cor23_bounds(coeffs, fam)
+        sharp, weak = (evaluate_variant(parse_variant(f"cor23:{kind}"), fam, coeffs) for kind in ("sharp", "weak"))
         worst_chain = min(worst_chain, weak.rhs - sharp.rhs)
     ok = worst_dom >= -1e-12 and worst_chain >= -1e-12
     report(

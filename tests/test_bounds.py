@@ -22,24 +22,18 @@ from bbbounds import (
     ValidationError,
     Variant,
     VectorFamily,
-    coarse_bound,
     combination_norm_sq,
-    cor23_bounds,
     diag_term,
     evaluate_variant,
-    fourier_bound,
     full_catalog,
     generate_instance,
     GenConfig,
     gram_of_family,
     holder,
-    lemma21_bound,
     offdiag_term,
     orthonormalize,
     parse_variant,
     remark4_quantities,
-    special_bound,
-    weighted_sum_bound,
 )
 from bbbounds.bounds import (
     _KERNEL_ROW,
@@ -67,6 +61,7 @@ ORTHO_PAIR = VectorFamily.from_rows([E1, E2])
 DUP_PAIR = VectorFamily.from_rows([E1, E1])
 HALF_GRAM = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
 C12 = [1.0, 2.0]
+COR23 = (parse_variant("cor23:sharp"), parse_variant("cor23:weak"))
 
 SQRT2 = math.sqrt(2.0)
 SQRT34 = math.sqrt(34.0)
@@ -198,40 +193,40 @@ class TestOffdiagTerm:
 class TestLemma21:
     def test_orthonormal_equality_with_sum_diag(self):
         for osel in (MAX, holder(2), SUM):
-            ev = lemma21_bound(SUM, osel, C12, ORTHO_PAIR)
+            ev = evaluate_variant(Variant("lemma21:{diag}:{offdiag}", SUM, osel), ORTHO_PAIR, C12)
             assert ev.lhs == pytest.approx(5.0)
             assert ev.rhs == pytest.approx(5.0)
             assert ev.holds
 
     def test_duplicate_vector_max_max(self):
-        ev = lemma21_bound(MAX, MAX, C12, DUP_PAIR)
+        ev = evaluate_variant(Variant("lemma21:{diag}:{offdiag}", MAX, MAX), DUP_PAIR, C12)
         assert (ev.lhs, ev.rhs) == (pytest.approx(9.0), pytest.approx(12.0))
 
     def test_duplicate_vector_holder_holder(self):
-        ev = lemma21_bound(holder(2), holder(2), C12, DUP_PAIR)
+        ev = evaluate_variant(Variant("lemma21:{diag}:{offdiag}", holder(2), holder(2)), DUP_PAIR, C12)
         assert ev.lhs == pytest.approx(9.0)
         assert ev.rhs == pytest.approx(SQRT34 + 4.0)
         assert ev.holds
 
     def test_variant_identity(self):
-        ev = lemma21_bound(holder(2), SUM, C12, DUP_PAIR)
+        ev = evaluate_variant(Variant("lemma21:{diag}:{offdiag}", holder(2), SUM), DUP_PAIR, C12)
         assert ev.variant.name == "lemma21:holder:2.0:sum"
         assert ev.slack == ev.rhs - ev.lhs
 
 
 class TestCor23:
     def test_duplicate_vector_sharp_is_tight(self):
-        sharp, weak = cor23_bounds(C12, DUP_PAIR)
+        sharp, weak = (evaluate_variant(v, DUP_PAIR, C12) for v in COR23)
         assert sharp.lhs == pytest.approx(9.0)
         assert sharp.rhs == pytest.approx(9.0)
         assert weak.rhs == pytest.approx(5.0 * (1.0 + SQRT2))
 
     def test_orthonormal_family_collapses(self):
-        sharp, weak = cor23_bounds(C12, ORTHO_PAIR)
+        sharp, weak = (evaluate_variant(v, ORTHO_PAIR, C12) for v in COR23)
         assert sharp.rhs == weak.rhs == pytest.approx(5.0)
 
     def test_zero_coefficients(self):
-        sharp, weak = cor23_bounds([0.0, 0.0], DUP_PAIR)
+        sharp, weak = (evaluate_variant(v, DUP_PAIR, [0.0, 0.0]) for v in COR23)
         assert (sharp.lhs, sharp.rhs, weak.rhs) == (0.0, 0.0, 0.0)
         assert sharp.holds and weak.holds
 
@@ -241,7 +236,7 @@ class TestCor23:
         for ratio in (1e-6, 1e-8, 3e-9, 1e-12):
             coeffs = [1.0, ratio]
             fam = VectorFamily.from_rows([[1.0, 0.0], [0.8, 0.6]])
-            sharp, weak = cor23_bounds(coeffs, fam)
+            sharp, weak = (evaluate_variant(v, fam, coeffs) for v in COR23)
             assert sharp.holds, (ratio, sharp)
             assert sharp.rhs <= weak.rhs
             lhs = combination_norm_sq(coeffs, fam)
@@ -253,22 +248,22 @@ class TestCor23:
             n = int(rng.integers(1, 9))
             fam = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
             coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            sharp, weak = cor23_bounds(coeffs, VectorFamily(fam))
+            sharp, weak = (evaluate_variant(v, VectorFamily(fam), coeffs) for v in COR23)
             assert sharp.rhs <= weak.rhs + 1e-12
             assert sharp.holds and weak.holds
 
 
 class TestCoarseAndSpecials:
     def test_special_213(self):
-        ev = special_bound(parse_variant("special:2.13"), C12, DUP_PAIR)
+        ev = evaluate_variant(parse_variant("special:2.13"), DUP_PAIR, C12)
         assert (ev.lhs, ev.rhs) == (pytest.approx(9.0), pytest.approx(10.0))
 
     def test_special_211(self):
-        ev = special_bound(parse_variant("special:2.11"), C12, DUP_PAIR)
+        ev = evaluate_variant(parse_variant("special:2.11"), DUP_PAIR, C12)
         assert ev.rhs == pytest.approx(16.0)
 
     def test_special_212_p2(self):
-        ev = special_bound(parse_variant("special:2.12:p=2.0"), C12, DUP_PAIR)
+        ev = evaluate_variant(parse_variant("special:2.12:p=2.0"), DUP_PAIR, C12)
         assert ev.rhs == pytest.approx(2.0 * SQRT34)
 
     def test_specials_are_aligned_coarse_bounds(self):
@@ -278,12 +273,12 @@ class TestCoarseAndSpecials:
             fam = rng.standard_normal((n, 4))
             coeffs = rng.standard_normal(n)
             famv = VectorFamily(fam.astype(complex))
-            s211 = special_bound(parse_variant("special:2.11"), coeffs, famv).rhs
-            s212 = special_bound(parse_variant("special:2.12:p=1.5"), coeffs, famv).rhs
-            s213 = special_bound(parse_variant("special:2.13"), coeffs, famv).rhs
-            assert s211 == coarse_bound(MAX, MAX, coeffs, famv).rhs
-            assert s212 == coarse_bound(holder(1.5), holder(1.5), coeffs, famv).rhs
-            assert s213 == coarse_bound(SUM, SUM, coeffs, famv).rhs
+            s211 = evaluate_variant(parse_variant("special:2.11"), famv, coeffs).rhs
+            s212 = evaluate_variant(parse_variant("special:2.12:p=1.5"), famv, coeffs).rhs
+            s213 = evaluate_variant(parse_variant("special:2.13"), famv, coeffs).rhs
+            assert s211 == evaluate_variant(Variant("coarse:{diag}:{offdiag}", MAX, MAX), famv, coeffs).rhs
+            assert s212 == evaluate_variant(Variant("coarse:{diag}:{offdiag}", holder(1.5), holder(1.5)), famv, coeffs).rhs
+            assert s213 == evaluate_variant(Variant("coarse:{diag}:{offdiag}", SUM, SUM), famv, coeffs).rhs
 
     def test_coarse_dominates_lemma_pointwise(self):
         rng = np.random.default_rng(37)
@@ -295,8 +290,8 @@ class TestCoarseAndSpecials:
             famv = VectorFamily(fam.astype(complex))
             for dsel in selectors:
                 for osel in selectors:
-                    fine = lemma21_bound(dsel, osel, coeffs, famv)
-                    coarse = coarse_bound(dsel, osel, coeffs, famv)
+                    fine = evaluate_variant(Variant("lemma21:{diag}:{offdiag}", dsel, osel), famv, coeffs)
+                    coarse = evaluate_variant(Variant("coarse:{diag}:{offdiag}", dsel, osel), famv, coeffs)
                     assert coarse.rhs - fine.rhs >= -1e-12
                     assert fine.holds and coarse.holds
 
@@ -308,7 +303,7 @@ class TestCoarseAndSpecials:
             coeffs = bounded_coeffs(rng, n)
             g = gram_of_family(VectorFamily(fam))
             for sel in (MAX, holder(1.5), holder(2), SUM):
-                got = coarse_bound(sel, sel, coeffs, g).rhs
+                got = evaluate_variant(Variant("coarse:{diag}:{offdiag}", sel, sel), g, coeffs).rhs
                 want = brute_diag(sel, coeffs, g.entries) + brute_coarse_offdiag(
                     sel, coeffs, g.entries
                 )
@@ -321,25 +316,21 @@ class TestWeightedSum:
         return ProblemInstance.from_vectors([1.0, 0.0], ORTHO_PAIR, field_mode="real")
 
     def test_thm31_sum_sum(self, basis_instance):
-        ev = weighted_sum_bound(parse_variant("thm31:sum:sum"), [1.0, 1.0], basis_instance)
+        ev = evaluate_variant(parse_variant("thm31:sum:sum"), basis_instance, [1.0, 1.0])
         assert (ev.lhs, ev.rhs) == (pytest.approx(1.0), pytest.approx(2.0))
 
     def test_cor32_branch_2(self, basis_instance):
-        ev = weighted_sum_bound(parse_variant("cor32:2"), [1.0, 1.0], basis_instance)
+        ev = evaluate_variant(parse_variant("cor32:2"), basis_instance, [1.0, 1.0])
         assert (ev.lhs, ev.rhs) == (pytest.approx(1.0), pytest.approx(2.0))
 
     def test_zero_coefficients_equality(self, basis_instance):
-        ev = weighted_sum_bound(parse_variant("thm31:max:max"), [0.0, 0.0], basis_instance)
+        ev = evaluate_variant(parse_variant("thm31:max:max"), basis_instance, [0.0, 0.0])
         assert (ev.lhs, ev.rhs) == (0.0, 0.0)
         assert ev.holds
 
     def test_length_mismatch(self, basis_instance):
         with pytest.raises(ValidationError):
-            weighted_sum_bound(parse_variant("cor32:1"), [1.0], basis_instance)
-
-    def test_wrong_family_rejected(self, basis_instance):
-        with pytest.raises(ValidationError):
-            weighted_sum_bound(parse_variant("bessel:1.1"), [1.0, 1.0], basis_instance)
+            evaluate_variant(parse_variant("cor32:1"), basis_instance, [1.0])
 
     def test_thm31_matches_term_oracles(self):
         rng = np.random.default_rng(43)
@@ -350,7 +341,7 @@ class TestWeightedSum:
             c = bounded_coeffs(rng, n)
             inst = ProblemInstance.from_vectors(x, fam)
             for dsel, osel in ((MAX, SUM), (holder(2), holder(1.5)), (SUM, MAX)):
-                ev = weighted_sum_bound(Variant("thm31:{diag}:{offdiag}", dsel, osel), c, inst)
+                ev = evaluate_variant(Variant("thm31:{diag}:{offdiag}", dsel, osel), inst, c)
                 g = inst.family_gram.entries
                 want = inst.x_norm_sq * (brute_diag(dsel, c, g) + brute_offdiag(osel, c, g))
                 assert ev.rhs == pytest.approx(want, rel=1e-12)
@@ -361,18 +352,18 @@ class TestWeightedSum:
 class TestFourier:
     def test_bessel_recovery_on_basis(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], ORTHO_PAIR, field_mode="real")
-        ev = fourier_bound(parse_variant("bb:4.5"), inst)
+        ev = evaluate_variant(parse_variant("bb:4.5"), inst)
         assert (ev.lhs, ev.rhs) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_ortho_42(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], ORTHO_PAIR, field_mode="real")
-        ev = fourier_bound(parse_variant("ortho:4.2"), inst)
+        ev = evaluate_variant(parse_variant("ortho:4.2"), inst)
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(SQRT2)
 
     def test_boas_bellman_on_duplicate_family(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], DUP_PAIR, field_mode="real")
-        ev = fourier_bound(parse_variant("bb:1.2"), inst)
+        ev = evaluate_variant(parse_variant("bb:1.2"), inst)
         assert ev.lhs == pytest.approx(2.0)
         assert ev.rhs == pytest.approx(1.0 + SQRT2)
 
@@ -380,12 +371,7 @@ class TestFourier:
         inst = ProblemInstance.from_vectors([1.0, 0.0], DUP_PAIR, field_mode="real")
         for variant in (parse_variant("bessel:1.1"), parse_variant("ortho:4.2"), parse_variant("ortho:4.4:p=2.0")):
             with pytest.raises(IncompatibleInstanceError, match="orthonormality gate"):
-                fourier_bound(variant, inst)
-
-    def test_wrong_family_rejected(self):
-        inst = ProblemInstance.from_vectors([1.0, 0.0], ORTHO_PAIR, field_mode="real")
-        with pytest.raises(ValidationError):
-            fourier_bound(parse_variant("cor32:1"), inst)
+                evaluate_variant(variant, inst)
 
     def test_evaluate_variant_skip_reasons(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], DUP_PAIR, field_mode="real")
@@ -395,6 +381,14 @@ class TestFourier:
             with pytest.raises(IncompatibleInstanceError) as info:
                 evaluate_variant(parse_variant(name), inst, coeffs)
             assert info.value.reason == str(info.value) == reason
+        with pytest.raises(IncompatibleInstanceError) as info:
+            evaluate_variant(parse_variant("cor23:weak"), DUP_PAIR)
+        assert info.value.reason == "requires coefficients"
+
+    def test_variants_that_read_x_need_an_instance(self):
+        for name, coeffs in (("thm31:max:max", C12), ("bb:1.2", None)):
+            with pytest.raises(ValidationError, match="needs a problem instance"):
+                evaluate_variant(parse_variant(name), DUP_PAIR, coeffs)
 
     def test_mpf_specialization_relations(self):
         # With c_i = conj((x, y_i)), each Fourier bound is the corresponding
@@ -412,18 +406,18 @@ class TestFourier:
             s = float(np.sum(np.abs(c) ** 2))
             if s == 0.0:
                 continue
-            b1 = weighted_sum_bound(parse_variant("cor32:1"), c, inst)
-            bb12 = fourier_bound(parse_variant("bb:1.2"), inst)
+            b1 = evaluate_variant(parse_variant("cor32:1"), inst, c)
+            bb12 = evaluate_variant(parse_variant("bb:1.2"), inst)
             assert b1.rhs == pytest.approx(s * bb12.rhs, rel=1e-10)
             assert b1.lhs == pytest.approx(s * bb12.lhs, rel=1e-10)
-            b2 = weighted_sum_bound(parse_variant("cor32:2"), c, inst)
-            bb41 = fourier_bound(parse_variant("bb:4.1"), inst)
+            b2 = evaluate_variant(parse_variant("cor32:2"), inst, c)
+            bb41 = evaluate_variant(parse_variant("bb:4.1"), inst)
             assert bb41.rhs == pytest.approx(math.sqrt(b2.rhs), rel=1e-10)
-            b3 = weighted_sum_bound(parse_variant("cor32:3:p=2.0"), c, inst)
-            bb43 = fourier_bound(parse_variant("bb:4.3:p=2.0"), inst)
+            b3 = evaluate_variant(parse_variant("cor32:3:p=2.0"), inst, c)
+            bb43 = evaluate_variant(parse_variant("bb:4.3:p=2.0"), inst)
             assert bb43.rhs == pytest.approx(math.sqrt(b3.rhs), rel=1e-10)
-            b4 = weighted_sum_bound(parse_variant("cor32:4"), c, inst)
-            bb45 = fourier_bound(parse_variant("bb:4.5"), inst)
+            b4 = evaluate_variant(parse_variant("cor32:4"), inst, c)
+            bb45 = evaluate_variant(parse_variant("bb:4.5"), inst)
             assert b4.rhs == pytest.approx(s * bb45.rhs, rel=1e-10)
 
     def test_ortho_bounds_on_orthonormalized_families(self):
@@ -441,7 +435,7 @@ class TestFourier:
                 parse_variant("ortho:4.4:p=1.25"),
                 parse_variant("ortho:4.4:p=4.0"),
             ):
-                assert fourier_bound(variant, inst).holds
+                assert evaluate_variant(variant, inst).holds
 
 
 class TestNonFiniteCoefficients:
@@ -1073,10 +1067,10 @@ class TestRawGramInput:
         return [
             lambda: diag_term(holder(3.0), c, gram),
             lambda: offdiag_term(MAX, c, gram),
-            lambda: lemma21_bound(MAX, SUM, c, gram),
-            lambda: coarse_bound(holder(2.0), MAX, c, gram),
-            lambda: cor23_bounds(c, gram),
-            lambda: special_bound(parse_variant("special:2.13"), c, gram),
+            lambda: evaluate_variant(Variant("lemma21:{diag}:{offdiag}", MAX, SUM), gram, c),
+            lambda: evaluate_variant(Variant("coarse:{diag}:{offdiag}", holder(2.0), MAX), gram, c),
+            lambda: tuple(evaluate_variant(v, gram, c) for v in COR23),
+            lambda: evaluate_variant(parse_variant("special:2.13"), gram, c),
             lambda: remark4_quantities(gram),
         ]
 

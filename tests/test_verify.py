@@ -19,18 +19,15 @@ from hypothesis import strategies as st
 
 from bbbounds import (
     DEFAULT_POLICY,
-    MAX,
     GenConfig,
     IncompatibleInstanceError,
     ProblemInstance,
     SearchBudgetError,
     TolerancePolicy,
     VectorFamily,
-    check_variant,
     evaluate_variant,
     full_catalog,
     generate_instance,
-    lemma21_bound,
     orthonormalize,
     parse_variant,
     parse_variant_list,
@@ -157,27 +154,27 @@ class TestGenerateInstance:
 class TestCheckVariant:
     def test_known_evaluation(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], [E1, E1], field_mode="real")
-        res = check_variant(parse_variant("lemma21:max:max"), inst, [1.0, 2.0], instance_id=17)
-        assert res.instance_id == 17
-        assert res.variant == "lemma21:max:max"
-        assert not res.skipped
-        assert (res.evaluation.lhs, res.evaluation.rhs) == (pytest.approx(9.0), pytest.approx(12.0))
+        ev = evaluate_variant(parse_variant("lemma21:max:max"), inst, [1.0, 2.0])
+        assert ev.variant.name == "lemma21:max:max"
+        assert (ev.lhs, ev.rhs) == (pytest.approx(9.0), pytest.approx(12.0))
 
     def test_equality_case_holds(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], field_mode="real")
-        res = check_variant(parse_variant("lemma21:sum:sum"), inst, [1.0, 2.0])
-        assert res.evaluation.slack == pytest.approx(0.0, abs=1e-12)
-        assert res.evaluation.holds
+        ev = evaluate_variant(parse_variant("lemma21:sum:sum"), inst, [1.0, 2.0])
+        assert ev.slack == pytest.approx(0.0, abs=1e-12)
+        assert ev.holds
 
     def test_orthonormality_gate_skip(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], [E1, E1], field_mode="real")
-        res = check_variant(parse_variant("ortho:4.2"), inst)
-        assert res.skipped and res.skip_reason == "orthonormality gate"
+        with pytest.raises(IncompatibleInstanceError) as info:
+            evaluate_variant(parse_variant("ortho:4.2"), inst)
+        assert info.value.reason == "orthonormality gate"
 
     def test_missing_coefficients_skip(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], [E1, E1], field_mode="real")
-        res = check_variant(parse_variant("cor23:sharp"), inst, coeffs=None)
-        assert res.skipped and res.skip_reason == "requires coefficients"
+        with pytest.raises(IncompatibleInstanceError) as info:
+            evaluate_variant(parse_variant("cor23:sharp"), inst, coeffs=None)
+        assert info.value.reason == "requires coefficients"
 
     def test_skip_correctness_on_orthonormal_families(self):
         # orthonormal-only variants are checked exactly when the family Gram
@@ -193,9 +190,7 @@ class TestCheckVariant:
             x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             inst = ProblemInstance.from_vectors(x, fam)
             for variant in ortho_variants:
-                res = check_variant(variant, inst)
-                assert not res.skipped
-                assert res.evaluation.holds
+                assert evaluate_variant(variant, inst).holds
 
 
 def _folded(*samples):
@@ -588,9 +583,9 @@ class TestBlockSizing:
         for index in range(config.count):
             inst, coeffs = generate_instance(config, index)
             for variant in full_catalog():
-                result = check_variant(variant, inst, coeffs, policy, index)
-                ev = result.evaluation
-                if ev is None:
+                try:
+                    ev = evaluate_variant(variant, inst, coeffs, policy)
+                except IncompatibleInstanceError:
                     totals[variant.name].skipped += 1
                     continue
                 totals[variant.name].record(ev.lhs, ev.rhs, ev.slack, ev.holds)
@@ -715,7 +710,7 @@ def _scalar_report(config, variants, policy=TolerancePolicy()):
 
 
 class TestPlanMatchesScalarOracle:
-    # every caller of the plan (run_suite's array judge, check_variant,
+    # every caller of the plan (run_suite's array judge, evaluate_variant,
     # rank_variants) must give the output of the one-check-at-a-time oracle,
     # byte for byte
     CATALOG = full_catalog()
@@ -790,15 +785,12 @@ class TestPlanMatchesScalarOracle:
             coeffs = coeffs if with_coeffs else None
             for variant in self.CATALOG:
                 expected = judge(variant, EvalContext(inst, coeffs), policy)
-                result = check_variant(variant, inst, coeffs, policy)
                 if isinstance(expected, str):
-                    assert result.skip_reason == expected and result.evaluation is None
                     with pytest.raises(IncompatibleInstanceError) as info:
                         evaluate_variant(variant, inst, coeffs, policy)
                     assert info.value.reason == expected
                 else:
                     # repr tells a numpy float or bool from a Python one
-                    assert repr(result.evaluation) == repr(expected) and result.skip_reason is None
                     assert repr(evaluate_variant(variant, inst, coeffs, policy)) == repr(expected)
 
     @pytest.mark.parametrize("optimize_exponents", [True, False], ids=["tuned", "pinned"])
@@ -1127,7 +1119,7 @@ class TestOneGramPerInstance:
             monkeypatch.setattr(owner, "gram_of_family", lambda *args, _fn=original: calls.append(args) or _fn(*args))
         EvalContext(inst, coeffs).lhs_combination
         assert len(calls) == 0
-        lemma21_bound(MAX, MAX, coeffs, inst.family)
+        evaluate_variant(parse_variant("lemma21:max:max"), inst.family, coeffs)
         assert len(calls) == 1
 
 
