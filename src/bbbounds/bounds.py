@@ -69,7 +69,6 @@ from .space import (
     ProblemInstance,
     ValidationError,
     VectorFamily,
-    _as_complex_vector,
     _checked_double_sum,
     _gram_matrix,
     combination_norm_sq,
@@ -480,41 +479,32 @@ class EvalContext(_Floats):
     array may change between calls: ``coeff_stats``, the combination and
     weighted left-hand sides, and ``tuned``, the minimum of each exponent
     term that tuning has minimized.  Both sides of a combination bound read
-    one Gram matrix of the family, the instance's ``family_gram``.
+    one Gram matrix of the family: the instance's ``family_gram``, or, for
+    the combination bounds alone, ``gram``, that of a ``VectorFamily``, a
+    ``GramMatrix`` or a raw Gram array given in place of the instance.
     """
 
-    def __init__(self, inst: ProblemInstance | None, coeffs=None):
+    def __init__(self, inst: ProblemInstance | VectorFamily | GramMatrix | np.ndarray, coeffs=None):
         self.inst = inst
         if coeffs is not None:
             coeffs = np.asarray(coeffs, dtype=np.complex128)
-            if coeffs.shape != (inst.n,):
-                raise ValidationError(
-                    f"coefficient vector of length {coeffs.shape} for n={inst.n}"
-                )
+            n = inst.n if isinstance(inst, ProblemInstance) else self.gram.n
+            if coeffs.shape != (n,):
+                raise ValidationError(f"coefficient vector of length {coeffs.shape} for n={n}")
             if not np.isfinite(coeffs).all():
                 raise ValidationError("coeffs contains non-finite entries")
         self.coeffs = coeffs
         self.tuned: dict[str, tuple[float, float, bool]] = {}
 
-    @classmethod
-    def of_combination(cls, coeffs, family_or_gram) -> "EvalContext":
-        """A context for the combination bounds alone, on coefficients and a
-        family or Gram matrix instead of a problem instance."""
-        c = np.asarray(coeffs, dtype=np.complex128)
-        if c.ndim != 1:
-            raise ValidationError("coefficients must form a one-dimensional vector")
-        gram = _gram_matrix(family_or_gram)
-        if gram.n != c.shape[0]:
-            raise ValidationError(f"{c.shape[0]} coefficients for {gram.n} vectors")
-        ctx = cls(None)
-        ctx.coeffs = c
-        ctx.lhs_combination = _checked_double_sum(_as_complex_vector(c, "coeffs"), gram, family_or_gram)
-        ctx.gram_stats = GramStats(gram)
-        return ctx
+    @cached_property
+    def gram(self) -> GramMatrix:
+        return _gram_matrix(self.inst)
 
     @cached_property
     def gram_stats(self) -> GramStats:
-        return self.inst.gram_stats
+        if isinstance(self.inst, ProblemInstance):
+            return self.inst.gram_stats
+        return GramStats(self.gram)
 
     @cached_property
     def coeff_stats(self) -> CoeffStats:
@@ -532,7 +522,9 @@ class EvalContext(_Floats):
 
     @cached_property
     def lhs_combination(self) -> float:
-        return combination_norm_sq(self.coeffs, self.inst)
+        if isinstance(self.inst, ProblemInstance):
+            return combination_norm_sq(self.coeffs, self.inst)
+        return _checked_double_sum(self.coeffs, self.gram, self.inst)
 
     @cached_property
     def lhs_weighted(self) -> float:
@@ -761,15 +753,12 @@ def evaluate_variant(
     non-orthonormal family, and ``ValidationError`` when given coefficients
     are of the wrong length or not all finite, whatever the variant.
     """
-    if isinstance(inst, ProblemInstance):
-        ctx = EvalContext(inst, coeffs)
-    elif variant.family != "combination":
-        raise ValidationError(f"{variant.name} reads x, so it needs a problem instance")
-    elif coeffs is None:
-        raise IncompatibleInstanceError(SKIP_REASONS[2])
-    else:
-        ctx = EvalContext.of_combination(coeffs, inst)
-    ev = plan_for((variant,)).check(ctx, policy)[0]
+    if not isinstance(inst, ProblemInstance):
+        if variant.family != "combination":
+            raise ValidationError(f"{variant.name} reads x, so it needs a problem instance")
+        if coeffs is None:
+            raise IncompatibleInstanceError(SKIP_REASONS[2])
+    ev = plan_for((variant,)).check(EvalContext(inst, coeffs), policy)[0]
     if isinstance(ev, str):
         raise IncompatibleInstanceError(ev)
     return ev
@@ -787,7 +776,7 @@ def diag_term(sel: Selector, coeffs, gram) -> float:
     ``(sum |a|^(2p))^(1/p) (sum |z|^(2q))^(1/q)``; ``sum`` gives
     ``sum|a|^2 * max |z|^2``.  Squared norms are read off the Gram diagonal.
     """
-    return _diag_value(EvalContext.of_combination(coeffs, gram), sel)
+    return _diag_value(EvalContext(gram, coeffs), sel)
 
 
 def offdiag_term(sel: Selector, coeffs, gram) -> float:
@@ -797,7 +786,7 @@ def offdiag_term(sel: Selector, coeffs, gram) -> float:
     ``[(sum |a|^g)^2 - sum |a|^(2g)]^(1/g) * (sum_{i != j} |(z_i,z_j)|^d)^(1/d)``.
     Zero when n <= 1 or all off-diagonal entries vanish.
     """
-    return _offdiag_value(EvalContext.of_combination(coeffs, gram), sel)
+    return _offdiag_value(EvalContext(gram, coeffs), sel)
 
 
 def remark4_quantities(family_or_gram) -> tuple[float, float]:

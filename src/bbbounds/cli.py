@@ -45,7 +45,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 # TolerancePolicy field they fill, so ``_from_flags`` builds either object.
 def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", dest="master_seed", type=int, default=0, metavar="U64")
-    parser.add_argument("--count", type=int, default=1000, metavar="N")
     parser.add_argument("--n", dest="n_range", type=_parse_range, default=(1, 8), metavar="MIN..MAX")
     parser.add_argument("--dim", dest="d_range", type=_parse_range, default=(1, 8), metavar="MIN..MAX")
     parser.add_argument("--field", dest="field_mode", choices=("real", "complex", "both"), default="both")
@@ -63,11 +62,11 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
 
 def _from_flags(cls, args, **given):
     """A ``cls`` dataclass with each field from its flag, unless ``given``."""
-    return cls(**{f.name: given.get(f.name, getattr(args, f.name)) for f in fields(cls)})
+    return cls(**{f.name: given[f.name] if f.name in given else getattr(args, f.name) for f in fields(cls)})
 
 
 def _instance_for(args):
-    """Instance plus optional coefficients, from --file or the seeded stream."""
+    """Instance plus optional coefficients, from --file or as the seeded stream's first."""
     if args.file is not None:
         return load_instance(args.file)
     return generate_instance(_from_flags(GenConfig, args, count=1), 0)
@@ -82,10 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write instance files")
     _add_gen_flags(p_gen)
+    p_gen.add_argument("--count", type=int, default=1000, metavar="N")
     p_gen.add_argument("--out", default="instances", metavar="DIR")
 
     p_verify = sub.add_parser("verify", help="run the inequality suite")
     _add_gen_flags(p_verify)
+    p_verify.add_argument("--count", type=int, default=1000, metavar="N")
     _add_tolerance_flags(p_verify)
     p_verify.add_argument("--variants", default="all", metavar="LIST|all")
     p_verify.add_argument("--json", metavar="PATH")

@@ -50,10 +50,7 @@ double sum (``space._double_sum_faults``), ``|x|^2``, the Fourier vectors,
 fails a check, the first that does is generated again through
 ``generate_instance`` and ``EvalContext``, which raise the error they
 always have; a violation's payload is its instance, generated again
-likewise.  Otherwise the suite calls neither ``generate_instance``
-nor ``gram_of_family`` nor ``combination_norm_sq``, so the spans that the
-benchmark's tracer records under those names no longer cover the suite's
-instances.
+likewise.
 """
 
 from __future__ import annotations
@@ -365,15 +362,18 @@ class VariantTotals:
     min_rel_slack: float = float("nan")
 
     def record(self, lhs: float, rhs: float, slack: float, holds: bool) -> None:
+        """Count one check and fold its slack and relative slack into the
+        minima, which a NaN sample (an overflowed ``inf - inf``) enters
+        neither of; of equal samples the earliest is kept."""
         self.checked += 1
         if holds:
             self.held += 1
         else:
             self.violated += 1
         rel = slack / max(lhs, rhs, 1e-300)
-        if not (self.min_slack <= slack):      # also true on the first sample
+        if slack == slack and not (self.min_slack <= slack):      # also true while the minimum is NaN
             self.min_slack = slack
-        if not (self.min_rel_slack <= rel):
+        if rel == rel and not (self.min_rel_slack <= rel):
             self.min_rel_slack = rel
 
 
@@ -466,25 +466,17 @@ class SuiteReport:
         return "".join(parts)
 
 
-def _first_minima(samples: np.ndarray, checked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_minima(samples: np.ndarray, checked: np.ndarray) -> np.ndarray:
     """The minimum that ``VariantTotals.record`` folds from each column of
-    (instances, rows) samples, where checked, starting from NaN, and whether
-    a NaN sample was met.  A NaN sample restarts the fold, so only the samples
-    after a column's last NaN count; of those equal to their minimum, the
-    earliest is kept, which tells 0.0 from -0.0.  NaN where none is left."""
-    nan = checked & np.isnan(samples)
-    met = nan.any(axis=0)
-    live = checked
-    if met.any():
-        count = len(samples)
-        last = np.where(met, count - 1 - nan[::-1].argmax(axis=0), -1)
-        live = checked & (np.arange(count)[:, None] > last)
-    masked = np.where(live, samples, np.inf)
-    low = masked.min(axis=0)
+    (instances, rows) samples: over the checked samples that are not NaN,
+    the earliest of those equal to it, which tells 0.0 from -0.0.  NaN where
+    none is left."""
+    masked = np.where(checked, samples, np.nan)
+    low = np.fmin.reduce(masked, axis=0)
     zero = (low == 0.0).nonzero()[0]
     if zero.size:
         low[zero] = masked[(masked[:, zero] == 0.0).argmax(axis=0), zero]
-    return np.where(live.any(axis=0), low, np.nan), met
+    return low
 
 
 # What a block holds for ``Plan.columns`` and ``Plan.skips`` alone: its
@@ -497,8 +489,7 @@ class _Tally:
     of consecutive instances at a time, judged by ``TolerancePolicy.holds``
     and reduced as (instances, rows) arrays on the rows that each instance
     does not skip, with the results of ``VariantTotals.record`` fed the
-    checks one at a time.  ``nan_seen`` marks the minima whose fold met a
-    NaN sample, after which the next sample restarts it."""
+    checks one at a time: a NaN sample enters neither minimum."""
 
     def __init__(self, plan: Plan):
         rows = len(plan.names)
@@ -507,7 +498,6 @@ class _Tally:
         self.checked = np.zeros(rows, dtype=np.int64)
         self.held = np.zeros(rows, dtype=np.int64)
         self.mins = np.full((2, rows), np.nan)       # min slack, min relative slack
-        self.nan_seen = np.zeros((2, rows), dtype=bool)
         self.violations: list[dict] = []
 
     def add(self, start: int, block: EvalBlock, policy: TolerancePolicy) -> None:
@@ -530,8 +520,7 @@ class _Tally:
                 rel = np.where(rhs > lhs, rhs, lhs)                     # max(lhs, rhs, 1e-300)
                 np.copyto(rel, 1e-300, where=1e-300 > rel)
                 np.divide(slack, rel, out=rel)
-            mins, nans = zip(*(_first_minima(sample, checked) for sample in (slack, rel)))
-            self._fold(np.stack(mins), np.stack(nans), checked.any(axis=0))
+            self._fold(np.stack([_first_minima(sample, checked) for sample in (slack, rel)]))
             self.checked += checked.sum(axis=0)
             self.held += (checked & holds).sum(axis=0)
             payloads: dict[int, dict] = {}
@@ -549,18 +538,16 @@ class _Tally:
                 self.violations.extend([violation] * int(plan.weights[k]))
         self.instances += len(block)
 
-    def _fold(self, later_mins: np.ndarray, later_nan: np.ndarray, later_checked: np.ndarray) -> None:
-        """Fold in the minima of the checks right after these: a later NaN, or
-        a later minimum not above this one, replaces it."""
+    def _fold(self, later_mins: np.ndarray) -> None:
+        """Fold in the minima of the checks right after these: a later
+        minimum below this one, or any where this one is NaN, replaces it."""
         with np.errstate(invalid="ignore"):
-            replace = later_checked & (later_nan | ~(self.mins <= later_mins))
-        np.copyto(self.mins, later_mins, where=replace)
-        self.nan_seen |= later_nan
+            np.copyto(self.mins, later_mins, where=np.isnan(self.mins) | (later_mins < self.mins))
 
     def merge(self, later: "_Tally") -> None:
         """Fold in the tally of the instances right after these: the same
         result as one tally over both ranges."""
-        self._fold(later.mins, later.nan_seen, later.checked > 0)
+        self._fold(later.mins)
         self.instances += later.instances
         self.checked += later.checked
         self.held += later.held

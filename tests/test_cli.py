@@ -327,3 +327,10 @@ class TestRankAndOptimize:
 
     def test_optimize_unknown_family_exits_2(self):
         assert run_cli("optimize", "--family", "nope", "--seed", "1").returncode == 2
+
+    @pytest.mark.parametrize("args", [["rank"], ["optimize", "--family", "coarse"]], ids=["rank", "optimize"])
+    def test_count_is_a_usage_error(self, args):
+        # both read the stream's first instance alone, so they take no --count
+        proc = run_cli(*args, "--seed", "1", "--count", "5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "unrecognized arguments: --count 5" in proc.stderr

@@ -53,6 +53,11 @@ SCALAR_OVERFLOW = pytest.mark.filterwarnings(
     "ignore::RuntimeWarning:bbbounds.space", "ignore::RuntimeWarning:bbbounds.bounds"
 )
 
+# A stream whose weighted and combination sides overflow on some instances
+# alone: NaN slacks (inf - inf) among numeric ones, in every row.
+MIXED_NAN_CONFIG = GenConfig(master_seed=42, count=400, scale=3e76)
+MIXED_NAN_VARIANTS = parse_variant_list("bb:1.2,bb:4.1,bb:4.5,lemma21:max:max,cor23:sharp")
+
 # Families of 24 to 64 vectors in up to 128 dimensions.
 WIDE_CONFIG = GenConfig(n_range=(24, 64), d_range=(16, 128), master_seed=901, count=20)
 
@@ -219,9 +224,17 @@ class TestVariantTotalsRecord:
         assert totals.min_rel_slack == 1.0 / 3.0
         assert (totals.checked, totals.held, totals.violated) == (2, 1, 1)
 
-    def test_nan_sample_replaces_finite_minimum(self):
+    def test_nan_sample_leaves_finite_minimum(self):
+        # a NaN sample counts as violated but enters neither minimum
         inf = float("inf")
-        totals = _folded((2.0, 3.0, 1.0, True), (inf, inf, float("nan"), False))
+        totals = _folded((2.0, 3.0, 1.0, True), (inf, inf, float("nan"), False), (1.0, 4.0, 3.0, True))
+        assert totals.min_slack == 1.0
+        assert totals.min_rel_slack == 1.0 / 3.0
+        assert (totals.checked, totals.held, totals.violated) == (3, 2, 1)
+
+    def test_all_nan_samples_leave_nan_minima(self):
+        inf = float("inf")
+        totals = _folded((inf, inf, float("nan"), False), (inf, inf, float("nan"), False))
         assert math.isnan(totals.min_slack) and math.isnan(totals.min_rel_slack)
 
 
@@ -393,15 +406,39 @@ class TestRunSuite:
         assert serial.to_csv() == threaded.to_csv()
         assert serial.to_json() == threaded.to_json()
 
-    @pytest.mark.parametrize("scale", [pytest.param(1e150, marks=SCALAR_OVERFLOW), 1e-170])
-    def test_process_ranges_merge_like_the_serial_fold(self, scale):
-        # NaN slacks at 1e150, and 0.0 / -0.0 ties among vacuous checks at 1e-170
-        config = GenConfig(master_seed=42, count=60, scale=scale)
-        serial = run_suite(config, full_catalog(), jobs=1)
+    @pytest.mark.parametrize(
+        "config, variants",
+        [
+            pytest.param(GenConfig(master_seed=42, count=60, scale=1e150), full_catalog(), marks=SCALAR_OVERFLOW),
+            (GenConfig(master_seed=42, count=60, scale=1e-170), full_catalog()),
+            pytest.param(MIXED_NAN_CONFIG, MIXED_NAN_VARIANTS, marks=SCALAR_OVERFLOW),
+        ],
+        ids=["1e+150", "1e-170", "mixed-nan"],
+    )
+    def test_process_ranges_merge_like_the_serial_fold(self, config, variants):
+        # NaN slacks only at 1e150, 0.0 / -0.0 ties among vacuous checks at
+        # 1e-170, and NaN slacks among numeric ones on the mixed stream
+        serial = run_suite(config, variants, jobs=1)
         for jobs in (2, 3):
-            parallel = run_suite(config, full_catalog(), jobs=jobs)
+            parallel = run_suite(config, variants, jobs=jobs)
             assert parallel.to_csv() == serial.to_csv()
             assert parallel.to_json() == serial.to_json()
+
+    @SCALAR_OVERFLOW
+    def test_minima_skip_nan_checks_among_numeric_ones(self):
+        # each row's minima are those of its checks that are not NaN, taken
+        # one instance at a time; every row here has NaN checks and violations
+        report = run_suite(MIXED_NAN_CONFIG, MIXED_NAN_VARIANTS)
+        for variant in MIXED_NAN_VARIANTS:
+            samples = []
+            for index in range(MIXED_NAN_CONFIG.count):
+                ev = evaluate_variant(variant, *generate_instance(MIXED_NAN_CONFIG, index))
+                samples.append((ev.slack, ev.slack / max(ev.lhs, ev.rhs, 1e-300)))
+            slacks, rels = ([x for x in column if not math.isnan(x)] for column in zip(*samples))
+            totals = report.totals[variant.name]
+            assert totals.violated > 0 and len(slacks) < MIXED_NAN_CONFIG.count
+            assert (totals.min_slack, totals.min_rel_slack) == (min(slacks), min(rels))
+        assert report.totals["bb:1.2"].min_slack == -2.4948003869184e+291
 
     @pytest.mark.parametrize("names, count", [("all", 1400), ("bb:1.2,cor23:sharp", 2000)], ids=["catalog", "two-variants"])
     def test_process_cuts_inside_blocks(self, names, count, monkeypatch):
