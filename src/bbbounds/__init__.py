@@ -16,13 +16,11 @@ from .space import (
     VectorFamily,
     combination_norm_sq,
     gram_of_family,
-    inner_product,
     instance_from_jsonable,
     instance_to_jsonable,
     load_instance,
     orthonormalize,
     save_instance,
-    validate_instance,
 )
 from .variants import (
     DEFAULT_EXPONENTS,
@@ -44,20 +42,15 @@ from .bounds import (
     BoundEvaluation,
     IncompatibleInstanceError,
     TolerancePolicy,
-    diag_term,
     evaluate_variant,
-    offdiag_term,
     remark4_quantities,
 )
 from .verify import (
     GenConfig,
-    RemarkWitness,
-    SearchBudgetError,
     SuiteReport,
     generate_instance,
     remark_comparison_rows,
     run_suite,
-    search_incomparability,
 )
 from .tuning import (
     DEFAULT_INTERVAL,

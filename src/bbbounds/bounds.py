@@ -74,7 +74,7 @@ from .space import (
     combination_norm_sq,
     gram_of_family,     # not called here: bench/tracer.py wraps it by name
 )
-from .variants import _TERMS, Selector, Variant, _diag_value, _offdiag_value
+from .variants import _TERMS, Variant
 
 __all__ = [
     "ORTHONORMAL_GATE_TOL",
@@ -85,8 +85,6 @@ __all__ = [
     "CoeffStats",
     "GramStats",
     "EvalContext",
-    "diag_term",
-    "offdiag_term",
     "remark4_quantities",
     "evaluate_variant",
 ]
@@ -762,31 +760,6 @@ def evaluate_variant(
     if isinstance(ev, str):
         raise IncompatibleInstanceError(ev)
     return ev
-
-
-# ---------------------------------------------------------------------------
-# Public operations on (coeffs, family or Gram matrix)
-# ---------------------------------------------------------------------------
-
-
-def diag_term(sel: Selector, coeffs, gram) -> float:
-    """Upper bound for ``sum |a_i|^2 |z_i|^2`` under the selected branch.
-
-    Branches: ``max`` gives ``max|a|^2 * sum |z|^2``; ``holder`` gives
-    ``(sum |a|^(2p))^(1/p) (sum |z|^(2q))^(1/q)``; ``sum`` gives
-    ``sum|a|^2 * max |z|^2``.  Squared norms are read off the Gram diagonal.
-    """
-    return _diag_value(EvalContext(gram, coeffs), sel)
-
-
-def offdiag_term(sel: Selector, coeffs, gram) -> float:
-    """Upper bound for the ordered cross-term sum ``sum_{i != j} |a_i a_j (z_i, z_j)|``.
-
-    The holder branch uses the closed form
-    ``[(sum |a|^g)^2 - sum |a|^(2g)]^(1/g) * (sum_{i != j} |(z_i,z_j)|^d)^(1/d)``.
-    Zero when n <= 1 or all off-diagonal entries vanish.
-    """
-    return _offdiag_value(EvalContext(gram, coeffs), sel)
 
 
 def remark4_quantities(family_or_gram) -> tuple[float, float]:

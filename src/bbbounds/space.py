@@ -29,11 +29,9 @@ __all__ = [
     "VectorFamily",
     "GramMatrix",
     "ProblemInstance",
-    "inner_product",
     "gram_of_family",
     "combination_norm_sq",
     "orthonormalize",
-    "validate_instance",
     "instance_to_jsonable",
     "instance_from_jsonable",
     "save_instance",
@@ -68,16 +66,6 @@ def _as_complex_vector(data, name: str = "vector") -> np.ndarray:
 def _require_real(arr: np.ndarray, what: str) -> None:
     if np.any(arr.imag != 0.0):
         raise ValidationError(f"real field mode requires zero imaginary parts in {what}")
-
-
-def inner_product(u, v) -> complex:
-    """Pairing ``sum_k u_k * conj(v_k)``: linear in u, conjugate-linear in v."""
-    a = _as_complex_vector(u, "u")
-    b = _as_complex_vector(v, "v")
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    # np.vdot conjugates its first argument.
-    return complex(np.vdot(b, a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,14 +274,18 @@ def _checked_double_sum(c: np.ndarray, gram: GramMatrix, family_or_gram) -> floa
     return max(result, 0.0)
 
 
-def orthonormalize(family: VectorFamily, tol: float = 1e-10) -> VectorFamily:
+# Relative pivot size below which ``orthonormalize`` calls a vector dependent.
+_PIVOT_TOL = 1e-10
+
+
+def orthonormalize(family: VectorFamily) -> VectorFamily:
     """Orthonormal basis of the span, ordered like Gram-Schmidt.
 
     Uses Householder QR with the column phases fixed so that each output
     vector has a positive inner product against its own pivot, i.e. the
     result coincides with classical Gram-Schmidt.  Raises
-    :class:`RankDeficiencyError` if any pivot norm falls below ``tol`` times
-    the incoming vector's norm.
+    :class:`RankDeficiencyError` if any pivot norm falls below
+    :data:`_PIVOT_TOL` times the incoming vector's norm.
     """
     n, d = family.n, family.dim
     if n == 0:
@@ -307,10 +299,10 @@ def orthonormalize(family: VectorFamily, tol: float = 1e-10) -> VectorFamily:
     norms = np.linalg.norm(a, axis=0)
     pivots = np.abs(np.diag(r))
     for i in range(n):
-        if norms[i] == 0.0 or pivots[i] <= tol * norms[i]:
+        if norms[i] == 0.0 or pivots[i] <= _PIVOT_TOL * norms[i]:
             raise RankDeficiencyError(
                 f"vector {i} is dependent on its predecessors (pivot {pivots[i]:.3e}, "
-                f"norm {norms[i]:.3e}, tol {tol})"
+                f"norm {norms[i]:.3e}, tol {_PIVOT_TOL})"
             )
     phases = np.diag(r) / pivots
     basis = (q * phases).T
@@ -339,13 +331,11 @@ class ProblemInstance:
             raise ValidationError("x and family must be given together")
 
     @classmethod
-    def from_vectors(
-        cls, x, vectors, field_mode: str = "complex", dim: int | None = None
-    ) -> "ProblemInstance":
+    def from_vectors(cls, x, vectors, field_mode: str = "complex") -> "ProblemInstance":
         """Build an explicit instance; only finiteness is checked beyond shapes."""
         xv = _as_complex_vector(x, "x")
         fam = vectors if isinstance(vectors, VectorFamily) else VectorFamily.from_rows(
-            vectors, dim=dim if dim is not None else xv.shape[0]
+            vectors, dim=xv.shape[0]
         )
         if fam.dim != xv.shape[0]:
             raise ValidationError(f"x has dimension {xv.shape[0]}, family has {fam.dim}")
@@ -357,19 +347,17 @@ class ProblemInstance:
         return cls(field_mode=field_mode, bordered=gram_of_family(stacked), x=xv, family=fam)
 
     @classmethod
-    def from_bordered_gram(
-        cls, matrix, field_mode: str = "complex", psd_tol: float = DEFAULT_PSD_TOL
-    ) -> "ProblemInstance":
+    def from_bordered_gram(cls, matrix, field_mode: str = "complex") -> "ProblemInstance":
         """Build a Gram-only instance; the matrix must pass full validation.
 
         A bordered Gram matrix is positive semidefinite exactly when it arises
-        from actual vectors, so PSD (within ``psd_tol``) is the acceptance
-        criterion here.
+        from actual vectors, so PSD (within :data:`DEFAULT_PSD_TOL`) is the
+        acceptance criterion here.
         """
         gram = matrix if isinstance(matrix, GramMatrix) else GramMatrix(np.asarray(matrix))
         if gram.n < 1:
             raise ValidationError("bordered Gram matrix needs at least the x row")
-        gram.validate(psd_tol)
+        gram.validate()
         if field_mode == "real":
             _require_real(gram.entries, "the bordered Gram matrix")
         return cls(field_mode=field_mode, bordered=gram)
@@ -421,30 +409,6 @@ class ProblemInstance:
 
         with np.errstate(all="ignore"):
             return bounds.CoeffStats(self.fourier)
-
-
-def validate_instance(
-    candidate: ProblemInstance, psd_tol: float = DEFAULT_PSD_TOL
-) -> ProblemInstance:
-    """Re-run all structural checks on an instance and return it.
-
-    Explicit-vector instances pass after a finiteness check (their bordered
-    Gram matrix is PSD by construction); Gram-only instances must satisfy the
-    Hermitian / nonnegative-diagonal / PSD invariants within ``psd_tol``.
-    """
-    if candidate.mode == "vectors":
-        if not (
-            np.all(np.isfinite(candidate.x)) and np.all(np.isfinite(candidate.family.vectors))
-        ):
-            raise ValidationError("instance contains non-finite entries")
-    else:
-        candidate.bordered.validate(psd_tol)
-    if candidate.field_mode == "real":
-        _require_real(candidate.bordered.entries, "the bordered Gram matrix")
-        if candidate.x is not None:
-            _require_real(candidate.x, "x")
-            _require_real(candidate.family.vectors, "the family")
-    return candidate
 
 
 # ---------------------------------------------------------------------------

@@ -424,12 +424,11 @@ def full_catalog(exponents: tuple[float, ...] = DEFAULT_EXPONENTS) -> tuple[Vari
     )
 
 
-def parse_variant_list(
-    text: str, exponents: tuple[float, ...] = DEFAULT_EXPONENTS
-) -> tuple[Variant, ...]:
-    """Parse a comma-separated variant list; ``all`` expands the full catalog."""
+def parse_variant_list(text: str) -> tuple[Variant, ...]:
+    """Parse a comma-separated variant list; ``all`` expands the full catalog
+    at :data:`DEFAULT_EXPONENTS`."""
     if text.strip() == "all":
-        return full_catalog(exponents)
+        return full_catalog()
     names = [t for t in (s.strip() for s in text.split(",")) if t]
     if not names:
         raise VariantError("empty variant list")

@@ -83,9 +83,6 @@ __all__ = [
     "VariantTotals",
     "SuiteReport",
     "run_suite",
-    "RemarkWitness",
-    "SearchBudgetError",
-    "search_incomparability",
     "remark_comparison_rows",
 ]
 
@@ -756,50 +753,6 @@ def run_suite(
     report.totals = tally.totals()
     report.violations = sorted(tally.violations, key=lambda v: (v["instance_id"], v["variant"]))
     return report
-
-
-class RemarkWitness(NamedTuple):
-    instance_id: int
-    a_value: float
-    b_value: float
-    instance: ProblemInstance
-
-
-class SearchBudgetError(RuntimeError):
-    """The search budget ran out before both orderings were witnessed."""
-
-
-def search_incomparability(config: GenConfig) -> tuple[RemarkWitness, RemarkWitness]:
-    """Find one instance with A > B and one with B > A.
-
-    A is the ordered 2-norm of the off-diagonal Gram entries, B is
-    ``(n - 1) * max``; exhibiting both orderings shows the two bounds they
-    complete are incomparable.  With structured families enabled the two
-    canonical triples at indices 0 and 1 settle the search deterministically.
-    Raises :class:`SearchBudgetError` if the stream of ``config.count``
-    instances does not contain both witnesses.
-    """
-    first_a: RemarkWitness | None = None
-    first_b: RemarkWitness | None = None
-    for index in range(config.count):
-        inst, _ = generate_instance(config, index)
-        if inst.n < 2:
-            continue
-        a, b = remark4_quantities(inst.family_gram)
-        if a > b and first_a is None:
-            first_a = RemarkWitness(index, a, b, inst)
-        elif b > a and first_b is None:
-            first_b = RemarkWitness(index, a, b, inst)
-        if first_a and first_b:
-            return first_a, first_b
-    found = []
-    if first_a:
-        found.append("A > B")
-    if first_b:
-        found.append("B > A")
-    raise SearchBudgetError(
-        f"searched {config.count} instances, found only {found or 'neither ordering'}"
-    )
 
 
 def remark_comparison_rows() -> list[tuple[tuple[float, float, float], float, float]]:

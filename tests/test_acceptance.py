@@ -19,7 +19,6 @@ from bbbounds import (
     ProblemInstance,
     Variant,
     VectorFamily,
-    diag_term,
     evaluate_variant,
     full_catalog,
     gram_of_family,
@@ -28,7 +27,8 @@ from bbbounds import (
     parse_variant,
     run_suite,
 )
-from bbbounds.bounds import CoeffStats
+from bbbounds.bounds import CoeffStats, EvalContext
+from bbbounds.variants import _TERMS
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -231,9 +231,9 @@ def test_criterion_7_holder_identity_and_limits():
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         coeffs = rng.uniform(1.0, 10.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         fam = VectorFamily(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
-        g = gram_of_family(fam)
-        at_max = diag_term(MAX, coeffs, g)
-        at_64 = diag_term(holder(64.0), coeffs, g)
+        ctx = EvalContext(gram_of_family(fam), coeffs)
+        at_max = _TERMS["lemma21:diag"](ctx, MAX)
+        at_64 = _TERMS["lemma21:diag"](ctx, holder(64.0))
         worst_limit = max(worst_limit, abs(at_64 - at_max) / at_max)
     ok = worst_identity <= 1e-12 and worst_limit <= 0.05
     report(

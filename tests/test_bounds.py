@@ -23,14 +23,12 @@ from bbbounds import (
     Variant,
     VectorFamily,
     combination_norm_sq,
-    diag_term,
     evaluate_variant,
     full_catalog,
     generate_instance,
     GenConfig,
     gram_of_family,
     holder,
-    offdiag_term,
     orthonormalize,
     parse_variant,
     remark4_quantities,
@@ -62,6 +60,8 @@ DUP_PAIR = VectorFamily.from_rows([E1, E1])
 HALF_GRAM = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
 C12 = [1.0, 2.0]
 COR23 = (parse_variant("cor23:sharp"), parse_variant("cor23:weak"))
+# Lemma 2.1's two terms, each read as term(EvalContext(gram, coeffs), selector)
+DIAG, OFFDIAG = _TERMS["lemma21:diag"], _TERMS["lemma21:offdiag"]
 
 SQRT2 = math.sqrt(2.0)
 SQRT34 = math.sqrt(34.0)
@@ -133,15 +133,15 @@ def bounded_coeffs(rng, n, ratio=10.0):
 
 class TestDiagTerm:
     def test_max_branch(self):
-        assert diag_term(MAX, C12, gram_of_family(ORTHO_PAIR)) == pytest.approx(8.0)
+        assert DIAG(EvalContext(gram_of_family(ORTHO_PAIR), C12), MAX) == pytest.approx(8.0)
 
     def test_holder_branch(self):
-        got = diag_term(holder(2), C12, gram_of_family(ORTHO_PAIR))
+        got = DIAG(EvalContext(gram_of_family(ORTHO_PAIR), C12), holder(2))
         assert got == pytest.approx(SQRT34 * SQRT2 / SQRT2)  # sqrt(17)*sqrt(2)
         assert got == pytest.approx(5.8309518948453, abs=1e-12)
 
     def test_sum_branch(self):
-        assert diag_term(SUM, C12, gram_of_family(ORTHO_PAIR)) == pytest.approx(5.0)
+        assert DIAG(EvalContext(gram_of_family(ORTHO_PAIR), C12), SUM) == pytest.approx(5.0)
 
     def test_always_dominates_exact_diagonal_sum(self):
         rng = np.random.default_rng(3)
@@ -152,7 +152,7 @@ class TestDiagTerm:
             g = gram_of_family(VectorFamily(fam))
             exact = sum(abs(coeffs[i]) ** 2 * g.entries[i, i].real for i in range(n))
             for sel in (MAX, holder(1.5), holder(2), holder(4), SUM):
-                assert diag_term(sel, coeffs, g) >= exact * (1 - 1e-12)
+                assert DIAG(EvalContext(g, coeffs), sel) >= exact * (1 - 1e-12)
 
     def test_bad_exponent_rejected_before_math(self):
         from bbbounds import VariantError
@@ -163,19 +163,19 @@ class TestDiagTerm:
 
 class TestOffdiagTerm:
     def test_max_branch_ordered_pairs_count_twice(self):
-        assert offdiag_term(MAX, C12, HALF_GRAM) == pytest.approx(2.0)
+        assert OFFDIAG(EvalContext(HALF_GRAM, C12), MAX) == pytest.approx(2.0)
 
     def test_holder_branch_closed_form(self):
-        assert offdiag_term(holder(2), C12, HALF_GRAM) == pytest.approx(2.0)
+        assert OFFDIAG(EvalContext(HALF_GRAM, C12), holder(2)) == pytest.approx(2.0)
 
     def test_sum_branch(self):
-        assert offdiag_term(SUM, C12, HALF_GRAM) == pytest.approx(2.0)
+        assert OFFDIAG(EvalContext(HALF_GRAM, C12), SUM) == pytest.approx(2.0)
 
     def test_single_vector_is_zero(self):
-        assert offdiag_term(MAX, [3.0], np.array([[4.0 + 0j]])) == 0.0
+        assert OFFDIAG(EvalContext(np.array([[4.0 + 0j]]), [3.0]), MAX) == 0.0
 
     def test_orthogonal_family_is_zero(self):
-        assert offdiag_term(holder(2), C12, gram_of_family(ORTHO_PAIR)) == 0.0
+        assert OFFDIAG(EvalContext(gram_of_family(ORTHO_PAIR), C12), holder(2)) == 0.0
 
     def test_matches_double_sum_oracle(self):
         rng = np.random.default_rng(17)
@@ -185,7 +185,7 @@ class TestOffdiagTerm:
             coeffs = bounded_coeffs(rng, n)
             g = gram_of_family(VectorFamily(fam))
             for sel in (MAX, holder(1.25), holder(2), holder(3), SUM):
-                got = offdiag_term(sel, coeffs, g)
+                got = OFFDIAG(EvalContext(g, coeffs), sel)
                 want = brute_offdiag(sel, coeffs, g.entries)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -571,7 +571,7 @@ class TestHolderLimits:
         for ratio in (0.5, 1e-3, 1e-9, 1e-300):
             coeffs = [1.0, ratio]
             for g in (4.0, 16.0, 64.0):
-                got = offdiag_term(holder(g), coeffs, HALF_GRAM)
+                got = OFFDIAG(EvalContext(HALF_GRAM, coeffs), holder(g))
                 floor = ratio * 2.0 ** (1.0 / g) * 0.5  # pair product * norm_off limit
                 assert got >= floor * (1 - 1e-12), (ratio, g, got)
                 exact_cross = 2 * ratio * 0.5  # ordered double sum
@@ -599,9 +599,9 @@ class TestHolderLimits:
             n = int(rng.integers(1, 9))
             fam = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
             coeffs = bounded_coeffs(rng, n, ratio=10.0)
-            g = gram_of_family(VectorFamily(fam))
-            at_max = diag_term(MAX, coeffs, g)
-            at_64 = diag_term(holder(64.0), coeffs, g)
+            ctx = EvalContext(gram_of_family(VectorFamily(fam)), coeffs)
+            at_max = DIAG(ctx, MAX)
+            at_64 = DIAG(ctx, holder(64.0))
             assert abs(at_64 - at_max) <= 0.05 * at_max
 
 
@@ -1065,8 +1065,8 @@ class TestRawGramInput:
     def bound_calls(self, gram):
         c = self.C
         return [
-            lambda: diag_term(holder(3.0), c, gram),
-            lambda: offdiag_term(MAX, c, gram),
+            lambda: DIAG(EvalContext(gram, c), holder(3.0)),
+            lambda: OFFDIAG(EvalContext(gram, c), MAX),
             lambda: evaluate_variant(Variant("lemma21:{diag}:{offdiag}", MAX, SUM), gram, c),
             lambda: evaluate_variant(Variant("coarse:{diag}:{offdiag}", holder(2.0), MAX), gram, c),
             lambda: tuple(evaluate_variant(v, gram, c) for v in COR23),

@@ -15,13 +15,11 @@ from bbbounds import (
     VectorFamily,
     combination_norm_sq,
     gram_of_family,
-    inner_product,
     instance_from_jsonable,
     instance_to_jsonable,
     load_instance,
     orthonormalize,
     save_instance,
-    validate_instance,
 )
 
 E1 = [1.0, 0.0]
@@ -43,27 +41,29 @@ def random_instance(rng, n=None, d=None, complex_field=True, scale=1.0):
 
 
 class TestInnerProduct:
+    """The pairing ``(u, v) = sum_k u_k conj(v_k)``, read off an instance's
+    bordered Gram: ``fourier`` holds ``(x, y_i)``."""
+
     def test_orthogonal_basis(self):
-        assert inner_product(E1, E2) == 0
+        assert ProblemInstance.from_vectors(E1, [E2]).fourier[0] == 0
 
     def test_norm_identity(self):
-        assert inner_product([3.0, 4.0], [3.0, 4.0]) == 25
+        assert ProblemInstance.from_vectors([3.0, 4.0], [[3.0, 4.0]]).fourier[0] == 25
 
     def test_scaling_first_slot(self):
-        assert inner_product([1 + 1j, 0], E1) == 1 + 1j
+        assert ProblemInstance.from_vectors([1 + 1j, 0], [E1]).fourier[0] == 1 + 1j
 
     def test_conjugate_linear_second_slot(self):
-        u = np.array([1.0 + 2.0j, -0.5j])
-        v = np.array([0.25 - 1.0j, 3.0])
-        assert inner_product(u, 1j * v) == pytest.approx(-1j * inner_product(u, v))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            inner_product([1.0], [1.0, 2.0])
+        # linear in x, conjugate-linear in y: (i x, y) = i (x, y), (x, i y) = -i (x, y)
+        x = np.array([1.0 + 2.0j, -0.5j])
+        y = np.array([0.25 - 1.0j, 3.0])
+        f = ProblemInstance.from_vectors(x, [y]).fourier[0]
+        assert ProblemInstance.from_vectors(1j * x, [y]).fourier[0] == pytest.approx(1j * f)
+        assert ProblemInstance.from_vectors(x, [1j * y]).fourier[0] == pytest.approx(-1j * f)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
-            inner_product([float("nan")], [1.0])
+            ProblemInstance.from_vectors([float("nan")], [[1.0]])
 
 
 class TestGramOfFamily:
@@ -295,7 +295,6 @@ class TestProblemInstance:
         inst = ProblemInstance.from_bordered_gram(np.eye(3, dtype=complex))
         assert inst.n == 2 and inst.mode == "gram"
         assert inst.x_norm_sq == 1.0
-        validate_instance(inst)
 
     def test_bordered_indefinite_rejected(self):
         with pytest.raises(ValidationError):
@@ -310,10 +309,10 @@ class TestProblemInstance:
             scale = float(np.abs(x) @ np.abs(x)) + float(np.sum(np.abs(fam) ** 2))
             assert abs(inst.x_norm_sq - np.vdot(x, x).real) <= 1e-12 * scale
             for i in range(fam.shape[0]):
-                expected = inner_product(x, fam[i])
+                expected = np.vdot(fam[i], x)
                 assert abs(inst.fourier[i] - expected) <= 1e-12 * scale
                 for j in range(fam.shape[0]):
-                    expected = inner_product(fam[i], fam[j])
+                    expected = np.vdot(fam[j], fam[i])
                     assert abs(inst.family_gram.entries[i, j] - expected) <= 1e-12 * scale
 
     def test_family_gram_is_the_checked_block_copied(self):
@@ -330,14 +329,6 @@ class TestProblemInstance:
                 assert not got.entries.flags.writeable
                 assert not np.shares_memory(got.entries, inst.bordered.entries)
                 assert got.entries.tobytes() == made.entries.tobytes()
-
-    def test_validate_instance_psd_tol_passthrough(self):
-        eps = 1e-12
-        near = np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]], dtype=complex)
-        inst = ProblemInstance.from_bordered_gram(near, psd_tol=1e-9)
-        validate_instance(inst, psd_tol=1e-9)
-        with pytest.raises(ValidationError):
-            validate_instance(inst, psd_tol=1e-15)
 
 
 class TestInstanceFiles:

@@ -16,7 +16,6 @@ from bbbounds import (
     ValidationError,
     VariantError,
     VectorFamily,
-    diag_term,
     evaluate_variant,
     full_catalog,
     generate_instance,
@@ -31,7 +30,7 @@ from bbbounds import (
 )
 from bbbounds.bounds import EvalContext, Plan, plan_for
 from bbbounds.tuning import RankEntry, TightnessRanking
-from bbbounds.variants import Selector
+from bbbounds.variants import _TERMS, Selector
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -146,8 +145,9 @@ class TestOptimize:
         exponent, value, at_boundary = optimize_exponent("lemma21:diag", inst, coeffs)
         assert DEFAULT_INTERVAL[0] <= exponent <= DEFAULT_INTERVAL[1]
         # converged to the documented 1e-6 relative value tolerance
+        ctx = EvalContext(inst.family_gram, coeffs)
         for t in np.geomspace(DEFAULT_INTERVAL[0], DEFAULT_INTERVAL[1], 40):
-            assert value <= diag_term(holder(float(t)), coeffs, inst.family_gram) * (1 + 5e-6)
+            assert value <= _TERMS["lemma21:diag"](ctx, holder(float(t))) * (1 + 5e-6)
 
     def test_deterministic(self):
         config = GenConfig(master_seed=77, count=1, n_range=(5, 5), d_range=(3, 3))

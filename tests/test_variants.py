@@ -196,7 +196,6 @@ class TestVariantLists:
         assert len(cat) == {  # 3 grids of 3x3, plus the fixed variants
             True: 3 * 9 + 2 + 3 + 4 + 4 + 2 + 1
         }[True]
-        assert parse_variant_list("all", exponents=(2.0,)) == cat
 
     def test_comma_list(self):
         got = parse_variant_list(" cor23:sharp , bessel:1.1 ")

@@ -22,7 +22,6 @@ from bbbounds import (
     GenConfig,
     IncompatibleInstanceError,
     ProblemInstance,
-    SearchBudgetError,
     TolerancePolicy,
     VectorFamily,
     evaluate_variant,
@@ -32,8 +31,8 @@ from bbbounds import (
     parse_variant,
     parse_variant_list,
     rank_variants,
+    remark4_quantities,
     run_suite,
-    search_incomparability,
 )
 import bbbounds.verify as verify
 from bbbounds.bounds import SKIP_REASONS, BoundEvaluation, EvalContext, Plan, plan_for
@@ -1185,25 +1184,15 @@ class TestWideFamilyGolden:
         assert rank_variants(inst, coeffs, variants, optimize_exponents=False).to_csv() == expected
 
 
-class TestSearchIncomparability:
-    def test_structured_witnesses_found_at_canonical_indices(self):
+class TestStructuredStream:
+    def test_opens_with_the_canonical_triples(self):
+        # demo-remark's two triples, whose off-diagonal weights A and B order
+        # differently: A > B on the first, B > A on the second
         config = GenConfig(master_seed=0, count=10, structured_families=True)
-        wa, wb = search_incomparability(config)
-        assert wa.instance_id == 0
-        assert wa.a_value == pytest.approx(math.sqrt(6.0), abs=1e-15)
-        assert wa.b_value == pytest.approx(2.0, abs=1e-15)
-        assert wb.instance_id == 1
-        assert wb.a_value == pytest.approx(math.sqrt(3.0), abs=1e-15)
-        assert wb.b_value == pytest.approx(2.0, abs=1e-15)
-
-    def test_random_search_also_succeeds(self):
-        config = GenConfig(master_seed=8, count=500, n_range=(2, 6), d_range=(1, 6))
-        wa, wb = search_incomparability(config)
-        assert wa.a_value > wa.b_value
-        assert wb.b_value > wb.a_value
-
-    def test_budget_exhaustion_reported(self):
-        # n = 1 instances never produce the two quantities
-        config = GenConfig(master_seed=8, count=20, n_range=(1, 1))
-        with pytest.raises(SearchBudgetError):
-            search_incomparability(config)
+        cases = [([1.0, 1.0, 1.0], math.sqrt(6.0)), ([1.0, 0.5, 1.0], math.sqrt(3.0))]
+        for index, (triple, a_value) in enumerate(cases):
+            inst, _ = generate_instance(config, index)
+            assert inst.family.vectors[:, 0].tolist() == triple
+            a, b = remark4_quantities(inst.family_gram)
+            assert a == pytest.approx(a_value, abs=1e-15)
+            assert b == pytest.approx(2.0, abs=1e-15)
