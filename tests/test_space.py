@@ -61,6 +61,13 @@ class TestInnerProduct:
         assert ProblemInstance.from_vectors(1j * x, [y]).fourier[0] == pytest.approx(1j * f)
         assert ProblemInstance.from_vectors(x, [1j * y]).fourier[0] == pytest.approx(-1j * f)
 
+    def test_dimension_mismatch(self):
+        # (x, y_0) with x longer than y_0, and (y_0, y_1) across the family
+        with pytest.raises(ValidationError):
+            ProblemInstance.from_vectors([1.0, 2.0], [[1.0]])
+        with pytest.raises(ValidationError):
+            ProblemInstance.from_vectors([1.0, 2.0], [[1.0, 0.0], [1.0]])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             ProblemInstance.from_vectors([float("nan")], [[1.0]])
