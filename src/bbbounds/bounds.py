@@ -492,7 +492,7 @@ class EvalContext(_Floats):
             if not np.isfinite(coeffs).all():
                 raise ValidationError("coeffs contains non-finite entries")
         self.coeffs = coeffs
-        self.tuned: dict[str, tuple[float, float, bool]] = {}
+        self.tuned: dict[str, float] = {}
 
     @cached_property
     def gram(self) -> GramMatrix:

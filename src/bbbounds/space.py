@@ -92,11 +92,12 @@ class VectorFamily:
     def from_rows(cls, rows, dim: int | None = None) -> "VectorFamily":
         """Build a family from an iterable of equal-length vectors.
 
-        ``dim`` is required when ``rows`` is empty (an empty array carries no
-        dimension information).  A 2-d array is converted and checked in
-        one pass instead of row by row, with the same errors.
+        ``dim`` is required when ``rows`` is empty and not a 2-d array (an
+        empty list carries no dimension information).  A 2-d array, empty or
+        not, is converted and checked in one pass instead of row by row, with
+        the same errors.
         """
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[0]:
+        if isinstance(rows, np.ndarray) and rows.ndim == 2:
             arr = np.asarray(rows, dtype=np.complex128)
             finite = np.isfinite(arr).all(axis=1)
             if not finite.all():
@@ -154,11 +155,11 @@ class GramMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def validate(self, psd_tol: float = DEFAULT_PSD_TOL) -> "GramMatrix":
+    def validate(self) -> "GramMatrix":
         """Check Hermitian symmetry, a real nonnegative diagonal, and PSD.
 
         The PSD test allows the smallest eigenvalue to dip to
-        ``-psd_tol * max(diagonal)``, absorbing rounding noise in matrices
+        ``-DEFAULT_PSD_TOL * max(diagonal)``, absorbing rounding noise in matrices
         read from files.  Returns ``self`` so calls chain.
         """
         e = self.entries
@@ -170,10 +171,10 @@ class GramMatrix:
         if self.n:
             scale = float(diag.max())
             min_eig = float(np.linalg.eigvalsh(e)[0])
-            if min_eig < -psd_tol * scale:
+            if min_eig < -DEFAULT_PSD_TOL * scale:
                 raise ValidationError(
                     f"matrix is not positive semidefinite: eigenvalue {min_eig} "
-                    f"below -{psd_tol} * {scale}"
+                    f"below -{DEFAULT_PSD_TOL} * {scale}"
                 )
         return self
 

@@ -1,11 +1,12 @@
 """Treat each conjugate-exponent slot as a one-parameter bound family.
 
-Profiles evaluate the bound over an exponent grid; the optimizer brackets the
-grid minimum and refines it by golden-section search on the log of the
-exponent (profiles change fastest just above 1, so log spacing resolves that
-region).  A boundary minimizer is reported as such rather than extrapolated:
-the limits at both ends of the domain coincide with the max- and sum-selector
-variants that already exist in the catalog.
+Profiles, optimizes and tuned ranks share one search (``_minimize``): it
+evaluates the bound on a fixed 8-point exponent grid, brackets the grid
+minimum and refines it by golden-section search on the log of the exponent
+(profiles change fastest just above 1, so log spacing resolves that region).
+A boundary minimizer is reported as such rather than extrapolated: the limits
+at both ends of the domain coincide with the max- and sum-selector variants
+that already exist in the catalog.
 
 Rankings evaluate a set of variants on one instance through the plan of
 their tuple (``bounds.plan_for``), the same evaluator the suite runs, and
@@ -39,13 +40,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .bounds import SKIP_REASONS, EvalContext, IncompatibleInstanceError, plan_for
 from .space import ProblemInstance
-from .variants import _TERMS, EXPONENT_MAX, Variant, VariantError, _check_exponent, holder
+from .variants import _TERMS, EXPONENT_MAX, Variant, VariantError, holder
 
 __all__ = [
     "PROFILE_FAMILIES",
@@ -69,7 +70,6 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 VALUE_REL_TOL = 1e-6
 MAX_REFINE_STEPS = 64
-COARSE_GRID_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,10 @@ def _family_fn(family: str, ctx: EvalContext) -> Callable[[float], float]:
 
 def _tuned_value(ctx: EvalContext, term: str) -> float:
     """Minimum of one term over DEFAULT_INTERVAL, computed once per instance."""
-    best = ctx.tuned.get(term)
-    if best is None:
-        best = ctx.tuned[term] = _minimize(_term_fn(term, ctx), DEFAULT_INTERVAL)
-    return best[1]
+    value = ctx.tuned.get(term)
+    if value is None:
+        value = ctx.tuned[term] = _minimize(_term_fn(term, ctx))[1]
+    return value
 
 
 def _golden_refine(
@@ -176,86 +176,48 @@ def _golden_refine(
     return math.exp(best_u), best_v
 
 
-def _coarse_grid(lo: float, hi: float) -> list[float]:
-    return [float(t) for t in np.geomspace(lo, hi, COARSE_GRID_POINTS)]
+# 8 log-spaced exponents; geomspace returns both ends of the interval exactly
+_DEFAULT_GRID = tuple(float(t) for t in np.geomspace(*DEFAULT_INTERVAL, 8))
 
 
-_DEFAULT_GRID = tuple(_coarse_grid(*DEFAULT_INTERVAL))
-
-
-def _refine_grid_minimum(
-    fn: Callable[[float], float], grid: Sequence[float], values: list[float]
-) -> tuple[float, float, bool]:
-    """Best of the grid values and a golden-section refinement bracketed
-    around the grid argmin; ``at_boundary`` means it sits at a grid end.
-    A non-finite grid value raises ArithmeticError: an overflowed profile
-    has no minimum to report."""
+def _minimize(fn: Callable[[float], float]) -> tuple[float, float, bool, list[float]]:
+    """Minimum of fn over DEFAULT_INTERVAL: the best of its values on
+    ``_DEFAULT_GRID`` and a golden-section refinement bracketed around the
+    grid argmin.  Returns ``(exponent, value, at_boundary, grid values)``;
+    ``at_boundary`` means the minimum sits at a grid end.  A non-finite grid
+    value raises ArithmeticError: an overflowed profile has no minimum to
+    report."""
+    grid = _DEFAULT_GRID
+    values = [fn(t) for t in grid]
     for t, v in zip(grid, values):
         if not math.isfinite(v):
             raise ArithmeticError(f"non-finite profile value {v!r} at exponent {t!r}")
     k = min(range(len(grid)), key=lambda i: (values[i], i))
     best_t, best_v = grid[k], values[k]
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    if lo < hi:
-        t, v = _golden_refine(fn, lo, hi)
-        if v < best_v:
-            best_t, best_v = t, v
+    t, v = _golden_refine(fn, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
+    if v < best_v:
+        best_t, best_v = t, v
     at_boundary = abs(best_t - grid[0]) <= 1e-9 * grid[0] or abs(best_t - grid[-1]) <= 1e-9 * grid[-1]
-    return best_t, best_v, at_boundary
+    return best_t, best_v, at_boundary, values
 
 
-def _minimize(
-    fn: Callable[[float], float], interval: tuple[float, float]
-) -> tuple[float, float, bool]:
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise VariantError(f"invalid search interval {interval}")
-    _check_exponent(lo)
-    _check_exponent(hi)
-    # geomspace returns both endpoints exactly, so the grid ends are lo and hi
-    grid = _DEFAULT_GRID if (lo, hi) == DEFAULT_INTERVAL else _coarse_grid(lo, hi)
-    return _refine_grid_minimum(fn, grid, [fn(t) for t in grid])
-
-
-def optimize_exponent(
-    family: str,
-    inst: ProblemInstance,
-    coeffs=None,
-    interval: tuple[float, float] = DEFAULT_INTERVAL,
-) -> tuple[float, float, bool]:
+def optimize_exponent(family: str, inst: ProblemInstance, coeffs=None) -> tuple[float, float, bool]:
     """Tightest exponent for one family on one instance.
 
     Returns ``(exponent, value, at_boundary)``.  ``at_boundary`` means the
-    minimizer sits at an interval endpoint, i.e. the max- or sum-selector
-    limit form is at least as tight.  The returned value never exceeds any
-    coarse-grid value (the grid points are candidates themselves).  A
-    non-finite grid value raises ArithmeticError.
+    minimizer sits at an end of DEFAULT_INTERVAL, i.e. the max- or
+    sum-selector limit form is at least as tight.  The returned value never
+    exceeds any value on the fixed 8-point grid (the grid points are
+    candidates themselves).  A non-finite grid value raises ArithmeticError.
     """
-    ctx = EvalContext(inst, coeffs)
-    return _minimize(_family_fn(family, ctx), interval)
+    return _minimize(_family_fn(family, EvalContext(inst, coeffs)))[:3]
 
 
-def profile_exponent(
-    family: str,
-    inst: ProblemInstance,
-    coeffs=None,
-    grid: Iterable[float] = (),
-) -> ExponentProfile:
-    """Evaluate one bound family over an exponent grid and refine its minimum.
-
-    The minimizer is the best of the grid values and a golden-section
-    refinement bracketed around the grid argmin.
-    """
-    fn = _family_fn(family, EvalContext(inst, coeffs))
-    exps = sorted({_check_exponent(t) for t in grid}) or _DEFAULT_GRID
-    values = [fn(t) for t in exps]
-    best_t, best_v, at_boundary = _refine_grid_minimum(fn, exps, values)
-    return ExponentProfile(
-        family=family,
-        grid=tuple(zip(exps, values)),
-        minimizer=(best_t, best_v),
-        at_boundary=at_boundary,
-    )
+def profile_exponent(family: str, inst: ProblemInstance, coeffs=None) -> ExponentProfile:
+    """One bound family's values on the fixed 8-point exponent grid, and the
+    minimum ``optimize_exponent`` finds from them."""
+    best_t, best_v, at_boundary, values = _minimize(_family_fn(family, EvalContext(inst, coeffs)))
+    return ExponentProfile(family, tuple(zip(_DEFAULT_GRID, values)), (best_t, best_v), at_boundary)
 
 
 # ---------------------------------------------------------------------------

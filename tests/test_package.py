@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import bbbounds
 
 SOURCE = Path(bbbounds.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 MODULES = sorted(p.stem for p in SOURCE.glob("*.py") if p.stem not in ("__init__", "__main__"))
 
 # Imports a module keeps without reading them, with the reason each stays.
@@ -52,3 +54,25 @@ def test_no_unread_imports(stem):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unread = sorted(name for name in imported - read if (stem, name) not in UNREAD_IMPORTS)
     assert not unread, unread
+
+
+def test_bench_tracer_installs_and_restores():
+    # bench/tracer.py patches the package's names by attribute: a name it
+    # patches that the package no longer has fails here, not only in the
+    # traced bench run
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    owners = [importlib.import_module(f"bbbounds.{stem}") for stem in ("bounds", "space", "tuning", "verify")]
+    owners.append(owners[-1].VariantTotals)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer, bbbounds)
+        inst, coeffs = bbbounds.generate_instance(bbbounds.GenConfig(master_seed=42, count=1), 0)
+        bbbounds.optimize_exponent("coarse", inst, coeffs)
+        # the one search counts every exponent it evaluates, the 8 grid points first
+        assert tracer.counts["tuning.rhs_evals"] > 8
+    finally:
+        tracer.restore()
+    assert [dict(vars(owner)) for owner in owners] == before

@@ -135,10 +135,14 @@ class TestFromRows:
         assert from_array.tobytes() == from_list.tobytes()
         assert not from_array.flags.writeable
 
-    def test_empty_array_needs_dim(self):
+    def test_empty_array_keeps_its_dimension(self):
+        # a 2-d array carries its dimension even with no rows; an empty list does not
+        assert VectorFamily.from_rows(np.zeros((0, 3))).vectors.shape == (0, 3)
+        assert VectorFamily.from_rows(np.zeros((0, 3)), dim=3).vectors.shape == (0, 3)
+        with pytest.raises(ValidationError, match="^family dimension 3 does not match dim=4$"):
+            VectorFamily.from_rows(np.zeros((0, 3)), dim=4)
         with pytest.raises(ValidationError, match="explicit dim"):
-            VectorFamily.from_rows(np.zeros((0, 3)))
-        assert VectorFamily.from_rows(np.zeros((0, 3)), dim=2).vectors.shape == (0, 2)
+            VectorFamily.from_rows([])
 
 
 class TestCombinationNormSq:
@@ -274,11 +278,15 @@ class TestGramValidation:
             GramMatrix(np.array([[np.inf]], dtype=complex))
 
     def test_psd_tolerance_is_relative(self):
-        eps = 1e-12
-        near = np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]], dtype=complex)
-        GramMatrix(near).validate(psd_tol=1e-9)
-        with pytest.raises(ValidationError):
-            GramMatrix(near).validate(psd_tol=1e-15)
+        # scale * [[1, 1 + eps], [1 + eps, 1]] has smallest eigenvalue
+        # -eps * scale, against DEFAULT_PSD_TOL = 1e-9 times the largest diagonal entry
+        for scale in (1.0, 1e6):
+            def near(eps):
+                return GramMatrix(scale * np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]], dtype=complex))
+
+            near(0.5e-9).validate()
+            with pytest.raises(ValidationError, match=rf"below -1e-09 \* {scale}$"):
+                near(2e-9).validate()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))

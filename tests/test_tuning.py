@@ -47,36 +47,30 @@ class TestProfile:
     def test_constant_profile_for_equal_coefficients(self):
         # n^(1/p) * n^(1/q) = n at every exponent
         inst = basis_instance(4)
-        profile = profile_exponent("lemma21:diag", inst, [1.0] * 4, grid=(1.1, 2.0, 8.0, 32.0))
+        profile = profile_exponent("lemma21:diag", inst, [1.0] * 4)
         for _, value in profile.grid:
             assert value == pytest.approx(4.0, rel=1e-12)
         assert profile.minimizer[1] == pytest.approx(4.0, rel=1e-12)
 
     def test_decreasing_toward_small_exponents(self):
         inst = basis_instance(2)
-        profile = profile_exponent("lemma21:diag", inst, [1.0, 2.0], grid=(1.1, 2.0, 8.0, 32.0))
+        profile = profile_exponent("lemma21:diag", inst, [1.0, 2.0])
         values = [v for _, v in profile.grid]
-        assert values[0] < values[1] < values[2] < values[3]
+        assert all(a < b for a, b in zip(values, values[1:]))
         # the small-exponent limit is the sum-selector value 5
         assert 5.0 <= profile.minimizer[1] <= 5.1
         assert profile.at_boundary
 
-    def test_grid_outside_domain_rejected(self):
-        inst = basis_instance(2)
-        with pytest.raises(VariantError):
-            profile_exponent("lemma21:diag", inst, [1.0, 2.0], grid=(0.5, 2.0))
-        with pytest.raises(VariantError):
-            profile_exponent("lemma21:diag", inst, [1.0, 2.0], grid=(2.0, 100.0))
-
     def test_unknown_family_rejected(self):
         with pytest.raises(VariantError):
-            profile_exponent("lemma21:antidiag", basis_instance(), [1.0, 2.0], grid=(2.0,))
+            profile_exponent("lemma21:antidiag", basis_instance(), [1.0, 2.0])
 
     def test_grid_is_sorted_increasing(self):
         inst = basis_instance(2)
-        profile = profile_exponent("lemma21:diag", inst, [1.0, 2.0], grid=(8.0, 1.1, 2.0))
+        profile = profile_exponent("lemma21:diag", inst, [1.0, 2.0])
         exps = [e for e, _ in profile.grid]
-        assert exps == sorted(exps) and len(exps) == 3
+        assert exps == sorted(exps) and len(exps) == len(tuning._DEFAULT_GRID)
+        assert (exps[0], exps[-1]) == DEFAULT_INTERVAL
 
     def test_all_families_produce_finite_profiles(self):
         config = GenConfig(master_seed=21, count=1, n_range=(3, 5), d_range=(2, 6))
@@ -120,22 +114,16 @@ class TestOptimize:
         _, value, _ = optimize_exponent("lemma21:diag", basis_instance(4), [1.0] * 4)
         assert value == pytest.approx(4.0, rel=1e-9)
 
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(VariantError):
-            optimize_exponent("lemma21:diag", basis_instance(2), [1.0, 2.0], interval=(2.0, 1.0))
-        with pytest.raises(VariantError):
-            optimize_exponent("lemma21:diag", basis_instance(2), [1.0, 2.0], interval=(0.5, 2.0))
-
     def test_never_above_any_grid_value(self):
         rng = np.random.default_rng(73)
         config = GenConfig(master_seed=31, count=40, n_range=(2, 6), d_range=(2, 6))
-        grid = np.geomspace(DEFAULT_INTERVAL[0], DEFAULT_INTERVAL[1], 8)
+        grid = np.geomspace(DEFAULT_INTERVAL[0], DEFAULT_INTERVAL[1], 8).tolist()
         for index in range(config.count):
             inst, coeffs = generate_instance(config, index)
+            ctx = EvalContext(inst, coeffs)
             for family in ("lemma21:diag", "lemma21:offdiag", "coarse", "cor32:3", "bb:4.3"):
                 _, value, _ = optimize_exponent(family, inst, coeffs)
-                profile = profile_exponent(family, inst, coeffs, grid=grid)
-                assert value <= min(v for _, v in profile.grid) * (1 + 1e-12)
+                assert value <= min(_TERMS[family](ctx, holder(t)) for t in grid) * (1 + 1e-12)
 
     def test_interior_minimum_found(self):
         # pick an instance whose diag profile has an interior optimum and
@@ -155,6 +143,17 @@ class TestOptimize:
         assert optimize_exponent("coarse", inst, coeffs) == optimize_exponent(
             "coarse", inst, coeffs
         )
+
+    @pytest.mark.parametrize("shape, count", [({}, 30), ({"n_range": (24, 64), "d_range": (16, 128)}, 6)], ids=["default", "wide"])
+    def test_optimize_is_the_profile_minimizer(self, shape, count):
+        # one search serves both: the same exponent, value and boundary flag, by repr
+        config = GenConfig(master_seed=19, count=count, **shape)
+        for index in range(count):
+            inst, coeffs = generate_instance(config, index)
+            for family in PROFILE_FAMILIES:
+                profile = profile_exponent(family, inst, coeffs)
+                expected = (*profile.minimizer, profile.at_boundary)
+                assert repr(optimize_exponent(family, inst, coeffs)) == repr(expected), (index, family)
 
     @pytest.mark.parametrize("family", ["lemma21:diag", "coarse", "cor32:3", "bb:4.3"])
     def test_overflowed_profile_raises_in_optimize_and_profile(self, family):
@@ -402,9 +401,9 @@ class TestTunedTerms:
         calls = []
         minimize = tuning._minimize
 
-        def counting(fn, interval):
-            calls.append(interval)
-            return minimize(fn, interval)
+        def counting(fn):
+            calls.append(fn)
+            return minimize(fn)
 
         monkeypatch.setattr(tuning, "_minimize", counting)
         inst, coeffs = orthonormal_instance()
@@ -425,7 +424,7 @@ class TestTunedTerms:
         # the rows a rank rejects are found before any holder term is minimized
         calls = []
         minimize = tuning._minimize
-        monkeypatch.setattr(tuning, "_minimize", lambda fn, interval: calls.append(interval) or minimize(fn, interval))
+        monkeypatch.setattr(tuning, "_minimize", lambda fn: calls.append(fn) or minimize(fn))
         inst, coeffs = generate_instance(GenConfig(master_seed=42, count=4), 3)
         with pytest.raises(IncompatibleInstanceError) as info:
             rank_variants(inst, coeffs if with_coeffs else None, parse_variant_list(names))
@@ -503,7 +502,7 @@ class TestTunerSelectors:
         seen = []
         minimize = tuning._minimize
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(tuning, "_minimize", lambda fn, interval: minimize(lambda t: seen.append(t) or fn(t), interval))
+            m.setattr(tuning, "_minimize", lambda fn: minimize(lambda t: seen.append(t) or fn(t)))
             m.setattr(tuning, "holder", make_holder)
             result = optimize_exponent(family, inst, coeffs)
         return seen, result
@@ -515,7 +514,7 @@ class TestTunerSelectors:
             for family in PROFILE_FAMILIES:
                 fast = self._evaluations(holder, family, *generate_instance(config, index))
                 built = self._evaluations(lambda t: Selector("holder", t), family, *generate_instance(config, index))
-                assert len(fast[0]) >= 2 * tuning.COARSE_GRID_POINTS
+                assert len(fast[0]) >= 2 * len(tuning._DEFAULT_GRID)
                 assert repr(fast) == repr(built), (index, family)
 
 
