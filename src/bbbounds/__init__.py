@@ -44,12 +44,12 @@ from .bounds import (
     TolerancePolicy,
     evaluate_variant,
     remark4_quantities,
+    remark_comparison_rows,
 )
 from .verify import (
     GenConfig,
     SuiteReport,
     generate_instance,
-    remark_comparison_rows,
     run_suite,
 )
 from .tuning import (

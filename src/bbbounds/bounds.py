@@ -86,6 +86,7 @@ __all__ = [
     "GramStats",
     "EvalContext",
     "remark4_quantities",
+    "remark_comparison_rows",
     "evaluate_variant",
 ]
 
@@ -772,3 +773,16 @@ def remark4_quantities(family_or_gram) -> tuple[float, float]:
         raise ValidationError(f"need at least 2 vectors, got {gram.n}")
     gs = GramStats(gram)
     return gs.norm_off(2.0), (gs.n - 1) * gs.max_off
+
+
+# The two positive scalar triples whose off-diagonal weights A and B order
+# differently, which demo-remark prints.
+_CANONICAL_TRIPLES = ((1.0, 1.0, 1.0), (1.0, 0.5, 1.0))
+
+
+def remark_comparison_rows() -> list[tuple[tuple[float, float, float], float, float]]:
+    """The two canonical scalar triples with their (A, B) values.
+
+    (1, 1, 1) gives A = sqrt(6) > B = 2; (1, 1/2, 1) gives A = sqrt(3) < B = 2.
+    """
+    return [(t, *remark4_quantities(VectorFamily(np.array([[v] for v in t])))) for t in _CANONICAL_TRIPLES]

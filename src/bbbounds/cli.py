@@ -22,11 +22,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bounds import SKIP_REASONS, EvalContext, TolerancePolicy, plan_for
+from .bounds import SKIP_REASONS, EvalContext, TolerancePolicy, plan_for, remark_comparison_rows
 from .space import load_instance, save_instance
 from .tuning import PROFILE_FAMILIES, profile_exponent, rank_variants
 from .variants import parse_variant_list
-from .verify import GenConfig, generate_instance, remark_comparison_rows, run_suite
+from .verify import GenConfig, generate_instance, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -49,10 +49,6 @@ def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", dest="d_range", type=_parse_range, default=(1, 8), metavar="MIN..MAX")
     parser.add_argument("--field", dest="field_mode", choices=("real", "complex", "both"), default="both")
     parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument(
-        "--structured", dest="structured_families", action="store_true",
-        help="include positive scalar-triple families in the stream",
-    )
 
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:

@@ -437,7 +437,10 @@ def _scalar_from_pair(obj, what: str, real_mode: bool) -> complex:
         or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in obj)
     ):
         raise ValidationError(f"{what} must be a [re, im] pair of numbers, got {obj!r}")
-    re, im = float(obj[0]), float(obj[1])
+    try:
+        re, im = float(obj[0]), float(obj[1])
+    except OverflowError:               # an integer literal beyond the float range
+        re = im = np.inf
     if not (np.isfinite(re) and np.isfinite(im)):
         raise ValidationError(f"{what} contains a non-finite number")
     if real_mode and im != 0.0:

@@ -72,9 +72,8 @@ from .bounds import (
     _Arrays,
     _first,
     plan_for,
-    remark4_quantities,
 )
-from .space import ProblemInstance, VectorFamily, _double_sum_faults, _hermitian_part, instance_to_jsonable
+from .space import ProblemInstance, _double_sum_faults, _hermitian_part, instance_to_jsonable
 from .variants import Variant
 
 __all__ = [
@@ -83,7 +82,6 @@ __all__ = [
     "VariantTotals",
     "SuiteReport",
     "run_suite",
-    "remark_comparison_rows",
 ]
 
 
@@ -95,7 +93,6 @@ class GenConfig:
     d_range: tuple[int, int] = (1, 8)
     field_mode: str = "both"          # "real" | "complex" | "both"
     scale: float = 1.0
-    structured_families: bool = False
     master_seed: int = 0
     count: int = 1
 
@@ -220,23 +217,16 @@ def _seeded(config: GenConfig, start: int, stop: int):
         first = last
 
 
-# The two positive scalar triples whose off-diagonal weights A and B order
-# differently: the structured stream opens with them, and demo-remark prints them.
-_CANONICAL_TRIPLES = ((1.0, 1.0, 1.0), (1.0, 0.5, 1.0))
-
-
 class _Draw(NamedTuple):
     """The seeded draws of one instance: its n, d and field, and its standard
     normal values in the order its entries read them (x, the family's rows,
     the coefficients; in the complex field each of the three draws its real
-    parts, then its imaginary parts).  ``triple`` is a canonical family, whose
-    entries are not scaled: its values stand in the normals as placeholders."""
+    parts, then its imaginary parts)."""
 
     n: int
     d: int
     field_mode: str
     normals: np.ndarray
-    triple: tuple | None = None
 
 
 def _bounded(bit_generator: np.random.BitGenerator, ranges) -> list[int]:
@@ -271,14 +261,6 @@ def _draw(config: GenConfig, index: int, rng: np.random.Generator) -> _Draw:
     ``Generator.integers`` reads them (``_bounded``), then one call of
     ``standard_normal``, which gives the values that consecutive calls for x,
     the family and the coefficients did."""
-    if config.structured_families and (index < 2 or index % 2 == 0):
-        # a positive scalar triple as one column, drawn before x and the coefficients
-        if index < len(_CANONICAL_TRIPLES):
-            triple = _CANONICAL_TRIPLES[index]
-            t = rng.standard_normal(4)
-            return _Draw(3, 1, "real", np.concatenate([t[:1], triple, t[1:]]), triple)
-        t = rng.standard_normal(7)
-        return _Draw(3, 1, "real", np.concatenate([t[3:4], np.abs(t[:3]), t[4:]]))
     if config.field_mode == "both":
         n, d, coin = _bounded(rng.bit_generator, (config.n_range, config.d_range, (0, 1)))
         field_mode = "complex" if coin else "real"
@@ -301,7 +283,6 @@ def _entries(config: GenConfig, draws: list[_Draw]) -> tuple[np.ndarray, np.ndar
     d = np.array([dr.d for dr in draws])
     lengths = np.stack([d, n * d, n], axis=1).ravel()          # the three pieces of each instance
     complex_piece = np.repeat([dr.field_mode == "complex" for dr in draws], 3)
-    triples = [(b, dr.triple) for b, dr in enumerate(draws) if dr.triple is not None]
     normals = np.concatenate([dr.normals for dr in draws])
     draws.clear()
     # a complex piece draws its real parts, then its imaginary parts
@@ -318,20 +299,14 @@ def _entries(config: GenConfig, draws: list[_Draw]) -> tuple[np.ndarray, np.ndar
     out *= config.scale
     re *= config.scale
     np.copyto(out, re, where=~complex_entry)
-    starts = (np.cumsum(lengths) - lengths).reshape(-1, 3)
-    for b, triple in triples:
-        out[starts[b, 1] : starts[b, 2]] = triple
-    return out, starts
+    return out, (np.cumsum(lengths) - lengths).reshape(-1, 3)
 
 
 def generate_instance(config: GenConfig, index: int) -> tuple[ProblemInstance, np.ndarray]:
     """The instance and coefficient vector at position ``index`` of the stream.
 
     Components are standard normal per real/imaginary part, times
-    ``config.scale``.  With structured families enabled, indices 0 and 1 are
-    the two canonical positive scalar triples (1, 1, 1) and (1, 1/2, 1), and
-    every later even index is a random positive scalar triple; odd indices
-    stay generic so the stream keeps covering the full shape space.
+    ``config.scale``.
     """
     if not 0 <= index < config.count:
         raise ValueError(f"index {index} outside [0, {config.count})")
@@ -754,14 +729,3 @@ def run_suite(
     report.violations = sorted(tally.violations, key=lambda v: (v["instance_id"], v["variant"]))
     return report
 
-
-def remark_comparison_rows() -> list[tuple[tuple[float, float, float], float, float]]:
-    """The two canonical scalar triples with their (A, B) values.
-
-    (1, 1, 1) gives A = sqrt(6) > B = 2; (1, 1/2, 1) gives A = sqrt(3) < B = 2.
-    """
-    rows = []
-    for triple in _CANONICAL_TRIPLES:
-        a, b = remark4_quantities(VectorFamily(np.array([[v] for v in triple])))
-        rows.append((triple, a, b))
-    return rows

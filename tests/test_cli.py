@@ -86,15 +86,14 @@ class TestVerifyCommand:
         assert a.decode() == first.stdout
 
     def test_every_generator_and_tolerance_flag_fills_its_field(self, tmp_path):
-        config = GenConfig(n_range=(2, 5), d_range=(3, 6), field_mode="real", scale=2.5,
-                           structured_families=True, master_seed=9, count=12)
+        config = GenConfig(n_range=(2, 5), d_range=(3, 6), field_mode="real", scale=2.5, master_seed=9, count=12)
         policy = TolerancePolicy(tol_abs=1e-10, tol_rel=1e-8)
         for built in (config, policy):
             assert all(getattr(built, f.name) != f.default for f in fields(built))
         out = tmp_path / "report.json"
         proc = run_cli(
             "verify", "--seed", "9", "--count", "12", "--n", "2..5", "--dim", "3..6",
-            "--field", "real", "--scale", "2.5", "--structured",
+            "--field", "real", "--scale", "2.5",
             "--tol-abs", "1e-10", "--tol-rel", "1e-8",
             "--variants", "lemma21:max:max,bb:1.2", "--json", str(out),
         )
@@ -218,6 +217,17 @@ class TestGenAndCheckFile:
         proc = run_cli("check-file", str(bad))
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    def test_integer_beyond_float_range_exits_2_naming_its_entry(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"field": "real", "mode": "vectors", "x": [[1, 0]], "y": [[[1, 0]], [[2, 0]]], '
+            f'"coeffs": [[1, 0], [{"9" * 400}, 0]]}}'
+        )
+        proc = run_cli("check-file", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: coeffs[1] contains a non-finite number\n"
 
     def test_missing_file_exits_2(self):
         assert run_cli("check-file", "/nonexistent/path.json").returncode == 2

@@ -1,6 +1,7 @@
 """Vector/Gram primitives: construction, validation, oracles, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -384,6 +385,27 @@ class TestInstanceFiles:
         doc = {"field": "real", "mode": "vectors", "x": [[1.0]], "y": []}
         with pytest.raises(ValidationError):
             instance_from_jsonable(doc)
+
+    @pytest.mark.parametrize(
+        "doc, what",
+        [
+            ({"x": [[10**400, 0]], "y": [[[1, 0]]]}, "x[0]"),
+            ({"x": [[1, 0], [0, 0]], "y": [[[1, 0], [0, -(10**400)]]]}, "y[0][1]"),
+            ({"mode": "gram", "bordered_gram": [[[1, 0], [0, 0]], [[10**400, 0], [1, 0]]]}, "bordered_gram[1][0]"),
+            ({"x": [[1, 0]], "y": [[[1, 0]], [[1, 0]]], "coeffs": [[1, 0], [0, 10**400]]}, "coeffs[1]"),
+        ],
+        ids=["x", "y", "bordered_gram", "coeffs"],
+    )
+    def test_integer_beyond_float_range_is_non_finite(self, doc, what):
+        # a JSON integer literal of 400 digits decodes to an int that float()
+        # cannot hold; it is rejected as the literal 1e400 is, naming its entry
+        doc = {"field": "complex", "mode": "vectors", **doc}
+        message = f"{what} contains a non-finite number"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            instance_from_jsonable(doc)
+        as_inf = json.loads(json.dumps(doc).replace("1" + "0" * 400, "1e400"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            instance_from_jsonable(as_inf)
 
     def test_non_square_gram_rejected(self):
         doc = {"field": "real", "mode": "gram", "bordered_gram": [[[1.0, 0.0], [0.0, 0.0]]]}

@@ -1,4 +1,4 @@
-"""Generator determinism, suite reporting, skips, and the witness search."""
+"""Generator determinism, suite reporting and skips."""
 
 import concurrent.futures
 import hashlib
@@ -31,7 +31,6 @@ from bbbounds import (
     parse_variant,
     parse_variant_list,
     rank_variants,
-    remark4_quantities,
     run_suite,
 )
 import bbbounds.verify as verify
@@ -59,6 +58,11 @@ MIXED_NAN_VARIANTS = parse_variant_list("bb:1.2,bb:4.1,bb:4.5,lemma21:max:max,co
 
 # Families of 24 to 64 vectors in up to 128 dimensions.
 WIDE_CONFIG = GenConfig(n_range=(24, 64), d_range=(16, 128), master_seed=901, count=20)
+
+# Real families of three vectors in one dimension, scalar triples: the shape
+# of the Remark's two families.  No shape is drawn, so each instance's first
+# raw word goes to its normals.
+TRIPLES = dict(n_range=(3, 3), d_range=(1, 1), field_mode="real")
 
 # A complex orthonormal family with coefficients: the one instance on which
 # the orthonormal-only variants are checked.
@@ -135,25 +139,6 @@ class TestGenerateInstance:
         small, _ = generate_instance(GenConfig(master_seed=5, count=1, scale=1e-3), 0)
         large, _ = generate_instance(GenConfig(master_seed=5, count=1, scale=1e3), 0)
         np.testing.assert_allclose(large.x, 1e6 * small.x, rtol=1e-12)
-
-    def test_structured_stream(self):
-        config = GenConfig(master_seed=11, count=10, structured_families=True)
-        # the canonical triples are not scaled
-        for given in (config, GenConfig(master_seed=11, count=10, structured_families=True, scale=3.0)):
-            inst0, _ = generate_instance(given, 0)
-            np.testing.assert_array_equal(inst0.family.vectors, np.array([[1.0], [1.0], [1.0]]))
-            inst1, _ = generate_instance(given, 1)
-            np.testing.assert_array_equal(inst1.family.vectors, np.array([[1.0], [0.5], [1.0]]))
-        inst4, _ = generate_instance(config, 4)
-        assert inst4.family.dim == 1 and inst4.n == 3
-        assert np.all(inst4.family.vectors.real > 0) and inst4.field_mode == "real"
-        # odd indices stay generic (same stream as the unstructured config)
-        generic, _ = generate_instance(
-            GenConfig(master_seed=11, count=10, structured_families=False), 3
-        )
-        inst3, _ = generate_instance(config, 3)
-        np.testing.assert_array_equal(inst3.family.vectors, generic.family.vectors)
-
 
 class TestCheckVariant:
     def test_known_evaluation(self):
@@ -528,7 +513,7 @@ _REPORTS = st.builds(
     SuiteReport,
     config=st.sampled_from([
         GenConfig(),
-        GenConfig(master_seed=2**64 - 59, count=3000, scale=1e150, structured_families=True),
+        GenConfig(master_seed=2**64 - 59, count=3000, scale=1e150, **TRIPLES),
         GenConfig(n_range=(24, 64), d_range=(16, 128), field_mode="complex", scale=5e-324),
     ]),
     policy=st.builds(TolerancePolicy, *[st.floats(allow_nan=False, allow_infinity=False)] * 2),
@@ -756,7 +741,7 @@ class TestPlanMatchesScalarOracle:
         [
             (GenConfig(master_seed=42, count=200), CATALOG, TolerancePolicy()),
             (WIDE_CONFIG, CATALOG, TolerancePolicy()),
-            (GenConfig(master_seed=7, count=200, structured_families=True), CATALOG, TolerancePolicy()),
+            (GenConfig(master_seed=7, count=200, **TRIPLES), CATALOG, TolerancePolicy()),
             pytest.param(
                 GenConfig(master_seed=42, count=100, scale=1e150), CATALOG, TolerancePolicy(),
                 marks=SCALAR_OVERFLOW,
@@ -764,7 +749,7 @@ class TestPlanMatchesScalarOracle:
             (GenConfig(master_seed=42, count=100, scale=1e-170), CATALOG, TolerancePolicy()),
             (GenConfig(master_seed=3, count=10), CATALOG, TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)),
         ],
-        ids=["seed42", "wide", "structured", "scale1e150", "scale1e-170", "violating-policy"],
+        ids=["seed42", "wide", "triples", "scale1e150", "scale1e-170", "violating-policy"],
     )
     def test_csv_and_json_byte_identical(self, config, variants, policy):
         plan = run_suite(config, variants, policy)
@@ -972,10 +957,11 @@ class TestSeeding:
 # The streams whose blocks are held to generate_instance and EvalContext, with
 # the digest of their instances, recorded before the generator drew each
 # instance with one standard_normal call, and again (all but the real stream,
-# whose digest stayed) under the OpenBLAS kernel that conftest.py pins.
+# whose digest stayed) under the OpenBLAS kernel that conftest.py pins, under
+# which the triples stream's was recorded.
 BLOCK_STREAMS = [
     pytest.param(GenConfig(master_seed=42, count=200), "0aa3c9e506238571", id="seed42"),
-    pytest.param(GenConfig(master_seed=7, count=120, structured_families=True), "b00c960f5c4a65ac", id="structured"),
+    pytest.param(GenConfig(master_seed=7, count=120, **TRIPLES), "d4c0e703ce5c0194", id="triples"),
     pytest.param(WIDE_CONFIG, "2ff412059c13577f", id="wide"),
     pytest.param(GenConfig(master_seed=9, count=100, field_mode="real"), "4ce4e0676c969bed", id="real"),
     pytest.param(GenConfig(master_seed=9, count=100, field_mode="complex"), "ded9aeb9e76b9dfc", id="complex"),
@@ -1041,7 +1027,7 @@ class TestBlockGeneration:
             (GenConfig(master_seed=42, count=2000), 666),
             (GenConfig(master_seed=9, count=2000, field_mode="real"), 1333),
             (GenConfig(master_seed=9, count=2000, field_mode="complex"), 666),
-            (GenConfig(master_seed=7, count=2000, structured_families=True), 1),
+            (GenConfig(master_seed=7, count=2000, **TRIPLES), 1),
             (GenConfig(master_seed=5, count=2000, n_range=(3, 3)), 666),
             (GenConfig(master_seed=0, count=2000), 1333),
             (GenConfig(master_seed=2**32 - 1, count=2000), 666),
@@ -1052,7 +1038,7 @@ class TestBlockGeneration:
             (GenConfig(master_seed=3, count=2000, n_range=(3, 3), d_range=(1, 4000)), 1333),
         ],
         ids=[
-            "default", "real", "complex", "structured", "n3", "seed0", "seed2^32-1", "seed2^32", "seed2^64-1", "index2^32",
+            "default", "real", "complex", "triples", "n3", "seed0", "seed2^32-1", "seed2^32", "seed2^64-1", "index2^32",
             "one-shape", "singletons",
         ],
     )
@@ -1062,9 +1048,10 @@ class TestBlockGeneration:
         # range here crosses a chunk, and "index2^32" crosses 2**32, where the
         # index gains a word.  "real" and "complex" draw two uint32s for n and
         # d, "both" three, whose buffered half must not leak into the next
-        # instance; n in 3..3 draws none for n.  Every instance of "one-shape"
-        # has one shape, so one group fills each block; in "singletons", d
-        # spreads so wide that nearly every (n, d) group is of one instance.
+        # instance; n in 3..3 draws none for n, and "triples" none at all.
+        # Every instance of "one-shape" has one shape, so one group fills each
+        # block; in "singletons", d spreads so wide that nearly every (n, d)
+        # group is of one instance.
         _blocks_match(config, start, start + verify._SEED_CHUNK + 40)
 
     @pytest.mark.parametrize(
@@ -1113,7 +1100,7 @@ class TestBlockGeneration:
 
     def test_violation_payloads_are_the_regenerated_instances(self):
         policy = TolerancePolicy(tol_abs=-1e-3, tol_rel=0.0)
-        for config in (GenConfig(master_seed=3, count=60), GenConfig(master_seed=7, count=30, structured_families=True)):
+        for config in (GenConfig(master_seed=3, count=60), GenConfig(master_seed=7, count=30, **TRIPLES)):
             report = run_suite(config, full_catalog(), policy)
             assert report.violations
             for violation in report.violations:
@@ -1182,17 +1169,3 @@ class TestWideFamilyGolden:
         variants = [v for v in full_catalog() if not v.orthonormal_only]
         expected = (self.GOLDEN / "rank_pinned_wide.csv").read_text()
         assert rank_variants(inst, coeffs, variants, optimize_exponents=False).to_csv() == expected
-
-
-class TestStructuredStream:
-    def test_opens_with_the_canonical_triples(self):
-        # demo-remark's two triples, whose off-diagonal weights A and B order
-        # differently: A > B on the first, B > A on the second
-        config = GenConfig(master_seed=0, count=10, structured_families=True)
-        cases = [([1.0, 1.0, 1.0], math.sqrt(6.0)), ([1.0, 0.5, 1.0], math.sqrt(3.0))]
-        for index, (triple, a_value) in enumerate(cases):
-            inst, _ = generate_instance(config, index)
-            assert inst.family.vectors[:, 0].tolist() == triple
-            a, b = remark4_quantities(inst.family_gram)
-            assert a == pytest.approx(a_value, abs=1e-15)
-            assert b == pytest.approx(2.0, abs=1e-15)
