@@ -14,7 +14,6 @@ from .space import (
     RankDeficiencyError,
     ValidationError,
     VectorFamily,
-    combination_norm_sq,
     gram_of_family,
     instance_from_jsonable,
     instance_to_jsonable,
@@ -42,6 +41,7 @@ from .bounds import (
     BoundEvaluation,
     IncompatibleInstanceError,
     TolerancePolicy,
+    combination_norm_sq,
     evaluate_variant,
     remark4_quantities,
     remark_comparison_rows,

@@ -23,12 +23,14 @@ the plan's oracle.
 A plan evaluates one instance (``EvalContext``), whose statistics are
 Python floats, or a block of consecutive instances (``EvalBlock``), whose
 statistics are float64 arrays with a leading instance axis; the suite
-evaluates blocks.  One instance's own statistics, of its family Gram and
-its Fourier vector, are built once per instance and kept on the
-``ProblemInstance``: every context on it (a rank, each optimize, each
-``evaluate_variant``) shares them and their power-sum memos.  Coefficient
-statistics are built per context, since the caller's coefficient array may
-change between calls.  A block is given zero-padded stacks of its instances'
+evaluates blocks.  ``EvalContext`` owns every quantity of one instance: its
+Gram matrix, its statistics and both sides of every bound, including
+``combination_norm_sq``'s double sum.  One instance's own statistics, of
+its family Gram and its Fourier vector, are built once per instance and
+kept on the ``ProblemInstance``: every context on it (a rank, each
+optimize, each ``evaluate_variant``) shares them and their power-sum memos.
+Coefficient statistics are built per context, from its own copy of the
+coefficients.  A block is given zero-padded stacks of its instances'
 bordered Gram matrices and coefficients, and their combination and weighted
 left-hand sides (``verify`` generates all of them a block at a time); it
 reads its statistics, ``|x|^2`` and the Fourier vectors from the stacks.
@@ -64,16 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .space import (
-    GramMatrix,
-    ProblemInstance,
-    ValidationError,
-    VectorFamily,
-    _checked_double_sum,
-    _gram_matrix,
-    combination_norm_sq,
-    gram_of_family,     # not called here: bench/tracer.py wraps it by name
-)
+from .space import ORACLE_REL_TOL, GramMatrix, ProblemInstance, ValidationError, VectorFamily, gram_of_family
 from .variants import _TERMS, Variant
 
 __all__ = [
@@ -85,6 +78,7 @@ __all__ = [
     "CoeffStats",
     "GramStats",
     "EvalContext",
+    "combination_norm_sq",
     "remark4_quantities",
     "remark_comparison_rows",
     "evaluate_variant",
@@ -465,6 +459,17 @@ class GramStats:
 # ---------------------------------------------------------------------------
 
 
+def _double_sum_faults(value, mass, direct=None):
+    """The checks of a Gram double sum ``value`` = ``sum_ij c_i conj(c_j) g_ij``
+    against its absolute mass and the direct squared norm, on Python numbers
+    or entry by entry on arrays: whether its imaginary part, the negative of
+    its real part, and its distance from ``direct`` (when given) exceed
+    :data:`ORACLE_REL_TOL` times the mass.  A NaN fails none of them."""
+    tol = ORACLE_REL_TOL * mass
+    far = False if direct is None else abs(direct - value.real) > tol
+    return abs(value.imag) > tol, value.real < -tol, far
+
+
 class EvalContext(_Floats):
     """One instance with one coefficient vector, as the terms (``variants``)
     read it, with their arithmetic on Python floats.
@@ -473,21 +478,22 @@ class EvalContext(_Floats):
     Fourier vector, live on the instance (``ProblemInstance.gram_stats`` and
     ``fourier_stats``): built once per instance and shared, with their
     power-sum memos, by every context on it, so a rank and the optimizes
-    that follow it pay for each power sum once.  What depends on the
-    coefficients is built per context, on first use, since the caller's
-    array may change between calls: ``coeff_stats``, the combination and
-    weighted left-hand sides, and ``tuned``, the minimum of each exponent
-    term that tuning has minimized.  Both sides of a combination bound read
-    one Gram matrix of the family: the instance's ``family_gram``, or, for
-    the combination bounds alone, ``gram``, that of a ``VectorFamily``, a
-    ``GramMatrix`` or a raw Gram array given in place of the instance.
+    that follow it pay for each power sum once.  The context holds its own
+    copy of the coefficients, converted and checked once, here; what depends
+    on them is built per context, on first use: ``coeff_stats``, the
+    combination and weighted left-hand sides, and ``tuned``, the minimum of
+    each exponent term that tuning has minimized.  Both sides of a
+    combination bound read one Gram matrix of the family, ``gram``: the
+    instance's ``family_gram``, or, for the combination bounds alone, that
+    of a ``VectorFamily``, a ``GramMatrix`` (taken as is) or a raw Gram array
+    (which must pass ``GramMatrix.validate``) given in place of the instance.
     """
 
     def __init__(self, inst: ProblemInstance | VectorFamily | GramMatrix | np.ndarray, coeffs=None):
         self.inst = inst
         if coeffs is not None:
-            coeffs = np.asarray(coeffs, dtype=np.complex128)
-            n = inst.n if isinstance(inst, ProblemInstance) else self.gram.n
+            coeffs = np.array(coeffs, dtype=np.complex128)
+            n = self.gram.n
             if coeffs.shape != (n,):
                 raise ValidationError(f"coefficient vector of length {coeffs.shape} for n={n}")
             if not np.isfinite(coeffs).all():
@@ -497,7 +503,14 @@ class EvalContext(_Floats):
 
     @cached_property
     def gram(self) -> GramMatrix:
-        return _gram_matrix(self.inst)
+        inst = self.inst
+        if isinstance(inst, ProblemInstance):
+            return inst.family_gram
+        if isinstance(inst, VectorFamily):
+            return gram_of_family(inst)
+        if isinstance(inst, GramMatrix):
+            return inst
+        return GramMatrix(np.asarray(inst)).validate()
 
     @cached_property
     def gram_stats(self) -> GramStats:
@@ -521,20 +534,53 @@ class EvalContext(_Floats):
 
     @cached_property
     def lhs_combination(self) -> float:
-        if isinstance(self.inst, ProblemInstance):
-            return combination_norm_sq(self.coeffs, self.inst)
-        return _checked_double_sum(self.coeffs, self.gram, self.inst)
+        """``|sum_i c_i z_i|^2`` as the double sum of ``gram``; within
+        :data:`ORACLE_REL_TOL` of the mass ``sum_ij |c_i||c_j||(z_i,z_j)|``,
+        it must be real (else the Gram is corrupted), not negative (else not
+        PSD; a rounding-sized negative is clamped to zero) and, where the
+        vectors are known, the direct squared norm of the summed vector."""
+        if self.coeffs is None:
+            raise IncompatibleInstanceError("requires coefficients")
+        c, g = self.coeffs, self.gram.entries
+        family = self.inst.family if isinstance(self.inst, ProblemInstance) else self.inst
+        direct = None
+        # silently, as a block computes them: an overflow gives inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(family, VectorFamily):
+                summed = c @ family.vectors
+                direct = float(np.vdot(summed, summed).real)
+            value = complex(c @ g @ np.conj(c))
+            mass = float(np.abs(c) @ np.abs(g) @ np.abs(c))
+        imaginary, negative, far = _double_sum_faults(value, mass, direct)
+        if imaginary:
+            raise ValidationError(
+                f"Gram double sum has imaginary part {value.imag} (mass {mass}); "
+                "the Gram matrix is corrupted"
+            )
+        result = value.real
+        if negative:
+            raise ValidationError(
+                f"Gram double sum {result} is negative beyond {ORACLE_REL_TOL} relative to "
+                f"mass {mass}; the Gram matrix is not positive semidefinite"
+            )
+        if far:
+            raise ValidationError(
+                f"direct norm {direct} and Gram expansion {result} disagree "
+                f"beyond {ORACLE_REL_TOL} relative to mass {mass}"
+            )
+        return max(result, 0.0)
 
     @cached_property
     def lhs_weighted(self) -> float:
+        # a multiplication rounds correctly (the C library's pow does not);
+        # a finite root whose square overflows raises, as a block masks it
         root = abs(complex(np.dot(self.coeffs, self.inst.fourier)))
-        try:
-            return root**2
-        except OverflowError:
-            # a float power raises where numpy would give inf
+        square = root * root
+        if math.isinf(square) and math.isfinite(root):
             raise ValidationError(
                 f"weighted left-hand side |sum c_i (x, y_i)|^2 overflows: |sum c_i (x, y_i)| = {root!r}"
-            ) from None
+            )
+        return square
 
     @property
     def lhs_fourier(self) -> float:
@@ -763,15 +809,21 @@ def evaluate_variant(
     return ev
 
 
+def combination_norm_sq(coeffs, family_or_gram) -> float:
+    """Squared norm of ``sum_i coeffs[i] * z_i`` via the Gram double sum,
+    cross-checked as ``EvalContext.lhs_combination`` checks it, on anything
+    an ``EvalContext`` takes."""
+    return EvalContext(family_or_gram, coeffs).lhs_combination
+
+
 def remark4_quantities(family_or_gram) -> tuple[float, float]:
     """The two competing off-diagonal weights: the ordered 2-norm A and
     ``(n - 1) * max`` B.  Their ordering depends on the family, so neither of
     the bounds they complete dominates the other.  Requires n >= 2.
     """
-    gram = _gram_matrix(family_or_gram)
-    if gram.n < 2:
-        raise ValidationError(f"need at least 2 vectors, got {gram.n}")
-    gs = GramStats(gram)
+    gs = EvalContext(family_or_gram).gram_stats
+    if gs.n < 2:
+        raise ValidationError(f"need at least 2 vectors, got {gs.n}")
     return gs.norm_off(2.0), (gs.n - 1) * gs.max_off
 
 

@@ -1,8 +1,10 @@
-"""Inner-product space primitives: vectors, Gram matrices, problem instances.
+"""Inner-product space data: vectors, Gram matrices, problem instances.
 
-Every bound evaluated by this package consumes only norms and pairwise inner
-products, so the central object is the Gram matrix.  A problem instance
-(reference vector ``x`` plus a family ``y_1..y_n``) therefore comes in two
+This module holds the data types, the Gram builder (``gram_of_family``) and
+the instance file format; ``bounds`` evaluates every quantity of one
+instance.  Every bound consumes only norms and pairwise inner products, so
+the central object is the Gram matrix.  A problem instance (reference
+vector ``x`` plus a family ``y_1..y_n``) therefore comes in two
 interchangeable forms: explicit coordinate vectors, or a bordered Gram matrix
 whose row/column 0 plays the role of ``x``.  The bordered form covers abstract
 inner-product spaces without coordinates and loses no generality.
@@ -30,7 +32,6 @@ __all__ = [
     "GramMatrix",
     "ProblemInstance",
     "gram_of_family",
-    "combination_norm_sq",
     "orthonormalize",
     "instance_to_jsonable",
     "instance_from_jsonable",
@@ -199,80 +200,6 @@ def gram_of_family(family: VectorFamily) -> GramMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         g = _hermitian_part(v @ v.conj().T)
     return GramMatrix(g)
-
-
-def _gram_matrix(family_or_gram) -> GramMatrix:
-    """The Gram matrix of a family, or the given one; a raw array must pass
-    ``GramMatrix.validate`` (Hermitian, nonnegative diagonal, PSD)."""
-    if isinstance(family_or_gram, VectorFamily):
-        return gram_of_family(family_or_gram)
-    if isinstance(family_or_gram, GramMatrix):
-        return family_or_gram
-    return GramMatrix(np.asarray(family_or_gram)).validate()
-
-
-def _double_sum_faults(value, mass, direct=None):
-    """The checks of a Gram double sum ``value`` = ``sum_ij c_i conj(c_j) g_ij``
-    against its absolute mass and the direct squared norm, on Python numbers
-    or entry by entry on arrays: whether its imaginary part, the negative of
-    its real part, and its distance from ``direct`` (when given) exceed
-    :data:`ORACLE_REL_TOL` times the mass.  A NaN fails none of them."""
-    tol = ORACLE_REL_TOL * mass
-    far = False if direct is None else abs(direct - value.real) > tol
-    return abs(value.imag) > tol, value.real < -tol, far
-
-
-def combination_norm_sq(coeffs, family_or_gram) -> float:
-    """Squared norm of ``sum_i coeffs[i] * z_i`` via the Gram double sum.
-
-    Given an explicit :class:`VectorFamily`, the direct squared norm of the
-    summed vector is computed as well and cross-checked against the double
-    sum; the two routes must agree within :data:`ORACLE_REL_TOL` relative to
-    the absolute mass ``sum_ij |c_i||c_j||(z_i,z_j)|``.  A non-vanishing
-    imaginary part at the same scale signals a corrupted Gram matrix, and a
-    real part below zero at that scale one that is not positive semidefinite.
-    The double-sum value is returned, with a rounding-sized negative clamped
-    to zero.  A raw array in place of a family must pass
-    :meth:`GramMatrix.validate` first; a :class:`GramMatrix` is taken as is;
-    a :class:`ProblemInstance` gives its ``family_gram`` and, in vectors mode, its family.
-    """
-    c = _as_complex_vector(coeffs, "coeffs")
-    if isinstance(family_or_gram, ProblemInstance):
-        return _checked_double_sum(c, family_or_gram.family_gram, family_or_gram.family)
-    return _checked_double_sum(c, _gram_matrix(family_or_gram), family_or_gram)
-
-
-def _checked_double_sum(c: np.ndarray, gram: GramMatrix, family_or_gram) -> float:
-    """``combination_norm_sq`` on ``gram``, cross-checked when ``family_or_gram`` is its family."""
-    direct = None
-    if isinstance(family_or_gram, VectorFamily):
-        if family_or_gram.n != c.shape[0]:
-            raise ValidationError(f"{c.shape[0]} coefficients for a family of {family_or_gram.n} vectors")
-        summed = c @ family_or_gram.vectors
-        direct = float(np.vdot(summed, summed).real)
-    g = gram.entries
-    if g.shape[0] != c.shape[0]:
-        raise ValidationError(f"{c.shape[0]} coefficients for a Gram matrix of size {g.shape[0]}")
-    value = complex(c @ g @ np.conj(c))
-    mass = float(np.abs(c) @ np.abs(g) @ np.abs(c))
-    imaginary, negative, far = _double_sum_faults(value, mass, direct)
-    if imaginary:
-        raise ValidationError(
-            f"Gram double sum has imaginary part {value.imag} (mass {mass}); "
-            "the Gram matrix is corrupted"
-        )
-    result = value.real
-    if negative:
-        raise ValidationError(
-            f"Gram double sum {result} is negative beyond {ORACLE_REL_TOL} relative to "
-            f"mass {mass}; the Gram matrix is not positive semidefinite"
-        )
-    if far:
-        raise ValidationError(
-            f"direct norm {direct} and Gram expansion {result} disagree "
-            f"beyond {ORACLE_REL_TOL} relative to mass {mass}"
-        )
-    return max(result, 0.0)
 
 
 # Relative pivot size below which ``orthonormalize`` calls a vector dependent.
@@ -531,7 +458,7 @@ def save_instance(path, inst: ProblemInstance, coeffs=None) -> None:
 def load_instance(path) -> tuple[ProblemInstance, np.ndarray | None]:
     """Read an instance file; raises ValidationError on malformed content."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_int=float)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return instance_from_jsonable(doc)

@@ -45,8 +45,8 @@ bordered Gram, which both sides of a combination check read, those are, per
 ``|c| @ |G| @ |c|`` and ``c @ f``.  Everything entry by entry runs once per
 block: the scaling of the draws, the Hermitian part
 (``space._hermitian_part``), the finiteness checks, the checks of the Gram
-double sum (``space._double_sum_faults``), ``|x|^2``, the Fourier vectors,
-``np.hypot`` and the weighted side's Python float power.  If an instance
+double sum (``bounds._double_sum_faults``), ``|x|^2``, the Fourier vectors,
+``np.hypot`` and the square of the weighted side.  If an instance
 fails a check, the first that does is generated again through
 ``generate_instance`` and ``EvalContext``, which raise the error they
 always have; a violation's payload is its instance, generated again
@@ -70,10 +70,11 @@ from .bounds import (
     Plan,
     TolerancePolicy,
     _Arrays,
+    _double_sum_faults,
     _first,
     plan_for,
 )
-from .space import ProblemInstance, _double_sum_faults, _hermitian_part, instance_to_jsonable
+from .space import ProblemInstance, _hermitian_part, instance_to_jsonable
 from .variants import Variant
 
 __all__ = [
@@ -634,8 +635,8 @@ def _generated_block(config: GenConfig, first: int, draws: list[_Draw], sides: l
             lhs["lhs_combination"] = _Arrays.max(value.real, 0.0)
         if weighted:
             roots = np.hypot(dots.real, dots.imag)
-            lhs["lhs_weighted"] = square = _Arrays.pow(roots, 2.0)
-            # where Python's root**2 raises OverflowError, as in EvalContext.lhs_weighted
+            lhs["lhs_weighted"] = square = roots * roots
+            # where a finite root's square overflows, as EvalContext.lhs_weighted raises
             bad |= np.isinf(square) & np.isfinite(roots)
         if bad.any():
             index = first + int(bad.argmax())

@@ -450,6 +450,20 @@ class TestNonFiniteCoefficients:
                     evaluate_variant(parse_variant(name), inst, [bad, 1.0])
 
 
+class TestContextCoefficients:
+    def test_context_holds_its_own_copy(self):
+        # zeroing the caller's array after construction changes nothing the
+        # context returns, even for sides it has not computed yet
+        inst, coeffs = generate_instance(GenConfig(master_seed=42, count=1), 0)
+        c = np.array(coeffs)
+        ctx = EvalContext(inst, c)
+        c[:] = 0
+        fresh = EvalContext(inst, coeffs)
+        assert ctx.lhs_combination == fresh.lhs_combination > 0.0
+        assert ctx.lhs_weighted == fresh.lhs_weighted > 0.0
+        assert ctx.coeff_stats.sum_a2 == fresh.coeff_stats.sum_a2 > 0.0
+
+
 class TestRemark4:
     def test_equal_triple(self):
         a, b = remark4_quantities(gram_of_family(VectorFamily.from_rows([[1.0], [1.0], [1.0]])))
@@ -469,6 +483,11 @@ class TestRemark4:
     def test_requires_two_vectors(self):
         with pytest.raises(ValidationError):
             remark4_quantities(VectorFamily.from_rows([[1.0]]))
+
+    def test_instance_reads_its_family(self):
+        fam = VectorFamily.from_rows([[1.0], [0.5], [1.0]])
+        inst = ProblemInstance.from_vectors([1.0], fam, field_mode="real")
+        assert remark4_quantities(inst) == remark4_quantities(fam)
 
     def test_ordering_invariant_under_scaling(self):
         rng = np.random.default_rng(59)

@@ -229,6 +229,17 @@ class TestGenAndCheckFile:
         assert proc.stdout == ""
         assert proc.stderr == "error: coeffs[1] contains a non-finite number\n"
 
+    def test_integer_beyond_the_digit_limit_exits_2_naming_its_entry(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"field": "real", "mode": "vectors", "x": [[1, 0]], "y": [[[1, 0]], [[2, 0]]], '
+            f'"coeffs": [[1, 0], [{"9" * 5000}, 0]]}}'
+        )
+        proc = run_cli("check-file", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: coeffs[1] contains a non-finite number\n"
+
     def test_missing_file_exits_2(self):
         assert run_cli("check-file", "/nonexistent/path.json").returncode == 2
 

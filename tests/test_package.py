@@ -14,10 +14,7 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 MODULES = sorted(p.stem for p in SOURCE.glob("*.py") if p.stem not in ("__init__", "__main__"))
 
 # Imports a module keeps without reading them, with the reason each stays.
-UNREAD_IMPORTS = {
-    # bench/tracer.py wraps bounds.gram_of_family by name
-    ("bounds", "gram_of_family"),
-}
+UNREAD_IMPORTS: set[tuple[str, str]] = set()
 
 
 def _tree(stem: str) -> ast.Module:

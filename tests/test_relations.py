@@ -17,14 +17,15 @@ scales by a power of two, so the relations hold bit for bit:
 
 Each instance is evaluated by the plan of the whole catalog on
 ``EvalContext``, as ``evaluate_variant``, ``check-file`` and ``rank``
-evaluate it.  Its left-hand sides, right-hand sides and skips are compared
-as bits, so 0.0 and -0.0 differ, and so do two NaNs of other signs.
+evaluate it; on the mixed-NaN stream, by the plan of its five variants.  Its
+left-hand sides, right-hand sides and skips are compared as bits, so 0.0 and
+-0.0 differ, and so do two NaNs of other signs.
 """
 
 import numpy as np
 import pytest
 
-from bbbounds import GenConfig, ProblemInstance, full_catalog, generate_instance
+from bbbounds import GenConfig, ProblemInstance, full_catalog, generate_instance, parse_variant_list
 from bbbounds.bounds import EvalContext, plan_for
 
 PLAN = plan_for(tuple(full_catalog()))
@@ -32,19 +33,34 @@ PLAN = plan_for(tuple(full_catalog()))
 # Fourier vector ((x, y_i)) every term of a Fourier bound
 READS_X = np.array([v.family != "combination" for v in PLAN.variants])
 
-# Seeded blocks of three of the suite's streams: the default one, real scalar
-# triples (the shape of the Remark's two families) and wide families.
+# Seeded blocks of the suite's streams, as CI runs them: the default one,
+# real scalar triples (the shape of the Remark's two families), complex
+# families, wide families, a seed of two 32-bit words, and families of one
+# vector and of one or two (its instance 145, a real n = 2, d = 6 family, is
+# one whose weighted side r * r differs from pow(r, 2.0) in the last bit).
 STREAMS = [
     pytest.param(GenConfig(master_seed=42, count=200), id="default"),
     pytest.param(GenConfig(master_seed=42, count=100, n_range=(3, 3), d_range=(1, 1), field_mode="real"), id="triples"),
+    pytest.param(GenConfig(master_seed=42, count=200, field_mode="complex"), id="complex"),
     pytest.param(GenConfig(master_seed=42, count=6, n_range=(24, 64), d_range=(16, 128)), id="wide"),
+    pytest.param(GenConfig(master_seed=18446744073709551557, count=200), id="bigseed"),
+    pytest.param(GenConfig(master_seed=42, count=400, n_range=(1, 1)), id="n1"),
+    pytest.param(GenConfig(master_seed=42, count=300, n_range=(1, 2)), id="n12"),
+]
+# CI's mixed-NaN stream and its five variants: some instances' sides
+# overflow, so NaN checks fall among numeric ones.  Scaling x would overflow
+# more of them, so only the sign flips and conjugation run on it.
+MIXED_NAN = GenConfig(master_seed=42, count=400, scale=3e76)
+MIXED_NAN_PLAN = plan_for(tuple(parse_variant_list("bb:1.2,bb:4.1,bb:4.5,lemma21:max:max,cor23:sharp")))
+EXACT_STREAMS = [pytest.param(*param.values, PLAN, id=param.id) for param in STREAMS] + [
+    pytest.param(MIXED_NAN, MIXED_NAN_PLAN, id="mixed-nan")
 ]
 
 
-def _checks(inst, coeffs):
-    """(lhs, rhs, skips) of every catalog row on one instance."""
+def _checks(inst, coeffs, plan=PLAN):
+    """(lhs, rhs, skips) of every row of ``plan`` on one instance."""
     ctx = EvalContext(inst, coeffs)
-    return (*PLAN.evaluate(ctx), PLAN.skips(ctx))
+    return (*plan.evaluate(ctx), plan.skips(ctx))
 
 
 def _assert_same_bits(got, expected, index):
@@ -54,14 +70,14 @@ def _assert_same_bits(got, expected, index):
         np.testing.assert_array_equal(a, b, err_msg=f"instance {index}: {name}")
 
 
-def _transformed(config, transform):
+def _transformed(config, transform, plan=PLAN):
     """Each instance of ``config`` with its checks and those of its transform,
     ``transform(index, x, family, coeffs)`` on copies."""
     for index in range(config.count):
         inst, coeffs = generate_instance(config, index)
         x, family, coeffs_t = transform(index, inst.x.copy(), inst.family.vectors.copy(), coeffs.copy())
         image = ProblemInstance.from_vectors(x, family, field_mode=inst.field_mode)
-        yield index, _checks(inst, coeffs), _checks(image, coeffs_t)
+        yield index, _checks(inst, coeffs, plan), _checks(image, coeffs_t, plan)
 
 
 def _exponent(index: int) -> int:
@@ -76,8 +92,18 @@ def _ldexp(z: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("config", STREAMS)
-def test_sign_flips_of_vectors_with_their_coefficients(config):
+def test_the_mixed_nan_stream_has_nan_checks():
+    # lhs = rhs = inf gives a NaN slack; the relations must meet both kinds of check there
+    with np.errstate(invalid="ignore"):
+        nan = [
+            np.isnan(np.subtract(*_checks(*generate_instance(MIXED_NAN, index), MIXED_NAN_PLAN)[:2])).any()
+            for index in range(MIXED_NAN.count)
+        ]
+    assert 0 < sum(nan) < MIXED_NAN.count
+
+
+@pytest.mark.parametrize("config, plan", EXACT_STREAMS)
+def test_sign_flips_of_vectors_with_their_coefficients(config, plan):
     def flip(index, x, family, coeffs):
         # (x, -y_k) (-c_k) = (x, y_k) c_k, and (-y_i, -y_j) = (y_i, y_j)
         signs = np.random.default_rng(index).random(len(coeffs)) < 0.5
@@ -85,16 +111,16 @@ def test_sign_flips_of_vectors_with_their_coefficients(config):
         coeffs[signs] = -coeffs[signs]
         return x, family, coeffs
 
-    for index, checks, image in _transformed(config, flip):
+    for index, checks, image in _transformed(config, flip, plan):
         _assert_same_bits(image, checks, index)
 
 
-@pytest.mark.parametrize("config", STREAMS)
-def test_conjugation(config):
+@pytest.mark.parametrize("config, plan", EXACT_STREAMS)
+def test_conjugation(config, plan):
     def conjugate(index, x, family, coeffs):
         return x.conj(), family.conj(), coeffs.conj()
 
-    for index, checks, image in _transformed(config, conjugate):
+    for index, checks, image in _transformed(config, conjugate, plan):
         _assert_same_bits(image, checks, index)
 
 

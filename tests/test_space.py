@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bbbounds import (
     GramMatrix,
+    IncompatibleInstanceError,
     ProblemInstance,
     RankDeficiencyError,
     ValidationError,
@@ -157,8 +158,12 @@ class TestCombinationNormSq:
         assert combination_norm_sq([1j], VectorFamily.from_rows([E1])) == pytest.approx(1.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^coefficient vector of length \(1,\) for n=2$"):
             combination_norm_sq([1.0], VectorFamily.from_rows([E1, E2]))
+
+    def test_no_coefficients(self):
+        with pytest.raises(IncompatibleInstanceError, match="^requires coefficients$"):
+            combination_norm_sq(None, VectorFamily.from_rows([E1, E2]))
 
     def test_gram_only_input(self):
         g = gram_of_family(VectorFamily.from_rows([E1, E1]))
@@ -406,6 +411,20 @@ class TestInstanceFiles:
         as_inf = json.loads(json.dumps(doc).replace("1" + "0" * 400, "1e400"))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             instance_from_jsonable(as_inf)
+
+    @pytest.mark.parametrize(
+        "x, coeffs, what",
+        [("[[1, 0]]", f"[[1, 0], [{'9' * 5000}, 0]]", "coeffs[1]"), (f"[[-{'9' * 5000}, 0]]", "[[1, 0], [2, 0]]", "x[0]")],
+        ids=["coeffs", "negative-x"],
+    )
+    def test_integer_beyond_the_digit_limit_is_non_finite(self, tmp_path, x, coeffs, what):
+        # beyond Python's 4,300-digit limit on int() of a string, an integer
+        # literal still reads as a float, an infinite one, named like 1e400
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"field": "real", "mode": "vectors", "x": {x}, "y": [[[1, 0]], [[2, 0]]], "coeffs": {coeffs}}}')
+        message = f"{what} contains a non-finite number"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_instance(path)
 
     def test_non_square_gram_rejected(self):
         doc = {"field": "real", "mode": "gram", "bordered_gram": [[[1.0, 0.0], [0.0, 0.0]]]}
