@@ -1,12 +1,15 @@
 """Treat each conjugate-exponent slot as a one-parameter bound family.
 
-Profiles, optimizes and tuned ranks share one search (``_minimize``): it
-evaluates the bound on a fixed 8-point exponent grid, brackets the grid
-minimum and refines it by golden-section search on the log of the exponent
-(profiles change fastest just above 1, so log spacing resolves that region).
-A boundary minimizer is reported as such rather than extrapolated: the limits
-at both ends of the domain coincide with the max- and sum-selector variants
-that already exist in the catalog.
+Profiles, optimizes and tuned ranks share one search (``_minimize``):
+Brent's parabolic search with a golden-section safeguard, run on the log of
+the term in t = 1/p.  Every tuned term is a product or sum of l^p norms at
+conjugate exponents, so its log is convex in t (Lyapunov's inequality), and
+a parabola fits it closely; convexity also stops the search early on flat
+profiles and at boundary minima.  A boundary minimizer is reported as such
+rather than extrapolated: the limits at both ends of the domain coincide
+with the max- and sum-selector variants that already exist in the catalog.
+``profile_exponent`` evaluates the fixed 8-point exponent grid besides, for
+its printed rows.
 
 Rankings evaluate a set of variants on one instance through the plan of
 their tuple (``bounds.plan_for``), the same evaluator the suite runs, and
@@ -66,10 +69,14 @@ EXPONENT_MIN = 1.0 + 2.0**-10
 
 DEFAULT_INTERVAL = (EXPONENT_MIN, EXPONENT_MAX)
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-VALUE_REL_TOL = 1e-6
-MAX_REFINE_STEPS = 64
+# Brent's golden-section fraction, and his relative resolution in t: the
+# square root of the double-precision epsilon
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = 2.0**-26
+# Three profile values this close (relative; 16 units in the last place) are
+# equal but for rounding: the profiles that are constant in exact arithmetic
+# spread by at most 4 units, the others by more than 2**-14
+_FLAT = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -129,95 +136,146 @@ def _tuned_value(ctx: EvalContext, term: str) -> float:
     return value
 
 
-def _golden_refine(
-    fn: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float]:
-    """Golden-section minimum of fn over [lo, hi] in log-exponent space.
+def _finite(value: float, exponent: float) -> float:
+    """A profile value, checked: a non-finite one raises ArithmeticError,
+    since an overflowed profile has no minimum to report."""
+    if not math.isfinite(value):
+        raise ArithmeticError(f"non-finite profile value {value!r} at exponent {exponent!r}")
+    return value
 
-    Stops once the best value stalls within VALUE_REL_TOL (relative) or after
-    MAX_REFINE_STEPS contractions; returns the best point seen, including the
-    endpoints, so the result never exceeds any evaluated value.
+
+def _minimize(fn: Callable[[float], float]) -> tuple[float, float, bool]:
+    """Minimum of fn over DEFAULT_INTERVAL: Brent's parabolic search with a
+    golden-section safeguard on log fn in t = 1/p, where every tuned term is
+    convex (R. P. Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 5).  Returns ``(exponent, value, at_boundary)``; the value is
+    fn at the exponent returned, and neither end's value is lower.
+
+    Both ends are evaluated first, at their exact exponents, and
+    ``at_boundary`` means one of them is the minimum; of two equal ends, the
+    lower.  Since no term is negative, a value of 0.0 is returned at once.
+    The first interior point is Brent's, and convexity gives two early stops:
+    when it and the ends agree within ``_FLAT``, no value lies more than
+    1.7 ``_FLAT`` below the lowest of them, so the better end is returned,
+    within 2.7 ``_FLAT`` of the minimum; when an end is no worse than it,
+    the minimum lies between the two, and a neighbour of the end one
+    resolution step inward that is not lower puts it at the end.  A lower
+    neighbour starts Brent's search from there.  The search stops when its
+    bracket is within ``_SQRT_EPS`` relative of its best point.
     """
-    a, b = math.log(lo), math.log(hi)
-    evaluate = lambda u: fn(math.exp(u))
-    best_u, best_v = a, evaluate(a)
-    v = evaluate(b)
-    if v < best_v:
-        best_u, best_v = b, v
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = evaluate(c), evaluate(d)
-    for u, v in ((c, fc), (d, fd)):
-        if v < best_v:
-            best_u, best_v = u, v
-    # individual contractions often fail to improve the best point, so the
-    # value-based stop waits for a run of stagnant steps
-    stagnant = 0
-    for _ in range(MAX_REFINE_STEPS):
-        previous_best = best_v
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = evaluate(c)
-            if fc < best_v:
-                best_u, best_v = c, fc
+    evaluate = lambda p: _finite(fn(p), p)
+    p_lo, p_hi = DEFAULT_INTERVAL
+    f_lo = evaluate(p_lo)
+    if f_lo == 0.0:
+        return p_lo, f_lo, True
+    f_hi = evaluate(p_hi)
+    if f_hi == 0.0:
+        return p_hi, f_hi, True
+    # t runs from a (p_hi) to b (p_lo)
+    a, b = 1.0 / p_hi, 1.0 / p_lo
+    x = b - _GOLDEN * (b - a)
+    fx = evaluate(1.0 / x)
+    end, p_end, f_end = (b, p_lo, f_lo) if f_lo <= f_hi else (a, p_hi, f_hi)
+    low = min(f_end, fx)
+    if max(f_lo, f_hi, fx) - low <= _FLAT * low:
+        return p_end, f_end, True
+    if f_end <= fx:
+        u = end + math.copysign(_SQRT_EPS * end, x - end)
+        fu = evaluate(1.0 / u)
+        if fu >= f_end:
+            return p_end, f_end, True
+        # the bracket is (end, x), its best point u and its next best the end
+        a, b = min(end, x), max(end, x)
+        v, fv, w, fw, x, fx = x, fx, end, f_end, u, fu
+    else:
+        # the better end is the next best point, the other the one before it
+        v, fv, w, fw = (a, f_hi, b, f_lo) if f_lo <= f_hi else (b, f_lo, a, f_hi)
+    # the last two steps; as long as the bracket, so the first step may be parabolic
+    d = e = b - a
+    while True:
+        if fx == 0.0:
+            return 1.0 / x, fx, False
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * x
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return 1.0 / x, fx, False
+        golden = True
+        if abs(e) > tol1:
+            # the vertex of the parabola through x, w and v on the log scale
+            gx = math.log(fx)
+            r = (x - w) * (gx - math.log(fv))
+            q = (x - v) * (gx - math.log(fw))
+            s = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                s = -s
+            q = abs(q)
+            r, e = e, d
+            # accepted inside the bracket, and shorter than half the step before last
+            if abs(s) < abs(0.5 * q * r) and q * (a - x) < s < q * (b - x):
+                d = s / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+                golden = False
+        if golden:
+            e = (b if x < m else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = evaluate(1.0 / u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = evaluate(d)
-            if fd < best_v:
-                best_u, best_v = d, fd
-        if previous_best - best_v <= VALUE_REL_TOL * max(abs(best_v), 1e-300):
-            stagnant += 1
-            if stagnant >= 10:
-                break
-        else:
-            stagnant = 0
-    return math.exp(best_u), best_v
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _search(family: str, ctx: EvalContext) -> tuple[float, float, bool]:
+    """The minimum of one profiled family, ``(exponent, value, at_boundary)``."""
+    if family != "cor32:3":
+        return _minimize(_family_fn(family, ctx))
+    # |x|^2 times the coarse minimum, as the catalog row cor32:3:p={p} has
+    # it: a search on the product itself could round its way to another t
+    exponent, value, at_boundary = _minimize(_term_fn("coarse", ctx))
+    return exponent, _finite(ctx.x_norm_sq * value, exponent), at_boundary
 
 
 # 8 log-spaced exponents; geomspace returns both ends of the interval exactly
 _DEFAULT_GRID = tuple(float(t) for t in np.geomspace(*DEFAULT_INTERVAL, 8))
 
 
-def _minimize(fn: Callable[[float], float]) -> tuple[float, float, bool, list[float]]:
-    """Minimum of fn over DEFAULT_INTERVAL: the best of its values on
-    ``_DEFAULT_GRID`` and a golden-section refinement bracketed around the
-    grid argmin.  Returns ``(exponent, value, at_boundary, grid values)``;
-    ``at_boundary`` means the minimum sits at a grid end.  A non-finite grid
-    value raises ArithmeticError: an overflowed profile has no minimum to
-    report."""
-    grid = _DEFAULT_GRID
-    values = [fn(t) for t in grid]
-    for t, v in zip(grid, values):
-        if not math.isfinite(v):
-            raise ArithmeticError(f"non-finite profile value {v!r} at exponent {t!r}")
-    k = min(range(len(grid)), key=lambda i: (values[i], i))
-    best_t, best_v = grid[k], values[k]
-    t, v = _golden_refine(fn, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-    if v < best_v:
-        best_t, best_v = t, v
-    at_boundary = abs(best_t - grid[0]) <= 1e-9 * grid[0] or abs(best_t - grid[-1]) <= 1e-9 * grid[-1]
-    return best_t, best_v, at_boundary, values
-
-
 def optimize_exponent(family: str, inst: ProblemInstance, coeffs=None) -> tuple[float, float, bool]:
     """Tightest exponent for one family on one instance.
 
     Returns ``(exponent, value, at_boundary)``.  ``at_boundary`` means the
-    minimizer sits at an end of DEFAULT_INTERVAL, i.e. the max- or
-    sum-selector limit form is at least as tight.  The returned value never
-    exceeds any value on the fixed 8-point grid (the grid points are
-    candidates themselves).  A non-finite grid value raises ArithmeticError.
+    minimizer is an end of DEFAULT_INTERVAL, i.e. the max- or sum-selector
+    limit form is at least as tight.  The value is the family's at the
+    exponent returned, and the search evaluates both ends, so it never
+    exceeds either.  A non-finite value met on the way raises
+    ArithmeticError.
     """
-    return _minimize(_family_fn(family, EvalContext(inst, coeffs)))[:3]
+    return _search(family, EvalContext(inst, coeffs))
 
 
 def profile_exponent(family: str, inst: ProblemInstance, coeffs=None) -> ExponentProfile:
     """One bound family's values on the fixed 8-point exponent grid, and the
-    minimum ``optimize_exponent`` finds from them."""
-    best_t, best_v, at_boundary, values = _minimize(_family_fn(family, EvalContext(inst, coeffs)))
-    return ExponentProfile(family, tuple(zip(_DEFAULT_GRID, values)), (best_t, best_v), at_boundary)
+    minimum ``optimize_exponent`` finds.  A non-finite grid value raises
+    ArithmeticError."""
+    ctx = EvalContext(inst, coeffs)
+    fn = _family_fn(family, ctx)
+    grid = tuple((t, _finite(fn(t), t)) for t in _DEFAULT_GRID)
+    best_t, best_v, at_boundary = _search(family, ctx)
+    return ExponentProfile(family, grid, (best_t, best_v), at_boundary)
 
 
 # ---------------------------------------------------------------------------

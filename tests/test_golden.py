@@ -16,6 +16,16 @@ the kernel: every golden file but ``optimize_seed42_lemma21_offdiag.csv``,
 ``rank_seed42_nocoeffs.err`` and the two ``rank_*seed5_n4.csv`` of the
 tuning tests changed in floating-point columns alone, by rounding (no
 count, status, name or order moved).
+
+Two were recorded again when Brent's search in t = 1/p replaced the
+8-point grid and golden-section search of the exponent minimum:
+``rank_seed5_n4.csv`` and ``rank_wide.csv``, whose 150 tuned rows each
+moved down to the more exact minimum, by 5e-13 to 4e-10 relative (no
+rank, name or pinned row moved).  The ``optimize_seed5_n4_*.csv`` files
+were added then, under the same kernel: every ``optimize_seed42_*.csv``
+instance has one vector, so its profiles are flat and pin no search, while
+the seed-5 instance of ``rank_seed5_n4.csv`` has an interior minimum in
+all five families.
 """
 
 from pathlib import Path
@@ -55,6 +65,14 @@ def test_optimize_csv(capsys, family):
     code, out = run_main(capsys, "optimize", "--seed", "42", "--family", family)
     assert code == 0
     assert out == (GOLDEN / f"optimize_seed42_{family.replace(':', '_')}.csv").read_text()
+
+
+@pytest.mark.parametrize("family", PROFILE_FAMILIES)
+def test_optimize_seed5_csv(capsys, family):
+    # an interior minimum in every family: the last row pins the search itself
+    code, out = run_main(capsys, "optimize", "--seed", "5", "--n", "4..4", "--dim", "4..4", "--family", family)
+    assert code == 0
+    assert out == (GOLDEN / f"optimize_seed5_n4_{family.replace(':', '_')}.csv").read_text()
 
 
 class TestOrthonormalInstance:

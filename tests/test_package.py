@@ -61,15 +61,23 @@ def test_bench_tracer_installs_and_restores():
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
     owners = [importlib.import_module(f"bbbounds.{stem}") for stem in ("bounds", "space", "tuning", "verify")]
+    tuning = owners[2]
     owners.append(owners[-1].VariantTotals)
     before = [dict(vars(owner)) for owner in owners]
     tracer = tracer_module.Tracer()
     try:
         tracer_module.install(tracer, bbbounds)
-        inst, coeffs = bbbounds.generate_instance(bbbounds.GenConfig(master_seed=42, count=1), 0)
-        bbbounds.optimize_exponent("coarse", inst, coeffs)
-        # the one search counts every exponent it evaluates, the 8 grid points first
-        assert tracer.counts["tuning.rhs_evals"] > 8
+        # an interior minimum, so the search runs past its first three points
+        inst, coeffs = bbbounds.generate_instance(bbbounds.GenConfig(master_seed=5, count=1, n_range=(4, 4), d_range=(4, 4)), 0)
+        evaluated = []
+        search = tuning._minimize
+        tuning._minimize = lambda fn: search(lambda p: evaluated.append(p) or fn(p))
+        try:
+            bbbounds.optimize_exponent("coarse", inst, coeffs)
+        finally:
+            tuning._minimize = search
+        # the one search counts every exponent it evaluates
+        assert tracer.counts["tuning.rhs_evals"] == len(evaluated) > 3
     finally:
         tracer.restore()
     assert [dict(vars(owner)) for owner in owners] == before
