@@ -29,11 +29,14 @@ Gram matrix, its statistics and both sides of every bound, including
 its family Gram and its Fourier vector, are built once per instance and
 kept on the ``ProblemInstance``: every context on it (a rank, each
 optimize, each ``evaluate_variant``) shares them and their power-sum memos.
-Coefficient statistics are built per context, from its own copy of the
-coefficients.  A block is given zero-padded stacks of its instances'
-bordered Gram matrices and coefficients, and their combination and weighted
-left-hand sides (``verify`` generates all of them a block at a time); it
-reads its statistics, ``|x|^2`` and the Fourier vectors from the stacks.
+Beside them the instance keeps the state of the coefficient vector it
+evaluated last, keyed by the vector's bits: its read-only copy, its
+``CoeffStats``, the combination and weighted left-hand sides and the tuned
+minima, shared by every context with the same coefficients.  A block is
+given zero-padded stacks of its instances' bordered Gram matrices and
+coefficients, and their combination and weighted left-hand sides
+(``verify`` generates all of them a block at a time); it reads its
+statistics, ``|x|^2`` and the Fourier vectors from the stacks.
 The same term functions and the same statistics run on both, and each
 instance of a block gets the bits of its own evaluation.  Each statistic is
 one class, ``GramStats`` or ``CoeffStats``, written once over ``...`` axes;
@@ -470,6 +473,22 @@ def _double_sum_faults(value, mass, direct=None):
     return abs(value.imag) > tol, value.real < -tol, far
 
 
+def _kept(compute):
+    """A cached property of the coefficients, computed by the first context
+    that reads it and kept in its coefficient state under its name; an error
+    is not kept, so every read raises it again."""
+    name = compute.__name__
+
+    def read(ctx):
+        value = ctx._state.get(name)
+        if value is None:
+            value = ctx._state[name] = compute(ctx)
+        return value
+
+    read.__doc__ = compute.__doc__
+    return cached_property(read)
+
+
 class EvalContext(_Floats):
     """One instance with one coefficient vector, as the terms (``variants``)
     read it, with their arithmetic on Python floats.
@@ -478,19 +497,25 @@ class EvalContext(_Floats):
     Fourier vector, live on the instance (``ProblemInstance.gram_stats`` and
     ``fourier_stats``): built once per instance and shared, with their
     power-sum memos, by every context on it, so a rank and the optimizes
-    that follow it pay for each power sum once.  The context holds its own
-    copy of the coefficients, converted and checked once, here; what depends
-    on them is built per context, on first use: ``coeff_stats``, the
-    combination and weighted left-hand sides, and ``tuned``, the minimum of
-    each exponent term that tuning has minimized.  Both sides of a
-    combination bound read one Gram matrix of the family, ``gram``: the
+    that follow it pay for each power sum once.  The coefficients are
+    converted and checked here, by every context; what depends on them is
+    a state, a dict by attribute name: the one in the instance's
+    ``_coeff_state`` when the instance evaluated the same bits last, else a
+    new one, which the instance then keeps in place of the last.  So the
+    contexts of one (instance, coefficients) share a read-only copy of the
+    coefficients (``coeffs``), ``coeff_stats``, the combination and
+    weighted left-hand sides, and ``tuned``, each exponent term's
+    ``(exponent, value, at_boundary)`` as tuning searched it.  Both sides of
+    a combination bound read one Gram matrix of the family, ``gram``: the
     instance's ``family_gram``, or, for the combination bounds alone, that
-    of a ``VectorFamily``, a ``GramMatrix`` (taken as is) or a raw Gram array
-    (which must pass ``GramMatrix.validate``) given in place of the instance.
+    of a ``VectorFamily``, a ``GramMatrix`` (taken as is) or a raw Gram
+    array (which must pass ``GramMatrix.validate``) given in place of the
+    instance, whose context gets a state of its own.
     """
 
     def __init__(self, inst: ProblemInstance | VectorFamily | GramMatrix | np.ndarray, coeffs=None):
         self.inst = inst
+        key = None
         if coeffs is not None:
             coeffs = np.array(coeffs, dtype=np.complex128)
             n = self.gram.n
@@ -498,8 +523,14 @@ class EvalContext(_Floats):
                 raise ValidationError(f"coefficient vector of length {coeffs.shape} for n={n}")
             if not np.isfinite(coeffs).all():
                 raise ValidationError("coeffs contains non-finite entries")
-        self.coeffs = coeffs
-        self.tuned: dict[str, float] = {}
+            key = coeffs.tobytes()
+            coeffs.setflags(write=False)
+        last = inst._coeff_state if isinstance(inst, ProblemInstance) else {}
+        state = last.get(key)
+        if state is None:
+            last.clear()
+            state = last[key] = {"coeffs": coeffs, "tuned": {}}
+        self._state, self.coeffs, self.tuned = state, state["coeffs"], state["tuned"]
 
     @cached_property
     def gram(self) -> GramMatrix:
@@ -518,7 +549,7 @@ class EvalContext(_Floats):
             return self.inst.gram_stats
         return GramStats(self.gram)
 
-    @cached_property
+    @_kept
     def coeff_stats(self) -> CoeffStats:
         if self.coeffs is None:
             raise IncompatibleInstanceError("requires coefficients")
@@ -532,7 +563,7 @@ class EvalContext(_Floats):
     def x_norm_sq(self) -> float:
         return self.inst.x_norm_sq
 
-    @cached_property
+    @_kept
     def lhs_combination(self) -> float:
         """``|sum_i c_i z_i|^2`` as the double sum of ``gram``; within
         :data:`ORACLE_REL_TOL` of the mass ``sum_ij |c_i||c_j||(z_i,z_j)|``,
@@ -570,7 +601,7 @@ class EvalContext(_Floats):
             )
         return max(result, 0.0)
 
-    @cached_property
+    @_kept
     def lhs_weighted(self) -> float:
         # a multiplication rounds correctly (the C library's pow does not);
         # a finite root whose square overflows raises, as a block masks it

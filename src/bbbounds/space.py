@@ -318,7 +318,8 @@ class ProblemInstance:
 
     # The statistics every bound on this instance reads, built on first use
     # and kept with it, so every evaluation context on the instance shares
-    # them and their power-sum memos.  ``bounds`` imports this module, so the
+    # them and their power-sum memos; and, beside them, what depends on the
+    # coefficients evaluated last.  ``bounds`` imports this module, so the
     # classes are looked up there when first read.  Like Python floats, and
     # like a block's statistics, they overflow to inf without a warning.
 
@@ -337,6 +338,15 @@ class ProblemInstance:
 
         with np.errstate(all="ignore"):
             return bounds.CoeffStats(self.fourier)
+
+    @cached_property
+    def _coeff_state(self) -> dict:
+        """The state of the last coefficient vector evaluated on this
+        instance, keyed by its complex128 bytes (None for no vector), as
+        ``bounds.EvalContext`` keeps it: one entry, however many vectors a
+        caller sweeps.  Nothing in it refers back to the instance, so the
+        instance dies with its last reference, not at the cyclic collector."""
+        return {}
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,15 @@ too.
 
 Every call here makes its own ``EvalContext``, but the statistics of the
 instance (its family Gram's and its Fourier vector's, with their power-sum
-memos) are built once per instance and kept on it, so a rank and the
-optimizes and profiles that follow it on the same instance compute each
-power sum once.  The coefficient statistics and the tuned minima (``tuned``)
-stay with each context, since the caller's coefficients may change between
-calls.
+memos) are built once per instance and kept on it, and what depends on the
+coefficients as well, ``CoeffStats``, the left-hand sides and each searched
+term's ``_minimize`` result (``tuned``), is kept on it for the coefficient
+vector it evaluated last, keyed by the vector's bits.  So a rank and the
+optimizes and profiles that follow it on the same instance and coefficients
+compute each power sum once and search each term once: every profiled
+family is a term a tuned rank minimizes (``cor32:3`` reads ``coarse``'s
+search).  Coefficients changed between calls, even in place, have other
+bits, and get a state of their own.
 
 One instance's calls pay for little besides their arithmetic.  Each
 evaluation at a fresh exponent makes its selector with ``holder``, which
@@ -121,19 +125,29 @@ def _term_fn(term: str, ctx: EvalContext) -> Callable[[float], float]:
     return lambda t: fn(ctx, holder(t))
 
 
-def _family_fn(family: str, ctx: EvalContext) -> Callable[[float], float]:
-    """The profiled quantity as a function of the free exponent."""
+def _check_family(family: str) -> None:
     if family not in PROFILE_FAMILIES:
         raise VariantError(f"unknown profile family {family!r}; expected one of {PROFILE_FAMILIES}")
+
+
+def _family_fn(family: str, ctx: EvalContext) -> Callable[[float], float]:
+    """The profiled quantity as a function of the free exponent."""
+    _check_family(family)
     return _term_fn(family, ctx)
 
 
+def _searched(ctx: EvalContext, term: str) -> tuple[float, float, bool]:
+    """``_minimize`` of one term, searched once per instance and coefficient
+    vector: every later context on them reads it from ``ctx.tuned``."""
+    found = ctx.tuned.get(term)
+    if found is None:
+        found = ctx.tuned[term] = _minimize(_term_fn(term, ctx))
+    return found
+
+
 def _tuned_value(ctx: EvalContext, term: str) -> float:
-    """Minimum of one term over DEFAULT_INTERVAL, computed once per instance."""
-    value = ctx.tuned.get(term)
-    if value is None:
-        value = ctx.tuned[term] = _minimize(_term_fn(term, ctx))[1]
-    return value
+    """Minimum of one term over DEFAULT_INTERVAL."""
+    return _searched(ctx, term)[1]
 
 
 def _finite(value: float, exponent: float) -> float:
@@ -242,11 +256,12 @@ def _minimize(fn: Callable[[float], float]) -> tuple[float, float, bool]:
 
 def _search(family: str, ctx: EvalContext) -> tuple[float, float, bool]:
     """The minimum of one profiled family, ``(exponent, value, at_boundary)``."""
+    _check_family(family)
     if family != "cor32:3":
-        return _minimize(_family_fn(family, ctx))
+        return _searched(ctx, family)
     # |x|^2 times the coarse minimum, as the catalog row cor32:3:p={p} has
     # it: a search on the product itself could round its way to another t
-    exponent, value, at_boundary = _minimize(_term_fn("coarse", ctx))
+    exponent, value, at_boundary = _searched(ctx, "coarse")
     return exponent, _finite(ctx.x_norm_sq * value, exponent), at_boundary
 
 
@@ -293,7 +308,7 @@ def rank_variants(
 
     Exponent slots are optimized per term by default: each holder selector or
     p parameter takes the minimum of the term its table row feeds it to,
-    computed once per instance and shared by every variant that uses it, so
+    searched once per instance and shared by every variant that uses it, so
     two holder variants differing only in their pinned exponent rank
     identically (ties then break by name).  Max and sum selectors are kept as
     given.  Each evaluated point is itself a valid bound, so minimization

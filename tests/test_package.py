@@ -78,6 +78,15 @@ def test_bench_tracer_installs_and_restores():
             tuning._minimize = search
         # the one search counts every exponent it evaluates
         assert tracer.counts["tuning.rhs_evals"] == len(evaluated) > 3
+        # a tuned rank searches every optimized family's term, so the
+        # optimizes after it on the same instance and coefficients add none
+        inst, coeffs = bbbounds.generate_instance(bbbounds.GenConfig(master_seed=5, count=1), 0)
+        bbbounds.rank_variants(inst, coeffs, [v for v in bbbounds.full_catalog() if not v.orthonormal_only])
+        ranked = tracer.counts["tuning.rhs_evals"]
+        assert ranked > len(evaluated)
+        for family in bbbounds.PROFILE_FAMILIES:
+            bbbounds.optimize_exponent(family, inst, coeffs)
+        assert tracer.counts["tuning.rhs_evals"] == ranked
     finally:
         tracer.restore()
     assert [dict(vars(owner)) for owner in owners] == before

@@ -1,6 +1,8 @@
 """Exponent profiles, Brent's exponent search, tightness ranking."""
 
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -138,22 +140,23 @@ class TestOptimize:
             assert value <= _TERMS["lemma21:diag"](ctx, holder(float(t))) * (1 + 1e-12)
 
     def test_deterministic(self):
+        # on two fresh copies: a second call on one instance reads the first's search
         config = GenConfig(master_seed=77, count=1, n_range=(5, 5), d_range=(3, 3))
-        inst, coeffs = generate_instance(config, 0)
-        assert optimize_exponent("coarse", inst, coeffs) == optimize_exponent(
-            "coarse", inst, coeffs
+        assert optimize_exponent("coarse", *generate_instance(config, 0)) == optimize_exponent(
+            "coarse", *generate_instance(config, 0)
         )
 
     @pytest.mark.parametrize("shape, count", [({}, 30), ({"n_range": (24, 64), "d_range": (16, 128)}, 6)], ids=["default", "wide"])
     def test_optimize_is_the_profile_minimizer(self, shape, count):
-        # one search serves both: the same exponent, value and boundary flag, by repr
+        # one search serves both: the same exponent, value and boundary flag,
+        # by repr, each searched on its own fresh copy of the instance
         config = GenConfig(master_seed=19, count=count, **shape)
         for index in range(count):
-            inst, coeffs = generate_instance(config, index)
             for family in PROFILE_FAMILIES:
-                profile = profile_exponent(family, inst, coeffs)
+                profile = profile_exponent(family, *generate_instance(config, index))
                 expected = (*profile.minimizer, profile.at_boundary)
-                assert repr(optimize_exponent(family, inst, coeffs)) == repr(expected), (index, family)
+                found = optimize_exponent(family, *generate_instance(config, index))
+                assert repr(found) == repr(expected), (index, family)
 
     @pytest.mark.parametrize(
         "seed, shape, count", [(42, {}, 200), (7, {"n_range": (24, 64), "d_range": (16, 128)}, 60)], ids=["default", "wide"]
@@ -163,7 +166,8 @@ class TestOptimize:
         # included, and the search takes at most 16 evaluations on average
         # (34 at most), where the 8-point grid and golden section took 28.8
         # on the default stream and 30.7 on the wide one; the counts are
-        # deterministic, so the bound holds without timing
+        # deterministic, so the bound holds without timing; each optimize
+        # runs on a fresh copy, since cor32:3 reads the search of coarse
         evaluations = []
         minimize = tuning._minimize
         monkeypatch.setattr(tuning, "_minimize", lambda fn: minimize(lambda p: evaluations.append(p) or fn(p)))
@@ -176,7 +180,7 @@ class TestOptimize:
             ctx = EvalContext(inst, coeffs)
             for family in PROFILE_FAMILIES:
                 evaluations.clear()
-                _, value, _ = optimize_exponent(family, inst, coeffs)
+                _, value, _ = optimize_exponent(family, *generate_instance(config, index))
                 counts.append(len(evaluations))
                 dense = min(_TERMS[family](ctx, holder(p)) for p in exponents)
                 assert value <= dense * (1 + 1e-12), (index, family)
@@ -408,8 +412,9 @@ class TestTunedTerms:
             inst, coeffs = generate_instance(config, index)
             ranking = rank_variants(inst, coeffs, [variant for variant, _ in pairs])
             tuned = {e.variant: e.rhs for e in ranking.entries}
+            # searched apart from the rank's, on a fresh copy
             for variant, family in pairs:
-                assert tuned[variant.name] == optimize_exponent(family, inst, coeffs)[1]
+                assert tuned[variant.name] == optimize_exponent(family, *generate_instance(config, index))[1]
 
     def test_fourier_terms_keep_their_own_minima(self):
         # bb:4.3 and ortho:4.4 are different formulas of the same exponent,
@@ -550,14 +555,22 @@ class TestSharedInstanceStatistics:
     """Every call on one instance reads the statistics it built once."""
 
     def test_tuned_rank_and_five_optimizes_build_the_gram_statistics_once(self, monkeypatch):
-        builds = []
-        gram_stats = bounds.GramStats
+        # and search each term once: the rank searches five holder terms,
+        # among them every optimized and profiled family's (cor32:3 reads
+        # coarse), and builds the one CoeffStats of the coefficients
+        builds, searches, coeff_builds = [], [], []
+        gram_stats, minimize, coeff_stats = bounds.GramStats, tuning._minimize, bounds.CoeffStats
         monkeypatch.setattr(bounds, "GramStats", lambda gram: builds.append(gram) or gram_stats(gram))
+        monkeypatch.setattr(tuning, "_minimize", lambda fn: searches.append(fn) or minimize(fn))
+        monkeypatch.setattr(bounds, "CoeffStats", lambda c: coeff_builds.append(c) or coeff_stats(c))
         inst, coeffs = generate_instance(GenConfig(master_seed=42, count=1), 0)
         rank_variants(inst, coeffs, [v for v in full_catalog() if not v.orthonormal_only])
-        for family in PROFILE_FAMILIES:
-            optimize_exponent(family, inst, coeffs)
+        for call in (optimize_exponent, profile_exponent):
+            for family in PROFILE_FAMILIES:
+                call(family, inst, coeffs)
         assert len(builds) == 1
+        assert len(searches) == 5
+        assert [np.array_equal(c, coeffs) for c in coeff_builds].count(True) == 1
         assert EvalContext(inst).fourier_stats is EvalContext(inst, coeffs).fourier_stats
 
     @pytest.mark.parametrize("shape", [{}, {"n_range": (24, 64), "d_range": (16, 128)}], ids=["default", "wide"])
@@ -588,18 +601,64 @@ class TestSharedInstanceStatistics:
                 assert repr(call(arg, inst, coeffs)) == repr(fresh), (index, arg)
             assert EvalContext(inst).gram_stats is inst.gram_stats
 
-    def test_coefficient_statistics_stay_per_call(self):
-        # the caller may change its coefficient array between two calls on one instance
+    def test_coefficient_state_follows_the_coefficients_bits(self):
+        # the caller may change its coefficient array between two calls on
+        # one instance, in place or for another array and back: each call
+        # returns, by repr, what it returns on a freshly generated copy
         config = GenConfig(master_seed=11, count=1)
         ranked = [v for v in full_catalog() if not v.orthonormal_only]
+        bare = [v for v in ranked if not v.requires_coeffs]
         inst, coeffs = generate_instance(config, 0)
         for family in PROFILE_FAMILIES:
             optimize_exponent(family, inst, coeffs)
         rank_variants(inst, coeffs, ranked)
+        original = coeffs.copy()
         coeffs[0] *= 3.0
-        fresh, fresh_coeffs = generate_instance(config, 0)
-        fresh_coeffs[0] *= 3.0
-        assert repr(rank_variants(inst, coeffs, ranked)) == repr(rank_variants(fresh, fresh_coeffs, ranked))
-        for family in PROFILE_FAMILIES:
-            fresh = generate_instance(config, 0)[0]
-            assert repr(optimize_exponent(family, inst, coeffs)) == repr(optimize_exponent(family, fresh, fresh_coeffs))
+        other = generate_instance(GenConfig(master_seed=12, count=1, n_range=(inst.n, inst.n)), 0)[1]
+        for given in (coeffs, other, original, None, coeffs):
+            fresh = lambda: generate_instance(config, 0)[0]
+            assert repr(rank_variants(inst, given, bare)) == repr(rank_variants(fresh(), given, bare))
+            if given is None:
+                continue
+            assert repr(rank_variants(inst, given, ranked)) == repr(rank_variants(fresh(), given, ranked))
+            for family in PROFILE_FAMILIES:
+                assert repr(optimize_exponent(family, inst, given)) == repr(optimize_exponent(family, fresh(), given))
+        # the last vector's state alone, however many the caller sweeps
+        assert len(inst._coeff_state) == 1
+
+    def test_instance_dies_with_its_last_reference(self):
+        # the coefficient state it keeps refers back to nothing that holds
+        # it, so it goes without the cyclic collector (and so does its memory)
+        config = GenConfig(master_seed=42, count=1)
+        inst, coeffs = generate_instance(config, 0)
+        gc.disable()
+        try:
+            rank_variants(inst, coeffs, [v for v in full_catalog() if not v.orthonormal_only])
+            optimize_exponent("coarse", inst, coeffs)
+            profile_exponent("bb:4.3", inst, coeffs)
+            alive = weakref.ref(inst)
+            del inst
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("call", ["rank", "optimize", "profile", "evaluate"])
+    def test_bad_coefficients_raise_after_a_good_call(self, call):
+        # a kept state is read only after the coefficients pass their checks
+        inst, coeffs = generate_instance(GenConfig(master_seed=42, count=1, n_range=(4, 4)), 0)
+        ranked = [v for v in full_catalog() if not v.orthonormal_only]
+        run = {
+            "rank": lambda c: rank_variants(inst, c, ranked),
+            "optimize": lambda c: optimize_exponent("coarse", inst, c),
+            "profile": lambda c: profile_exponent("coarse", inst, c),
+            "evaluate": lambda c: evaluate_variant(parse_variant("special:2.12:p=2.0"), inst, c),
+        }[call]
+        run(coeffs)
+        with pytest.raises(ValidationError, match=r"^coefficient vector of length \(5,\) for n=4$"):
+            run(np.append(coeffs, 1.0))
+        for bad in (math.nan, math.inf):
+            broken = coeffs.copy()
+            broken[1] = bad
+            with pytest.raises(ValidationError, match="^coeffs contains non-finite entries$"):
+                run(broken)
+        run(coeffs)
