@@ -178,7 +178,8 @@ def _first(count, width: int) -> np.ndarray:
 class _Floats:
     """The arithmetic that one instance's statistics and terms compute with,
     on Python floats (``bool`` makes a verdict a Python bool).  ``_Arrays``
-    is the same entry by entry on arrays with a leading instance axis."""
+    is the same entry by entry on arrays with a leading instance axis.
+    ``zero_where`` is a zero guard's only statement on both (``variants``)."""
 
     __slots__ = ()
     sqrt = staticmethod(math.sqrt)
@@ -196,7 +197,8 @@ class _Arrays:
     float power takes it (float64 ``np.power`` differs from it in the last
     bit on some entries), with inf where Python raises OverflowError, and on
     int bases ``float(k)**e``; ``min`` and ``max`` keep Python's rules
-    (``a`` unless ``b`` is smaller, or larger, so a NaN ``a`` stays)."""
+    (``a`` unless ``b`` is smaller, or larger, so a NaN ``a`` stays);
+    ``zero_where`` masks each instance as ``_Floats`` masks one."""
 
     __slots__ = ()
     sqrt = staticmethod(np.sqrt)
@@ -383,12 +385,9 @@ class CoeffStats:
         limit, so extreme exponents cannot underflow the term to zero.  It
         is 0.0 when n < 2, where an infinite maximum would give inf * 0.0.
         """
-        zero = self.n < 2
-        if zero is True:
-            return 0.0
         ps = self._pow
         root = self.max_a2 * ps.bracket_root(g, 1.0 / g)
-        return ps.zero_where(zero, ps.max(root, self.top2_prod * 2.0 ** (1.0 / g)))
+        return ps.zero_where(self.n < 2, ps.max(root, self.top2_prod * 2.0 ** (1.0 / g)))
 
 
 @lru_cache(maxsize=128)

@@ -471,4 +471,6 @@ def load_instance(path) -> tuple[ProblemInstance, np.ndarray | None]:
         doc = json.loads(Path(path).read_text(), parse_int=float)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: not valid JSON (nested too deeply)") from exc
     return instance_from_jsonable(doc)

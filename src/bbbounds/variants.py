@@ -142,10 +142,9 @@ def holder(p: float) -> Selector:
 # ``pow`` (Python's float power; on a block ``np.float_power``, which takes
 # it entry by entry with the C library's ``pow``, where float64 ``np.power``
 # differs in the last bit), ``min`` (Python's tie and NaN rules) and
-# ``zero_where``.  A zero guard returns 0.0
-# early on one instance, as an ``if``, and is a mask on a block
-# (``zero_where``), which computes the value on every instance first: an inf
-# times the guarded zero would be NaN.
+# ``zero_where``.  A zero guard is that mask alone, on both: the value is
+# computed first, where an inf times the guarded zero is NaN, or, on an
+# empty family, ``pow(-1, 1/p)`` a Python complex, and the mask replaces it.
 
 
 def _diag_value(s, sel: Selector) -> float:
@@ -162,25 +161,19 @@ def _offdiag_value(s, sel: Selector) -> float:
     """Bound on the ordered cross-term sum ``sum_{i != j} |a_i a_j (z_i, z_j)|``;
     zero when every off-diagonal entry vanishes (n <= 1 included)."""
     cs, gs = s.coeff_stats, s.gram_stats
-    zero = gs.max_off == 0.0
-    if zero is True:
-        return 0.0
     if sel.kind == "max":
         value = cs.top2_prod * gs.sum_off
     elif sel.kind == "sum":
         value = cs.sum_bracket * gs.max_off
     else:
         value = cs.holder_bracket_root(sel.exponent) * gs.norm_off(sel.conjugate)
-    return s.zero_where(zero, value)
+    return s.zero_where(gs.max_off == 0.0, value)
 
 
 def _coarse_offdiag_value(s, sel: Selector) -> float:
     """The cross-term bound with the coefficient factors replaced by
     (n-1)-weighted diagonal power sums."""
     cs, gs = s.coeff_stats, s.gram_stats
-    zero = gs.max_off == 0.0
-    if zero is True:
-        return 0.0
     if sel.kind == "max":
         value = cs.max_a2 * gs.sum_off
     elif sel.kind == "sum":
@@ -188,7 +181,7 @@ def _coarse_offdiag_value(s, sel: Selector) -> float:
     else:
         g = sel.exponent
         value = s.pow(gs.n - 1, 1.0 / g) * cs.norm_a2(g) * gs.norm_off(sel.conjugate)
-    return s.zero_where(zero, value)
+    return s.zero_where(gs.max_off == 0.0, value)
 
 
 def _aligned_coarse(s, sel: Selector) -> float:
@@ -198,21 +191,17 @@ def _aligned_coarse(s, sel: Selector) -> float:
 
 def _cor23_sharp(s, _) -> float:
     cs, gs = s.coeff_stats, s.gram_stats
-    zero = cs.sum_a2 == 0.0
-    if zero is True:
-        return 0.0
     # sqrt((sum a^2)^2 - sum a^4) is the pair bracket root at exponent 2;
     # its coefficient is at most 1, so clamp rounding to keep sharp <= weak.
-    ratio = s.min(cs.holder_bracket_root(2.0) / cs.sum_a2, 1.0)
-    return s.zero_where(zero, cs.sum_a2 * (gs.max_diag + ratio * gs.norm_off(2.0)))
+    # The divisor is floored at the least subnormal, which leaves every
+    # positive or NaN sum as it is and a masked zero no division by zero.
+    ratio = s.min(cs.holder_bracket_root(2.0) / s.max(cs.sum_a2, 5e-324), 1.0)
+    return s.zero_where(cs.sum_a2 == 0.0, cs.sum_a2 * (gs.max_diag + ratio * gs.norm_off(2.0)))
 
 
 def _cor23_weak(s, _) -> float:
     cs, gs = s.coeff_stats, s.gram_stats
-    zero = cs.sum_a2 == 0.0
-    if zero is True:
-        return 0.0
-    return s.zero_where(zero, cs.sum_a2 * (gs.max_diag + gs.norm_off(2.0)))
+    return s.zero_where(cs.sum_a2 == 0.0, cs.sum_a2 * (gs.max_diag + gs.norm_off(2.0)))
 
 
 # The Fourier bounds read ``fourier_stats``, the magnitudes |(x, y_i)|.
@@ -233,8 +222,7 @@ def _fourier_43(s, sel: Selector) -> float:
     p, q = sel.exponent, sel.conjugate
     # (sum |f|^(2p))^(1/(2p))
     f_root = s.sqrt(s.fourier_stats.norm_a2(p))
-    zero = n < 2
-    tail = 0.0 if zero is True else s.zero_where(zero, s.pow(n - 1, 1.0 / p) * gs.norm_off(q))
+    tail = s.zero_where(n < 2, s.pow(n - 1, 1.0 / p) * gs.norm_off(q))
     return s.sqrt(s.x_norm_sq) * f_root * s.sqrt(gs.norm_diag(q) + tail)
 
 

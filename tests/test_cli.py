@@ -240,6 +240,19 @@ class TestGenAndCheckFile:
         assert proc.stdout == ""
         assert proc.stderr == "error: coeffs[1] contains a non-finite number\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [["check-file"], ["rank", "--file"], ["optimize", "--family", "coarse", "--file"]],
+        ids=["check-file", "rank", "optimize"],
+    )
+    def test_deeply_nested_file_exits_2_with_one_error_line(self, tmp_path, args):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        proc = run_cli(*args, str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path}: not valid JSON (nested too deeply)\n"
+
     def test_missing_file_exits_2(self):
         assert run_cli("check-file", "/nonexistent/path.json").returncode == 2
 
@@ -254,6 +267,30 @@ class TestGenAndCheckFile:
         proc = run_cli("check-file", str(path), "--variants", "lemma21:sum:max,bb:1.2")
         assert proc.returncode == 0
         assert proc.stdout.count("held") == 2
+
+    def test_empty_family_evaluates_the_whole_catalog(self, tmp_path, capsys):
+        # n = 0 in both modes: every term's zero guard masks a value that may
+        # be NaN or, from pow(-1, 1/p), a Python complex
+        docs = {
+            "vectors": {"field": "real", "mode": "vectors", "x": [[1, 0], [2, 0]], "y": [], "coeffs": []},
+            "gram": {"field": "real", "mode": "gram", "bordered_gram": [[[5, 0]]], "coeffs": []},
+        }
+        stdout = {}
+        for mode, doc in docs.items():
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["check-file", str(path), "--variants", "all"]) == 0
+            out = capsys.readouterr().out
+            rows = out.splitlines()[1:]
+            assert len(rows) == 179 and all(row.endswith(",held") for row in rows)
+            assert main(["rank", "--file", str(path)]) == 0
+            for family in PROFILE_FAMILIES:
+                assert main(["optimize", "--file", str(path), "--family", family]) == 0
+                captured = capsys.readouterr()
+                out += captured.out
+                assert captured.err.endswith("exponent=1.0009765625 value=0.0 at_boundary=True\n")
+            stdout[mode] = out
+        assert stdout["gram"] == stdout["vectors"]
 
 
 class TestRankAndOptimize:

@@ -53,6 +53,25 @@ def test_no_unread_imports(stem):
     assert not unread, unread
 
 
+def test_terms_do_not_branch_on_the_arithmetic():
+    # the terms and the coefficient statistics run on one instance's Python
+    # floats and on a block's arrays: a comparison with True or False by
+    # identity holds only on a Python bool, so it would branch on which
+    # arithmetic runs the code; a zero guard is the mask alone
+    coeff_stats = next(
+        node for node in _tree("bounds").body if isinstance(node, ast.ClassDef) and node.name == "CoeffStats"
+    )
+    found = [
+        f"{where}:{node.lineno}"
+        for where, tree in (("variants", _tree("variants")), ("bounds.CoeffStats", coeff_stats))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(isinstance(side, ast.Constant) and isinstance(side.value, bool) for side in [node.left, *node.comparators])
+    ]
+    assert not found, found
+
+
 def test_bench_tracer_installs_and_restores():
     # bench/tracer.py patches the package's names by attribute: a name it
     # patches that the package no longer has fails here, not only in the

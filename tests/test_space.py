@@ -454,6 +454,14 @@ class TestInstanceFiles:
         with pytest.raises(ValidationError, match="JSON"):
             load_instance(path)
 
+    def test_deeply_nested_json_text(self, tmp_path):
+        # the decoder raises RecursionError, not a ValueError, past its depth
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(ValidationError) as info:
+            load_instance(path)
+        assert str(info.value) == f"{path}: not valid JSON (nested too deeply)"
+
     def test_jsonable_matches_documented_schema(self):
         inst = ProblemInstance.from_vectors([1.0, 0.0], [E1, E2], field_mode="real")
         doc = instance_to_jsonable(inst, [1.0, 2.0])

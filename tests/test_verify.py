@@ -7,7 +7,7 @@ import math
 import os
 import pickle
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from bbbounds import (
     DEFAULT_POLICY,
+    PROFILE_FAMILIES,
     GenConfig,
     IncompatibleInstanceError,
     ProblemInstance,
@@ -27,9 +28,11 @@ from bbbounds import (
     evaluate_variant,
     full_catalog,
     generate_instance,
+    optimize_exponent,
     orthonormalize,
     parse_variant,
     parse_variant_list,
+    profile_exponent,
     rank_variants,
     run_suite,
 )
@@ -1120,6 +1123,26 @@ class TestOneGramPerInstance:
             gram_only = ProblemInstance.from_bordered_gram(inst.bordered.entries, field_mode=inst.field_mode)
             expected = repr(plan.check(EvalContext(inst, coeffs), DEFAULT_POLICY))
             assert repr(plan.check(EvalContext(gram_only, coeffs), DEFAULT_POLICY)) == expected, index
+
+    @pytest.mark.parametrize(
+        "config", [GenConfig(master_seed=42, count=120), replace(WIDE_CONFIG, count=6)], ids=["seed42", "wide"]
+    )
+    def test_vectors_and_gram_modes_tune_alike(self, config):
+        # ranks, tuned and pinned, and every family's profile and minimum
+        variants = [v for v in full_catalog() if not v.orthonormal_only]
+
+        def tuned(inst, coeffs):
+            return repr((
+                rank_variants(inst, coeffs, variants),
+                rank_variants(inst, coeffs, variants, optimize_exponents=False),
+                [profile_exponent(family, inst, coeffs) for family in PROFILE_FAMILIES],
+                [optimize_exponent(family, inst, coeffs) for family in PROFILE_FAMILIES],
+            ))
+
+        for index in range(config.count):
+            inst, coeffs = generate_instance(config, index)
+            gram_only = ProblemInstance.from_bordered_gram(inst.bordered.entries, field_mode=inst.field_mode)
+            assert tuned(gram_only, coeffs) == tuned(inst, coeffs), index
 
     def test_the_combination_side_is_the_double_sum_of_the_family_gram(self):
         config = GenConfig(master_seed=42, count=2000)
